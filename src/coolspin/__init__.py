@@ -9,7 +9,6 @@ the readout spectra that certify the result.
 from .bounds import (
     Decomposition,
     ProjectionResult,
-    brute_force_max_projection,
     decompose,
     entropy_bound_kmax,
     max_projection,
@@ -90,7 +89,6 @@ __all__ = [
     "apply_unitary",
     "boost_circuit",
     "boost_exact",
-    "brute_force_max_projection",
     "circuit_permutation",
     "compile_circuit",
     "conditional_polarization_after_cnot",

@@ -3,16 +3,12 @@
 The reachable coefficient of a target observable is fixed by the spectra of
 the state and the observable alone: sort both sets of eigenvalues the same
 way and take the overlap. Any unitary that permutes populations can do no
-better, and a relabeling achieves it. An exhaustive search over all basis
-permutations (`brute_force_max_projection`) provides the independent check
-at desk scale. The entropy bound caps how many fully polarized spins any
-closed procedure can extract from n equilibrium spins.
+better, and a relabeling achieves it. The entropy bound caps how many fully
+polarized spins any closed procedure can extract from n equilibrium spins.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -81,33 +77,6 @@ def max_projection(
     a_initial = _trace_product(rho_i, a_target) / denom
     enhancement = a_max / a_initial if a_initial != 0.0 else float("inf")
     return ProjectionResult(a_initial=a_initial, a_max=a_max, enhancement=enhancement)
-
-
-@lru_cache(maxsize=4)
-def _permutation_table(size: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(size))), dtype=np.intp)
-
-
-def brute_force_max_projection(
-    rho_i: PopulationState, a_target: PopulationState
-) -> ProjectionResult:
-    """Exhaustive-search twin of `max_projection` for up to three spins.
-
-    Tries every permutation of the populations; kept deliberately separate
-    from the sorted-spectra formula so the two can check each other.
-    """
-    _check_same_size(rho_i, a_target)
-    if rho_i.n > 3:
-        raise ValueError("exhaustive search is limited to 3 spins (8! arrangements)")
-    a_diag = a_target.pops
-    denom = float(a_diag @ a_diag)
-    if denom == 0.0:
-        raise ValueError("target observable is zero; projection undefined")
-    table = _permutation_table(2**rho_i.n)
-    best = float((rho_i.pops[table] @ a_diag).max()) / denom
-    a_initial = float(rho_i.pops @ a_diag) / denom
-    enhancement = best / a_initial if a_initial != 0.0 else float("inf")
-    return ProjectionResult(a_initial=a_initial, a_max=best, enhancement=enhancement)
 
 
 def decompose(

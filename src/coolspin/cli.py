@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+import math
 from pathlib import Path
 
 from .bounds import entropy_bound_kmax, max_projection
@@ -42,53 +42,37 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-@dataclass
-class RunConfig:
-    """Validated inputs of one invocation."""
-
-    subcommand: str
-    system_path: str | None = None
-    circuit_path: str | None = None
-    state_path: str | None = None
-    out_path: str | None = None
-    spin: str | None = None
-    mode: str = "approx"
-    recycle: bool = False
-    n: int | None = None
-    eps0: float | None = None
-    target_eps: float | None = None
-    boosted: bool = False
-    z_mode: str = "virtual"
-    elide: bool = True
-    bloch_siegert_deg: float = 0.0
-    pulse90_s: float = 2e-3
-
-    def load_system(self) -> SpinSystem:
-        if self.system_path is None:
-            return example_system()
-        return SpinSystem.load(self.system_path)
-
-    def resolve_spin(self, system: SpinSystem) -> int:
-        if self.spin is None:
-            return 0
-        return system.spin_index(self.spin)
+def _write(path: str, text: str) -> None:
+    Path(path).write_text(text)
+    print(f"wrote {path}")
 
 
-def _write_or_print(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(out_path).write_text(text)
-        print(f"wrote {out_path}")
+def _system(args: argparse.Namespace) -> SpinSystem:
+    return example_system() if args.system is None else SpinSystem.load(args.system)
 
 
-def cmd_bound(cfg: RunConfig) -> int:
-    system = cfg.load_system()
-    spin = cfg.resolve_spin(system)
+def _spin(args: argparse.Namespace, system: SpinSystem) -> int:
+    return 0 if args.spin is None else system.spin_index(args.spin)
+
+
+def _spin_count(text: str) -> int:
+    """Parse --n: a whole number of spins, also accepted in float form (1e9)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 1 and value == int(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive whole number of spins, got {text!r}")
+    return int(value)
+
+
+def cmd_bound(args: argparse.Namespace) -> int:
+    system = _system(args)
+    spin = _spin(args, system)
     state = thermal_state(system.n)
     result = max_projection(state, iz_operator(system.n, spin))
-    eps0 = system.epsilon0 if cfg.eps0 is None else cfg.eps0
-    n_for_kmax = system.n if cfg.n is None else cfg.n
+    eps0 = system.epsilon0 if args.eps0 is None else args.eps0
+    n_for_kmax = system.n if args.n is None else args.n
     kmax = entropy_bound_kmax(n_for_kmax, eps0)
     print(f"spin: {system.labels[spin]}")
     print(f"a_initial: {_fmt(result.a_initial)}")
@@ -98,11 +82,11 @@ def cmd_bound(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_boost(cfg: RunConfig) -> int:
-    system = cfg.load_system()
+def cmd_boost(args: argparse.Namespace) -> int:
+    system = _system(args)
     if system.n != 3:
         raise ValueError(f"the boost acts on exactly 3 spins, system has {system.n}")
-    eps0 = system.epsilon0 if cfg.eps0 is None else cfg.eps0
+    eps0 = system.epsilon0 if args.eps0 is None else args.eps0
     report = boost_exact(eps0)
     pre = thermal_state(3)
     post = apply_permutation(pre, circuit_permutation(boost_circuit(), 3))
@@ -118,16 +102,13 @@ def cmd_boost(cfg: RunConfig) -> int:
     print(f"  eps_b: {_fmt(report.eps_b)}")
     print(f"  eps_c: {_fmt(report.eps_c)}")
     print(f"  enhancement: {_fmt(report.enhancement)}")
-    if cfg.out_path is not None:
-        Path(cfg.out_path).write_text(json.dumps(post.to_dict()))
-        print(f"wrote {cfg.out_path}")
+    if args.out is not None:
+        _write(args.out, json.dumps(post.to_dict()))
     return 0
 
 
-def cmd_cool(cfg: RunConfig) -> int:
-    plan = plan_rounds(
-        cfg.n, cfg.eps0, cfg.target_eps, recycle=cfg.recycle
-    )
+def cmd_cool(args: argparse.Namespace) -> int:
+    plan = plan_rounds(args.n, args.eps0, args.target_eps, recycle=args.recycle)
     for i, rnd in enumerate(plan.rounds, start=1):
         pools = " ".join(sorted({_fmt(v) for v in rnd.pool_eps}, reverse=True))
         print(f"round {i}: {len(rnd.triples)} boosts, input pools: {pools}")
@@ -135,33 +116,32 @@ def cmd_cool(cfg: RunConfig) -> int:
     print(f"refocus gates: {plan.refocus_gate_count}")
     print(f"total gates: {plan.total_gate_count}")
     print(f"predicted best polarization: {_fmt(plan.predicted_best)}")
-    result = simulate_plan(plan, mode=cfg.mode)
+    result = simulate_plan(plan, mode=args.mode)
     spin, value = result.best()
-    print(f"simulated best ({cfg.mode}): spin {plan.labels[spin]} at {_fmt(value)}")
+    print(f"simulated best ({args.mode}): spin {plan.labels[spin]} at {_fmt(value)}")
     if result.discrepancy is not None:
         print(f"exact vs approx max difference: {_fmt(result.discrepancy)}")
-    if cfg.out_path is not None:
-        Path(cfg.out_path).write_text(json.dumps(plan.to_dict()))
-        print(f"wrote {cfg.out_path}")
+    if args.out is not None:
+        _write(args.out, json.dumps(plan.to_dict()))
     return 0
 
 
-def cmd_compile(cfg: RunConfig) -> int:
-    system = cfg.load_system()
-    if cfg.circuit_path is None:
+def cmd_compile(args: argparse.Namespace) -> int:
+    system = _system(args)
+    if args.circuit is None:
         if system.n < 3:
             raise ValueError("the default boost circuit needs at least 3 spins")
         circuit = CircuitIR(n=system.n, gates=boost_circuit(0, 1, 2))
     else:
-        circuit = parse_circuit(Path(cfg.circuit_path).read_text(), system)
-    model = DurationModel(pulse90_s=cfg.pulse90_s)
+        circuit = parse_circuit(Path(args.circuit).read_text(), system)
+    model = DurationModel(pulse90_s=args.pulse90_s)
     seq = compile_circuit(
         circuit,
         system,
         model,
-        z_mode=cfg.z_mode,
-        elide=cfg.elide,
-        bloch_siegert_deg=cfg.bloch_siegert_deg,
+        z_mode=args.z_mode,
+        elide=not args.no_elide,
+        bloch_siegert_deg=args.bloch_siegert_deg,
     )
     print(f"events: {len(seq.events)}")
     print(f"pulses: {seq.pulse_count()}")
@@ -176,35 +156,28 @@ def cmd_compile(cfg: RunConfig) -> int:
         target = permutation_unitary(circuit_permutation(circuit.gates, system.n))
         verdict = phase_pattern_equal(simulate_sequence(seq), target)
         print(f"verification: {'PASS' if verdict else 'FAIL'}")
-    if cfg.out_path is not None:
-        Path(cfg.out_path).write_text(seq.to_json())
-        print(f"wrote {cfg.out_path}")
+    if args.out is not None:
+        _write(args.out, seq.to_json())
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    system = cfg.load_system()
-    spin = cfg.resolve_spin(system)
-    if cfg.state_path is not None:
-        state = PopulationState.from_dict(json.loads(Path(cfg.state_path).read_text()))
-    elif cfg.boosted:
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    system = _system(args)
+    spin = _spin(args, system)
+    if args.state is not None:
+        state = PopulationState.from_dict(json.loads(Path(args.state).read_text()))
+    elif args.boosted:
         if system.n != 3:
             raise ValueError("--boosted applies the 3-spin boost; use a 3-spin system")
         state = apply_permutation(thermal_state(3), circuit_permutation(boost_circuit(), 3))
     else:
         state = thermal_state(system.n)
-    spectrum = readout(state, system, spin)
-    _write_or_print(spectrum.to_csv(), cfg.out_path)
+    csv = readout(state, system, spin).to_csv()
+    if args.out is None:
+        sys.stdout.write(csv)
+    else:
+        _write(args.out, csv)
     return 0
-
-
-_HANDLERS = {
-    "bound": cmd_bound,
-    "boost": cmd_boost,
-    "cool": cmd_cool,
-    "compile": cmd_compile,
-    "spectrum": cmd_spectrum,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,20 +194,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_system(p)
     p.add_argument("--spin", help="target spin label (default: first)")
     p.add_argument("--eps0", type=float, help="initial polarization override")
-    p.add_argument("--n", type=float, help="ensemble size for the entropy bound")
+    p.add_argument("--n", type=_spin_count, help="ensemble size for the entropy bound")
+    p.set_defaults(handler=cmd_bound)
 
     p = sub.add_parser("boost", help="one three-spin polarization boost")
     add_system(p)
     p.add_argument("--eps0", type=float, help="initial polarization override")
     p.add_argument("--out", help="write the post-boost state as JSON")
+    p.set_defaults(handler=cmd_boost)
 
     p = sub.add_parser("cool", help="plan and simulate multi-round cooling")
-    p.add_argument("--n", type=int, required=True, help="ensemble size")
+    p.add_argument("--n", type=_spin_count, required=True, help="ensemble size")
     p.add_argument("--eps0", type=float, required=True, help="initial polarization")
     p.add_argument("--target-eps", type=float, required=True, help="goal polarization")
     p.add_argument("--recycle", action="store_true", help="reuse the second output spin")
     p.add_argument("--mode", choices=["exact", "approx", "both"], default="approx")
     p.add_argument("--out", help="write the plan as JSON")
+    p.set_defaults(handler=cmd_cool)
 
     p = sub.add_parser("compile", help="lower a circuit to a pulse sequence")
     add_system(p)
@@ -244,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bloch-siegert-deg", type=float, default=0.0)
     p.add_argument("--pulse90-s", type=float, default=2e-3)
     p.add_argument("--out", help="write the sequence as JSON")
+    p.set_defaults(handler=cmd_compile)
 
     p = sub.add_parser("spectrum", help="predict one spin's readout multiplet")
     add_system(p)
@@ -251,40 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="population-state JSON (default: thermal)")
     p.add_argument("--boosted", action="store_true", help="read out the boosted state")
     p.add_argument("--out", help="write CSV here instead of stdout")
+    p.set_defaults(handler=cmd_spectrum)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "system_path": getattr(args, "system", None),
-        "circuit_path": getattr(args, "circuit", None),
-        "state_path": getattr(args, "state", None),
-        "out_path": getattr(args, "out", None),
-        "spin": getattr(args, "spin", None),
-        "mode": getattr(args, "mode", "approx"),
-        "recycle": getattr(args, "recycle", False),
-        "eps0": getattr(args, "eps0", None),
-        "target_eps": getattr(args, "target_eps", None),
-        "boosted": getattr(args, "boosted", False),
-        "z_mode": getattr(args, "z_mode", "virtual"),
-        "elide": not getattr(args, "no_elide", False),
-        "bloch_siegert_deg": getattr(args, "bloch_siegert_deg", 0.0),
-        "pulse90_s": getattr(args, "pulse90_s", 2e-3),
-    }
-    n = getattr(args, "n", None)
-    if n is not None:
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
-    return RunConfig(subcommand=args.subcommand, n=n, **fields)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return args.handler(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

@@ -5,14 +5,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .states import DenseState, bit_position, check_capacity
-
-
-def iz_diag(n: int, spin: int) -> np.ndarray:
-    """Diagonal of the z angular momentum of one spin: +-1/2 per basis state."""
-    mask = np.uint64(1) << np.uint64(bit_position(n, spin))
-    idx = np.arange(2**n, dtype=np.uint64)
-    return np.where(idx & mask, -0.5, 0.5)
+from .states import DenseState, check_capacity, iz_diag
 
 
 def iz_product_diag(n: int, spins: Iterable[int]) -> np.ndarray:

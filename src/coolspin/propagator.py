@@ -12,20 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from .pulses import Delay, FrameShift, PulseSequence, SelectivePulse
-from .states import Unitary, check_capacity
+from .states import Unitary, check_capacity, iz_diag
 from .system import SpinSystem
 
 
 def _delay_phases(system: SpinSystem, seconds: float) -> np.ndarray:
     """Diagonal of exp(-i 2 pi t sum_{i<j} J_ij m_i m_j), m = +/- 1/2."""
     n = system.n
-    dim = 1 << n
-    idx = np.arange(dim)
-    half = np.empty((n, dim))
-    for spin in range(n):
-        bits = (idx >> (n - 1 - spin)) & 1
-        half[spin] = 0.5 - bits
-    angle = np.zeros(dim)
+    half = [iz_diag(n, spin) for spin in range(n)]
+    angle = np.zeros(1 << n)
     for i in range(n):
         for j in range(i + 1, n):
             j_hz = system.j_hz[i][j]

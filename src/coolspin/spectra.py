@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DenseState, PopulationState, bit_position
+from .states import DenseState, PopulationState, bit_position, iz_diag
 from .system import SpinSystem
 
 COHERENCE_TOL = 1e-10
@@ -72,17 +72,24 @@ def _spectator_indices(n: int, spin: int) -> tuple[np.ndarray, np.ndarray]:
     return idx0, idx0 | (1 << pos)
 
 
+def _line_offsets(system: SpinSystem, j: int) -> np.ndarray:
+    """Offset of spin j's line for each spectator configuration, in index order.
+
+    A spectator configuration is a basis index over the other n-1 spins in
+    spin order: spin k keeps its place in that basis when k < j and moves
+    down one when k > j.
+    """
+    m = system.n - 1
+    freq = np.zeros(1 << m)
+    for k in range(system.n):
+        if k != j:
+            freq += system.coupling(j, k) * iz_diag(m, k if k < j else k - 1)
+    return freq
+
+
 def line_frequencies(system: SpinSystem, spin: int | str) -> list[float]:
     """The 2**(n-1) multiplet offsets of one spin, sorted ascending."""
-    j = system.spin_index(spin)
-    n = system.n
-    idx0, _ = _spectator_indices(n, j)
-    freq = np.zeros(idx0.shape[0])
-    for k in range(n):
-        if k == j:
-            continue
-        bits = (idx0 >> bit_position(n, k)) & 1
-        freq += system.coupling(j, k) * (0.5 - bits)
+    freq = _line_offsets(system, system.spin_index(spin))
     return [float(f) for f in np.sort(freq, kind="stable")]
 
 
@@ -108,15 +115,9 @@ def readout(
         pops = state.diagonal()
     else:
         pops = state.pops
-    n = system.n
-    idx0, idx1 = _spectator_indices(n, j)
+    idx0, idx1 = _spectator_indices(system.n, j)
     amplitude = pops[idx0] - pops[idx1]
-    freq = np.zeros(idx0.shape[0])
-    for k in range(n):
-        if k == j:
-            continue
-        bits = (idx0 >> bit_position(n, k)) & 1
-        freq += system.coupling(j, k) * (0.5 - bits)
+    freq = _line_offsets(system, j)
     order = np.argsort(-freq, kind="stable")
     lines = [
         SpectralLine(freq_hz=float(freq[i]), amplitude=float(amplitude[i]), spectator=int(i))

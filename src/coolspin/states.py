@@ -3,7 +3,10 @@
 Basis convention, used everywhere in this package: a basis state of n spins
 is indexed by the integer whose most significant bit is spin 0 and whose
 least significant bit is spin n-1, with bit value 0 meaning the spin-up
-state. Index 0 is therefore all-spins-up.
+state. Index 0 is therefore all-spins-up. This is the only module that maps
+index bits to spin values: `iz_diag` gives one spin's +-1/2 over the basis,
+and everything else that needs a spin's sign is built on it. Code that
+permutes basis indices locates a spin's bit with `bit_position`.
 
 Populations are kept in deviation units: the traceless part of the density
 matrix in units of the high-temperature expansion parameter, so that the
@@ -147,13 +150,23 @@ def bit_position(n: int, spin: int) -> int:
     return n - 1 - spin
 
 
+def iz_diag(n: int, spin: int) -> np.ndarray:
+    """Diagonal of the z angular momentum of one spin: +-1/2 per basis state."""
+    pos = bit_position(n, spin)
+    # One row per setting of the spins before `spin`: 2**pos ups, then downs.
+    z = np.full((1 << spin, 2 << pos), 0.5)
+    z[:, 1 << pos :] = -0.5
+    return z.reshape(-1)
+
+
 def thermal_state(n: int) -> PopulationState:
-    """Equilibrium deviation populations: sum of +-1/2 over the index bits."""
+    """Equilibrium deviation populations: the sum of every spin's Iz diagonal."""
     n = _validate_n(n)
     check_capacity(n)
-    idx = np.arange(2**n, dtype=np.uint64)
-    ones = np.bitwise_count(idx).astype(np.int64)
-    return PopulationState(n=n, pops=(n - 2 * ones) / 2.0)
+    pops = np.zeros(2**n)
+    for spin in range(n):
+        pops += iz_diag(n, spin)
+    return PopulationState(n=n, pops=pops)
 
 
 def signed_bit_sum(values: np.ndarray, n: int, spin: int) -> float:
@@ -161,10 +174,7 @@ def signed_bit_sum(values: np.ndarray, n: int, spin: int) -> float:
     values = np.asarray(values)
     if values.shape != (2**n,):
         raise ValueError(f"expected {2**n} entries, got shape {values.shape}")
-    mask = np.uint64(1) << np.uint64(bit_position(n, spin))
-    idx = np.arange(2**n, dtype=np.uint64)
-    signs = np.where(idx & mask, -1.0, 1.0)
-    return float(signs @ values)
+    return float(2.0 * (iz_diag(n, spin) @ values))
 
 
 def polarization(state: PopulationState | DenseState, spin: int) -> float:

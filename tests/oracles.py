@@ -174,6 +174,44 @@ def iz_diag(n, j):
     ]
 
 
+def signed_sum(values, n, j):
+    """Entries whose bit tuple has spin j up, minus those with it down."""
+    return sum(
+        v if bits[j] == 0 else -v
+        for v, bits in zip(values, itertools.product((0, 1), repeat=n))
+    )
+
+
+def line_offsets(j_hz, j):
+    """Readout line offsets of spin j, one per bit tuple of the other spins.
+
+    Sums J_jk * m_k over the spectators k in spin order, m_k = +-1/2.
+    """
+    others = [k for k in range(len(j_hz)) if k != j]
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(others)):
+        freq = 0.0
+        for k, b in zip(others, bits):
+            freq += j_hz[j][k] * (0.5 if b == 0 else -0.5)
+        out.append(freq)
+    return out
+
+
+def delay_angles(j_hz, seconds):
+    """ZZ phase angle 2 pi t sum_{i<k} J_ik m_i m_k of every bit tuple."""
+    n = len(j_hz)
+    out = []
+    for bits in itertools.product((0, 1), repeat=n):
+        m = [0.5 if b == 0 else -0.5 for b in bits]
+        angle = 0.0
+        for i in range(n):
+            for k in range(i + 1, n):
+                if j_hz[i][k] != 0.0:
+                    angle += 2.0 * math.pi * j_hz[i][k] * seconds * m[i] * m[k]
+        out.append(angle)
+    return out
+
+
 def max_projection_bruteforce(rho_diag, a_diag):
     a = np.asarray(a_diag, dtype=float)
     denom = float(a @ a)

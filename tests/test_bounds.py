@@ -5,7 +5,6 @@ import pytest
 from coolspin import (
     DenseState,
     PopulationState,
-    brute_force_max_projection,
     decompose,
     entropy_bound_kmax,
     iz_diag,
@@ -23,7 +22,12 @@ def test_iz_diag_matches_bit_convention():
     assert iz_diag(1, 0).tolist() == [0.5, -0.5]
     assert iz_diag(2, 0).tolist() == [0.5, 0.5, -0.5, -0.5]
     assert iz_diag(2, 1).tolist() == [0.5, -0.5, 0.5, -0.5]
-    assert iz_diag(3, 0).tolist() == oracles.iz_diag(3, 0)
+    for n in range(1, 9):
+        for spin in range(n):
+            assert iz_diag(n, spin).tolist() == oracles.iz_diag(n, spin)
+    for spin in (-1, 3):
+        with pytest.raises(ValueError):
+            iz_diag(3, spin)
 
 
 def test_iz_product_diag_is_elementwise_product():
@@ -67,9 +71,9 @@ def test_bound_agrees_with_exhaustive_search_on_random_states():
         pops -= pops.mean()
         state = PopulationState(n=2, pops=pops)
         fast = max_projection(state, target)
-        slow = brute_force_max_projection(state, target)
-        assert fast.a_max == pytest.approx(slow.a_max, abs=1e-12)
-        assert fast.a_initial == pytest.approx(slow.a_initial, abs=1e-12)
+        slow = oracles.max_projection_bruteforce_fast(pops, target.pops)
+        assert fast.a_max == pytest.approx(slow, abs=1e-12)
+        assert fast.a_initial == pytest.approx(pops @ target.pops / (target.pops @ target.pops), abs=1e-12)
 
 
 def test_bound_is_invariant_under_relabeling_the_state():

@@ -23,9 +23,20 @@ def test_bound_defaults(capsys):
 
 
 def test_bound_with_overrides(capsys):
-    code, out, _ = run(capsys, "bound", "--n", "1000000000", "--eps0", "3e-5")
-    assert code == 0
-    assert "k_max(n=1000000000, eps0=3e-05): 0.649212768497" in out
+    for n in ("1000000000", "1e9"):
+        code, out, _ = run(capsys, "bound", "--n", n, "--eps0", "3e-5")
+        assert code == 0
+        assert "k_max(n=1000000000, eps0=3e-05): 0.649212768497" in out
+
+
+@pytest.mark.parametrize("bad", ["1.5", "0", "-3", "inf", "1e400", "nan", "many"])
+def test_bound_rejects_a_spin_count_that_is_not_a_positive_whole_number(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--n", bad])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--n" in captured.err
 
 
 def test_bound_with_custom_system_and_spin(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """State containers, basis conventions, and the spin-system value object."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coolspin import (
     CapacityError,
@@ -15,16 +17,21 @@ from coolspin import (
     permute_vector,
     polarization,
     product_probabilities,
+    readout,
     thermal_state,
 )
+from coolspin.propagator import _delay_phases
 from coolspin.states import (
     CAPACITY_ENV_VAR,
     MAX_DENSE_SPINS,
     MAX_POPULATION_SPINS,
     bit_position,
     capacity_limit,
+    iz_diag,
     signed_bit_sum,
 )
+
+import oracles
 
 
 def test_bit_position_spin_zero_is_most_significant():
@@ -37,6 +44,39 @@ def test_bit_position_spin_zero_is_most_significant():
 def test_thermal_state_three_spins():
     state = thermal_state(3)
     assert state.pops.tolist() == [1.5, 0.5, 0.5, -0.5, 0.5, -0.5, -0.5, -1.5]
+
+
+def test_thermal_state_needs_no_numpy_bit_count(monkeypatch):
+    # np.bitwise_count exists only from numpy 2.0; pyproject allows 1.24+.
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    for n in range(1, 11):
+        assert thermal_state(n).pops.tolist() == oracles.thermal_diag(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=10),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_spin_signs_match_bit_tuple_references(n, data, seed):
+    spin = data.draw(st.integers(min_value=0, max_value=n - 1))
+    rng = np.random.default_rng(seed)
+    # Integer entries keep every signed sum exact whatever the summation order.
+    values = rng.integers(-1000, 1001, size=2**n).astype(float)
+    j_hz = np.triu(rng.uniform(-150.0, 150.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
+    j_hz = j_hz + j_hz.T
+    system = SpinSystem([f"s{k}" for k in range(n)], j_hz, np.zeros(n), 1e-5)
+    seconds = float(rng.uniform(1e-4, 1e-1))
+
+    assert iz_diag(n, spin).tolist() == oracles.iz_diag(n, spin)
+    assert signed_bit_sum(values, n, spin) == oracles.signed_sum(values.tolist(), n, spin)
+    offsets = oracles.line_offsets(j_hz.tolist(), spin)
+    lines = readout(thermal_state(n), system, spin).lines
+    assert len(lines) == len(offsets)
+    assert all(line.freq_hz == offsets[line.spectator] for line in lines)
+    angles = np.array(oracles.delay_angles(j_hz.tolist(), seconds))
+    assert np.array_equal(_delay_phases(system, seconds), np.exp(-1.0j * angles))
 
 
 def test_thermal_polarization_is_one_for_every_spin():
