@@ -234,7 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad input and 0 after --help
+        return exc.code
     try:
         return args.handler(args)
     except InfeasibleError as exc:

@@ -15,10 +15,16 @@ round's triples: those couplings must be refocused while the active spins
 evolve, and it is this per-round overhead that makes the total cost grow as
 n log n rather than linearly. Echo pairs compose to the identity, so they
 are bookkeeping only and never touch the simulated state.
+
+`simulate_plan` replays a plan with one engine under two policies: exact
+keeps the spins that boosts have correlated together until their last
+triple, approx forgets every correlation after each boost.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -72,11 +78,16 @@ def conditional_polarization_after_cnot(eps: float) -> tuple[float, float]:
     out = np.empty_like(probs)
     out[gate_permutation(Gate("CNOT", (0, 1)), 2)] = probs
     conds = []
-    for bit in (0, 1):
-        keep, drop = (out[0], out[2]) if bit == 0 else (out[1], out[3])
+    # Axis 0 is the first spin, so each column is one reading of the second.
+    for keep, drop in out.reshape(2, 2).T:
         weight = keep + drop
         conds.append(float((keep - drop) / weight) if weight > 0.0 else 0.0)
     return conds[0], conds[1]
+
+
+def _repeated(items: list):
+    """The first item that occurs more than once."""
+    return next(item for item, k in Counter(items).items() if k > 1)
 
 
 @dataclass
@@ -106,6 +117,19 @@ class CoolingPlan:
             self.labels = [f"s{i}" for i in range(self.n)]
         if len(self.labels) != self.n:
             raise ValueError("need one label per spin")
+        if not 0.0 <= self.eps0 <= 1.0:
+            raise ValueError(f"eps0 must lie in [0, 1], got {self.eps0}")
+        if len(set(self.labels)) < self.n:
+            raise ValueError(f"label {_repeated(self.labels)} names more than one spin")
+        # The replay boosts a round's triples in turn, so they must be disjoint.
+        for r, rnd in enumerate(self.rounds, start=1):
+            if any(len(t) != 3 for t in rnd.triples):
+                raise ValueError(f"round {r}: every boost triple must name three spins")
+            used = [s for t in rnd.triples for s in t]
+            if used and not 0 <= min(used) <= max(used) < self.n:
+                raise ValueError(f"round {r}: a spin index lies outside 0..{self.n - 1}")
+            if len(set(used)) < len(used):
+                raise ValueError(f"round {r}: spin {self.labels[_repeated(used)]} is used twice")
 
     @property
     def total_gate_count(self) -> int:
@@ -136,10 +160,11 @@ class CoolingPlan:
         labels = [str(s) for s in data["labels"]]
         index = {lab: i for i, lab in enumerate(labels)}
         rounds = []
-        for rnd in data["rounds"]:
+        for r, rnd in enumerate(data["rounds"], start=1):
+            unknown = [lab for t in rnd["triples"] for lab in t if lab not in index]
+            if unknown:
+                raise ValueError(f"round {r}: unknown spin {unknown[0]}")
             triples = [tuple(index[lab] for lab in t) for t in rnd["triples"]]
-            if any(len(t) != 3 for t in triples):
-                raise ValueError("every boost triple must name three spins")
             rounds.append(Round(triples=triples, pool_eps=[float(v) for v in rnd["pool_eps"]]))
         return cls(
             n=int(data["n"]),
@@ -241,46 +266,57 @@ class PlanResult:
         return spin, float(eps[spin])
 
 
-def _replay_approx(plan: CoolingPlan) -> np.ndarray:
+def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
+    """Per-spin polarizations after the plan's triples, boosted in order.
+
+    An uncorrelated spin is kept as its polarization alone; spins that a
+    boost has correlated share a cluster: a spin list and a probability
+    tensor with one axis per spin. A boost merges its spins' clusters,
+    permutes their three axes and reads their new marginals. With `joint`, a
+    spin is summed out of its cluster after its last triple, which keeps the
+    result exact; without it, every spin is summed out after each boost.
+    """
+    if joint:
+        check_capacity(plan.n)
+    triples = [t for rnd in plan.rounds for t in rnd.triples]
+    last = {s: i for i, t in enumerate(triples) for s in t} if joint else {}
     eps = np.full(plan.n, plan.eps0)
-    for rnd in plan.rounds:
-        updates = {}
-        for triple in rnd.triples:
-            a, b, c = triple
-            if not eps[a] == eps[b] == eps[c]:
-                raise ValueError(f"triple {triple} mixes polarization pools")
-            report = boost_exact(float(eps[a]))
-            updates[a], updates[b], updates[c] = report.eps_a, report.eps_b, report.eps_c
-        for spin, value in updates.items():
-            eps[spin] = value
+    clusters: dict[int, tuple[list[int], np.ndarray]] = {}
+    for i, triple in enumerate(triples):
+        if not joint and not eps[triple[0]] == eps[triple[1]] == eps[triple[2]]:
+            raise ValueError(f"triple {triple} mixes polarization pools")
+        parts = []
+        for s in triple:
+            part = clusters.get(s) or ([s], np.array([1 + eps[s], 1 - eps[s]]) / 2)
+            if all(part is not p for p in parts):
+                parts.append(part)
+        spins = [s for part in parts for s in part[0]]
+        probs = reduce(np.multiply.outer, [part[1] for part in parts])
+        probs = np.moveaxis(probs, [spins.index(s) for s in triple], [0, 1, 2]).reshape(8, -1)
+        spins = list(triple) + [s for s in spins if s not in triple]
+        out = np.empty_like(probs)
+        out[_BOOST_PERM_3] = probs
+        eps[list(triple)] = [signed_bit_sum(out.reshape(-1), len(spins), j) for j in range(3)]
+        done = tuple(j for j, s in enumerate(spins) if last.get(s, -1) <= i)
+        kept = [s for j, s in enumerate(spins) if j not in done]
+        if kept:
+            clusters.update(dict.fromkeys(kept, (kept, out.reshape((2,) * len(spins)).sum(done))))
     return eps
 
 
-def _replay_exact(plan: CoolingPlan) -> np.ndarray:
-    check_capacity(plan.n)
-    probs = product_probabilities(plan.n, plan.eps0)
-    scratch = np.empty_like(probs)
-    for rnd in plan.rounds:
-        for triple in rnd.triples:
-            perm = circuit_permutation(boost_circuit(*triple), plan.n)
-            scratch[perm] = probs
-            probs, scratch = scratch, probs
-    return np.array([signed_bit_sum(probs, plan.n, j) for j in range(plan.n)])
-
-
 def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
-    """Execute a plan.
+    """Execute a plan with one engine under one of two policies.
 
-    "approx" iterates the exact single-boost marginals while treating spins
-    as independent between rounds (cost independent of the state-space
-    size); "exact" propagates the joint 2**n distribution and is limited by
-    the population capacity guard; "both" runs the two and reports their
-    largest per-spin difference.
+    "approx" forgets correlations after each boost, so every boost sees
+    independent spins (cost independent of the state-space size); "exact"
+    keeps each cluster of correlated spins until their last triple and is
+    limited by the population capacity guard; "both" runs the two and
+    reports their largest per-spin difference.
     """
     if mode not in {"exact", "approx", "both"}:
         raise ValueError(f"mode must be exact, approx, or both, got {mode!r}")
-    eps_approx = _replay_approx(plan) if mode in {"approx", "both"} else None
-    eps_exact = _replay_exact(plan) if mode in {"exact", "both"} else None
+    eps_approx = _replay(plan, joint=False) if mode in {"approx", "both"} else None
+    eps_exact = _replay(plan, joint=True) if mode in {"exact", "both"} else None
     discrepancy = None
     if mode == "both":
         discrepancy = float(np.abs(eps_exact - eps_approx).max())

@@ -238,28 +238,30 @@ def max_projection_bruteforce_fast(rho_diag, a_diag):
     return float((rho[table] @ a).max() / (a @ a))
 
 
-# --- multi-round exact propagation on nine spins ------------------------------
+# --- multi-round exact propagation -------------------------------------------
 
-def two_round_cascade_n9(eps0):
-    """Exact 512-state run: boost (0,1,2),(3,4,5),(6,7,8), then (0,3,6)."""
-    dist = product_state([eps0] * 9)
+def replay_exact(n, eps0, triples):
+    """Polarization of every spin after boosting the triples in order.
 
-    def boost_on(dist, triple):
+    Propagates the joint distribution over all 2**n bit tuples, starting
+    from n independent spins at eps0.
+    """
+    dist = product_state([eps0] * n)
+    for triple in triples:
         out = {}
         for bits, p in dist.items():
-            sub = (bits[triple[0]], bits[triple[1]], bits[triple[2]])
-            ob = boost_output(sub)
             nb = list(bits)
-            for spin, val in zip(triple, ob):
+            for spin, val in zip(triple, boost_output(tuple(bits[s] for s in triple))):
                 nb[spin] = val
             nb = tuple(nb)
             out[nb] = out.get(nb, 0) + p
-        return out
+        dist = out
+    return [polarization_of(dist, j) for j in range(n)]
 
-    for triple in ((0, 1, 2), (3, 4, 5), (6, 7, 8)):
-        dist = boost_on(dist, triple)
-    dist = boost_on(dist, (0, 3, 6))
-    return polarization_of(dist, 0)
+
+def two_round_cascade_n9(eps0):
+    """Exact 512-state run: boost (0,1,2),(3,4,5),(6,7,8), then (0,3,6)."""
+    return replay_exact(9, eps0, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6)])[0]
 
 
 if __name__ == "__main__":

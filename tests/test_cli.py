@@ -31,12 +31,16 @@ def test_bound_with_overrides(capsys):
 
 @pytest.mark.parametrize("bad", ["1.5", "0", "-3", "inf", "1e400", "nan", "many"])
 def test_bound_rejects_a_spin_count_that_is_not_a_positive_whole_number(capsys, bad):
-    with pytest.raises(SystemExit) as exc:
-        main(["bound", "--n", bad])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2
-    assert captured.out == ""
-    assert "--n" in captured.err
+    code, out, err = run(capsys, "bound", "--n", bad)
+    assert code == 2
+    assert out == ""
+    assert "--n" in err
+
+
+def test_help_returns_zero_instead_of_exiting(capsys):
+    code, out, _ = run(capsys, "cool", "--help")
+    assert code == 0
+    assert "--recycle" in out
 
 
 def test_bound_with_custom_system_and_spin(capsys, tmp_path):
@@ -178,11 +182,18 @@ def test_spectrum_corrupt_state_file_exits_2(capsys, tmp_path):
 
 
 def test_running_as_a_module_works():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import coolspin
+
+    # Run the same package the tests import, installed or not.
+    src = str(Path(coolspin.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "coolspin", "bound"], capture_output=True, text=True
+        [sys.executable, "-m", "coolspin", "bound"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "a_max: 1.5" in proc.stdout

@@ -15,7 +15,9 @@ from coolspin import (
     plan_rounds,
     simulate_plan,
 )
-from coolspin.cooling import GATES_PER_BOOST
+from coolspin import cooling
+from coolspin.cooling import GATES_PER_BOOST, Round
+from coolspin.states import signed_bit_sum
 
 import oracles
 
@@ -55,6 +57,11 @@ def test_conditional_polarization_after_cnot():
         cond0, cond1 = conditional_polarization_after_cnot(eps)
         assert cond0 == pytest.approx(2 * eps / (1 + eps**2), abs=1e-12)
         assert cond1 == 0.0
+    for eps in np.linspace(0.0, 0.99, 34):
+        want0, want1 = oracles.conditional_after_cnot(eps)
+        cond0, cond1 = conditional_polarization_after_cnot(eps)
+        assert cond0 == pytest.approx(want0, abs=1e-14)
+        assert cond1 == pytest.approx(want1, abs=1e-14)
     # At full polarization the conditioning branch for a flipped control
     # never occurs; its conditional value reports as zero.
     assert conditional_polarization_after_cnot(1.0) == (1.0, 0.0)
@@ -130,6 +137,113 @@ def test_plan_round_trips_through_dict():
     assert again.total_gate_count == plan.total_gate_count
 
 
+def _plan_dict(labels, rounds):
+    return {
+        "n": len(labels), "eps0": 1e-3, "target_eps": 2e-3, "recycle": False,
+        "labels": labels,
+        "rounds": [{"triples": r, "pool_eps": [1e-3] * len(r)} for r in rounds],
+        "boost_gate_count": 0, "refocus_gate_count": 0, "predicted_best": 1e-3,
+    }
+
+
+@pytest.mark.parametrize(
+    ("labels", "rounds", "message"),
+    [
+        (["s0", "s1", "s2"], [[["s0", "s0", "s1"]]], "round 1: spin s0 is used twice"),
+        (
+            [f"s{i}" for i in range(6)],
+            [[["s0", "s1", "s2"], ["s3", "s4", "s5"]], [["s0", "s3", "s4"], ["s5", "s1", "s3"]]],
+            "round 2: spin s3 is used twice",
+        ),
+        (["a", "b", "a"], [[["a", "b", "a"]]], "label a names more than one spin"),
+        (["s0", "s1", "s2"], [[["s0", "s1"]]], "round 1: every boost triple must name three spins"),
+        (["s0", "s1", "s2"], [[["s0", "s1", "s9"]]], "round 1: unknown spin s9"),
+    ],
+)
+def test_plan_loading_rejects_inconsistent_triples(labels, rounds, message):
+    with pytest.raises(ValueError, match=message):
+        CoolingPlan.from_dict(_plan_dict(labels, rounds))
+
+
+def test_plan_loading_rejects_a_polarization_outside_the_unit_interval():
+    data = _plan_dict(["s0", "s1", "s2"], [[["s0", "s1", "s2"]]])
+    for eps0 in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="eps0 must lie in"):
+            CoolingPlan.from_dict({**data, "eps0": eps0})
+
+
+def _plan(n, eps0, rounds):
+    return CoolingPlan(
+        n=n, eps0=eps0, target_eps=1.0, recycle=False,
+        rounds=[Round(triples=list(r), pool_eps=[eps0] * len(r)) for r in rounds],
+        boost_gate_count=0, refocus_gate_count=0, predicted_best=eps0,
+    )
+
+
+@st.composite
+def _random_plans(draw):
+    n = draw(st.integers(min_value=3, max_value=10))
+    rounds = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        spins = draw(st.permutations(range(n)))
+        k = draw(st.integers(min_value=1, max_value=n // 3))
+        rounds.append([tuple(spins[3 * i : 3 * i + 3]) for i in range(k)])
+    return _plan(n, draw(st.floats(min_value=0.0, max_value=1.0)), rounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=_random_plans())
+def test_exact_replay_matches_the_joint_distribution_oracle(plan):
+    triples = [t for rnd in plan.rounds for t in rnd.triples]
+    want = oracles.replay_exact(plan.n, plan.eps0, triples)
+    got = simulate_plan(plan, mode="exact").eps_exact
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_a_spin_leaves_its_cluster_after_its_last_triple(monkeypatch):
+    # Triple (1, 4, 9) of round 2 uses spins that (0, 3, 6) made correlated.
+    # Summing 3 and 6 out right after (0, 3, 6), not at the end of the round,
+    # keeps the largest cluster at seven spins instead of nine.
+    rounds = [
+        [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)],
+        [(0, 3, 6), (1, 4, 9), (2, 7, 10)],
+        [(0, 1, 2)],
+    ]
+    cluster_sizes = []
+
+    def spy(values, n, spin):
+        cluster_sizes.append(n)
+        return signed_bit_sum(values, n, spin)
+
+    monkeypatch.setattr(cooling, "signed_bit_sum", spy)
+    got = simulate_plan(_plan(12, 0.3, rounds), mode="exact").eps_exact
+    want = oracles.replay_exact(12, 0.3, [t for rnd in rounds for t in rnd])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    assert max(cluster_sizes) == 7
+
+
+@pytest.mark.parametrize("recycle", [False, True])
+def test_approx_replay_equals_a_boost_exact_loop_bit_for_bit(recycle):
+    for k, eps0 in ((3, 1e-3), (4, 2e-4), (5, 1e-5), (6, 0.05)):
+        target = eps0
+        for _ in range(k - recycle):
+            target = boost_exact(target).eps_a
+        plan = plan_rounds(3**k, eps0, 0.99 * target, recycle=recycle)
+        want = np.full(plan.n, eps0)
+        for rnd in plan.rounds:
+            for a, b, c in rnd.triples:
+                report = boost_exact(float(want[a]))
+                want[[a, b, c]] = report.eps_a, report.eps_b, report.eps_c
+        got = simulate_plan(plan, mode="approx").eps_approx
+        assert got.tobytes() == want.tobytes()
+
+
+def test_approx_replay_rejects_a_triple_that_mixes_pools():
+    plan = _plan(6, 1e-3, [[(0, 1, 2)], [(0, 3, 4)]])
+    with pytest.raises(ValueError, match="mixes polarization pools"):
+        simulate_plan(plan, mode="approx")
+
+
 def test_simulation_modes_agree_at_low_polarization():
     plan = plan_rounds(9, 1e-3, 0.99 * 2.25e-3)
     both = simulate_plan(plan, mode="both")
@@ -150,7 +264,7 @@ def test_exact_simulation_respects_population_capacity():
     plan = plan_rounds(27, 1e-5, 1.4e-5)
     with pytest.raises(CapacityError):
         simulate_plan(plan, mode="exact")
-    # The first-order engine has no such ceiling.
+    # The approx policy has no such ceiling.
     result = simulate_plan(plan, mode="approx")
     assert result.eps_approx is not None
 
@@ -169,7 +283,7 @@ def test_gate_totals_track_quasi_linear_growth():
 
 
 def test_boost_approximation_error_is_third_order():
-    # eps_out - 1.5 eps = -eps**3 / 2 exactly, so the first-order engine's
+    # eps_out - 1.5 eps = -eps**3 / 2 exactly, so the first-order gain's
     # error per boost shrinks cubically.
     for eps in (1e-2, 1e-3):
         report = boost_exact(eps)
