@@ -110,7 +110,7 @@ def cmd_boost(args: argparse.Namespace) -> int:
 def cmd_cool(args: argparse.Namespace) -> int:
     plan = plan_rounds(args.n, args.eps0, args.target_eps, recycle=args.recycle)
     for i, rnd in enumerate(plan.rounds, start=1):
-        pools = " ".join(sorted({_fmt(v) for v in rnd.pool_eps}, reverse=True))
+        pools = " ".join(sorted({_fmt(v) for v in set(rnd.pool_eps)}, reverse=True))
         print(f"round {i}: {len(rnd.triples)} boosts, input pools: {pools}")
     print(f"boost gates: {plan.boost_gate_count}")
     print(f"refocus gates: {plan.refocus_gate_count}")

@@ -8,20 +8,24 @@ are exact at any polarization, not a small-polarization expansion.
 polarization value, each round greedily forms disjoint triples inside every
 pool that still holds three spins (coldest pool first, lowest indices
 first), the first member of each triple comes out boosted, and the other
-two leave the live set unless role b is recycled. The recorded operation
-count adds, on top of five gates per boost, one refocusing echo pair (two
-NOT pulses) per round for every physically present spin outside that
-round's triples: those couplings must be refocused while the active spins
-evolve, and it is this per-round overhead that makes the total cost grow as
-n log n rather than linearly. Echo pairs compose to the identity, so they
-are bookkeeping only and never touch the simulated state.
+two leave the live set unless role b is recycled. A round walks each sorted
+pool once and boosts once per pool value, so it costs O(k log k) in its k
+live spins. The recorded operation count adds, on top of five gates per
+boost, one refocusing echo pair (two NOT pulses) per round for every
+physically present spin outside that round's triples: those couplings must
+be refocused while the active spins evolve, and it is this per-round
+overhead that makes the total cost grow as n log n rather than linearly.
+Echo pairs compose to the identity, so they are bookkeeping only and never
+touch the simulated state.
 
 `simulate_plan` replays a plan with one engine under two policies: exact
 keeps the spins that boosts have correlated together until their last
-triple, approx forgets every correlation after each boost.
+triple, approx forgets every correlation after each boost, so it boosts once
+per distinct pool value and copies the three marginals to every triple.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
@@ -50,6 +54,14 @@ class BoostReport:
 _BOOST_PERM_3 = circuit_permutation(boost_circuit(), 3)
 
 
+def _boost_marginals(eps: float) -> tuple[float, float, float]:
+    """Polarizations of roles a, b, c after boosting three independent spins at eps."""
+    spin = np.array([1 + eps, 1 - eps]) / 2
+    out = np.empty(8)
+    out[_BOOST_PERM_3] = np.multiply.outer(np.multiply.outer(spin, spin), spin).reshape(-1)
+    return signed_bit_sum(out, 3, 0), signed_bit_sum(out, 3, 1), signed_bit_sum(out, 3, 2)
+
+
 def boost_exact(eps: float) -> BoostReport:
     """One boost on three spins of equal polarization eps in [0, 1].
 
@@ -57,10 +69,7 @@ def boost_exact(eps: float) -> BoostReport:
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"polarization must lie in [0, 1], got {eps}")
-    probs = product_probabilities(3, eps)
-    out = np.empty_like(probs)
-    out[_BOOST_PERM_3] = probs
-    eps_a, eps_b, eps_c = (signed_bit_sum(out, 3, j) for j in range(3))
+    eps_a, eps_b, eps_c = _boost_marginals(eps)
     enhancement = eps_a / eps if eps > 0.0 else 1.5
     return BoostReport(eps_in=eps, eps_a=eps_a, eps_b=eps_b, eps_c=eps_c, enhancement=enhancement)
 
@@ -121,6 +130,9 @@ class CoolingPlan:
             raise ValueError(f"eps0 must lie in [0, 1], got {self.eps0}")
         if len(set(self.labels)) < self.n:
             raise ValueError(f"label {_repeated(self.labels)} names more than one spin")
+        for name in ("target_eps", "predicted_best"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # The replay boosts a round's triples in turn, so they must be disjoint.
         for r, rnd in enumerate(self.rounds, start=1):
             if any(len(t) != 3 for t in rnd.triples):
@@ -130,6 +142,8 @@ class CoolingPlan:
                 raise ValueError(f"round {r}: a spin index lies outside 0..{self.n - 1}")
             if len(set(used)) < len(used):
                 raise ValueError(f"round {r}: spin {self.labels[_repeated(used)]} is used twice")
+            if len(rnd.pool_eps) != len(rnd.triples) or not all(map(math.isfinite, rnd.pool_eps)):
+                raise ValueError(f"round {r}: pool_eps must hold one finite value per triple")
 
     @property
     def total_gate_count(self) -> int:
@@ -191,8 +205,11 @@ def plan_rounds(
 
     Pools are keyed by exact polarization value; identical histories give
     bit-identical floats, so float keys are deterministic. Triples never mix
-    pools. Raises the infeasibility error when no pool can field a triple
-    and the target is still out of reach.
+    pools. Each round sorts every pool, takes its triples with three strided
+    slices and boosts once per pool, so a round costs O(k log k) in its k
+    live spins and the whole schedule about O(n log n). Raises the
+    infeasibility error when no pool can field a triple and the target is
+    still out of reach.
     """
     if n < 3 or n != int(n):
         raise ValueError(f"need at least three spins to form a triple, got {n}")
@@ -215,17 +232,17 @@ def plan_rounds(
         next_pools: dict[float, list[int]] = {}
         for value in sorted(pools, reverse=True):
             spins = sorted(pools[value])
-            report = boost_exact(value) if len(spins) >= 3 else None
-            while len(spins) >= 3:
-                a, b, c = spins[:3]
-                spins = spins[3:]
-                triples.append((a, b, c))
-                pool_eps.append(value)
-                next_pools.setdefault(report.eps_a, []).append(a)
+            end = len(spins) - len(spins) % 3
+            if end:
+                eps_a, eps_b, _ = _boost_marginals(value)
+                a, b = spins[0:end:3], spins[1:end:3]
+                triples.extend(zip(a, b, spins[2:end:3]))
+                pool_eps.extend([value] * len(a))
+                next_pools.setdefault(eps_a, []).extend(a)
                 if recycle:
-                    next_pools.setdefault(report.eps_b, []).append(b)
-            if spins:
-                next_pools.setdefault(value, []).extend(spins)
+                    next_pools.setdefault(eps_b, []).extend(b)
+            if spins[end:]:
+                next_pools.setdefault(value, []).extend(spins[end:])
         if not triples:
             best = frontier()
             raise InfeasibleError(
@@ -274,7 +291,8 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
     tensor with one axis per spin. A boost merges its spins' clusters,
     permutes their three axes and reads their new marginals. With `joint`, a
     spin is summed out of its cluster after its last triple, which keeps the
-    result exact; without it, every spin is summed out after each boost.
+    result exact. Without it, no cluster forms: every boost sees three
+    independent spins of one pool value, and each value is boosted once.
     """
     if joint:
         check_capacity(plan.n)
@@ -282,9 +300,17 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
     last = {s: i for i, t in enumerate(triples) for s in t} if joint else {}
     eps = np.full(plan.n, plan.eps0)
     clusters: dict[int, tuple[list[int], np.ndarray]] = {}
+    boosts: dict[float, tuple[float, float, float]] = {}
     for i, triple in enumerate(triples):
-        if not joint and not eps[triple[0]] == eps[triple[1]] == eps[triple[2]]:
-            raise ValueError(f"triple {triple} mixes polarization pools")
+        if not joint:
+            a, b, c = triple
+            value = eps[a]
+            if not value == eps[b] == eps[c]:
+                raise ValueError(f"triple {triple} mixes polarization pools")
+            if value not in boosts:
+                boosts[value] = _boost_marginals(value)
+            eps[a], eps[b], eps[c] = boosts[value]
+            continue
         parts = []
         for s in triple:
             part = clusters.get(s) or ([s], np.array([1 + eps[s], 1 - eps[s]]) / 2)

@@ -12,7 +12,7 @@ Populations are kept in deviation units: the traceless part of the density
 matrix in units of the high-temperature expansion parameter, so that the
 thermal ensemble is exactly the sum of the single-spin z operators. True
 occupation probabilities at a finite polarization are a separate
-representation (`product_probabilities`) used by the exact boost statistics;
+representation (`product_probabilities`) used by the exact CNOT statistics;
 the two coincide only to first order in the polarization.
 """
 from __future__ import annotations

@@ -264,6 +264,52 @@ def two_round_cascade_n9(eps0):
     return replay_exact(9, eps0, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6)])[0]
 
 
+# --- the scheduler, one triple at a time ---------------------------------------
+
+def plan_rounds_reference(n, eps0, target_eps, boost, recycle=False):
+    """The greedy pool scheduler that slices three spins off at a time.
+
+    `boost(value)` must return an object with `eps_a` and `eps_b` (the
+    package's `boost_exact`), so pool keys are the same floats as the
+    package's. Returns (rounds, boost gates, refocus gates, predicted best),
+    each round a (triples, pool_eps) pair, or None when the target is out
+    of reach. It copies the rest of a pool for every triple, O(n**2).
+    """
+    pools = {eps0: list(range(n))}
+    rounds = []
+    boost_gates = 0
+    refocus_gates = 0
+
+    def frontier():
+        return max(pools) if pools else 0.0
+
+    while frontier() < target_eps:
+        triples = []
+        pool_eps = []
+        next_pools = {}
+        for value in sorted(pools, reverse=True):
+            spins = sorted(pools[value])
+            report = boost(value) if len(spins) >= 3 else None
+            while len(spins) >= 3:
+                a, b, c = spins[:3]
+                spins = spins[3:]
+                triples.append((a, b, c))
+                pool_eps.append(value)
+                next_pools.setdefault(report.eps_a, []).append(a)
+                if recycle:
+                    next_pools.setdefault(report.eps_b, []).append(b)
+            if spins:
+                next_pools.setdefault(value, []).extend(spins)
+        if not triples:
+            return None
+        rounds.append((triples, pool_eps))
+        boost_gates += 5 * len(triples)
+        refocus_gates += 2 * (n - 3 * len(triples))
+        pools = next_pools
+
+    return rounds, boost_gates, refocus_gates, frontier() if rounds else eps0
+
+
 if __name__ == "__main__":
     print("closed forms proven:", prove_boost_closed_forms())
     print("boost_marginals(0.5):", boost_marginals(0.5))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coolspin import (
@@ -17,7 +17,7 @@ from coolspin import (
 )
 from coolspin import cooling
 from coolspin.cooling import GATES_PER_BOOST, Round
-from coolspin.states import signed_bit_sum
+from coolspin.states import product_probabilities, signed_bit_sum
 
 import oracles
 
@@ -31,6 +31,20 @@ def test_boost_marginals_match_closed_forms(eps):
     assert report.eps_a == pytest.approx(eps * (3 - eps**2) / 2, abs=1e-12)
     assert report.eps_b == pytest.approx(eps * (1 + eps**2) / 2, abs=1e-12)
     assert report.eps_c == pytest.approx(-(eps**2), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+@example(eps=0.0)
+@example(eps=1.0)
+def test_boost_kernel_equals_the_product_state_permutation_bit_for_bit(eps):
+    probs = product_probabilities(3, eps)
+    out = np.empty_like(probs)
+    out[cooling._BOOST_PERM_3] = probs
+    want = [signed_bit_sum(out, 3, j) for j in range(3)]
+    report = boost_exact(eps)
+    got = [report.eps_a, report.eps_b, report.eps_c]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_boost_against_independent_rational_oracle():
@@ -165,6 +179,24 @@ def test_plan_loading_rejects_inconsistent_triples(labels, rounds, message):
         CoolingPlan.from_dict(_plan_dict(labels, rounds))
 
 
+@pytest.mark.parametrize(
+    "pool_eps", [[float("nan")], [1e-3], [1e-3, 1e-3, 1e-3], [1e-3, float("inf")]]
+)
+def test_plan_loading_rejects_pool_values_that_do_not_match_the_triples(pool_eps):
+    data = _plan_dict([f"s{i}" for i in range(6)], [[["s0", "s1", "s2"], ["s3", "s4", "s5"]]])
+    data["rounds"][0]["pool_eps"] = pool_eps
+    with pytest.raises(ValueError, match="round 1: pool_eps must hold one finite value per triple"):
+        CoolingPlan.from_dict(data)
+
+
+@pytest.mark.parametrize("field", ["target_eps", "predicted_best"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_plan_loading_rejects_a_non_finite_target_or_prediction(field, value):
+    data = _plan_dict(["s0", "s1", "s2"], [[["s0", "s1", "s2"]]])
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CoolingPlan.from_dict({**data, field: value})
+
+
 def test_plan_loading_rejects_a_polarization_outside_the_unit_interval():
     data = _plan_dict(["s0", "s1", "s2"], [[["s0", "s1", "s2"]]])
     for eps0 in (-0.1, 1.5, float("nan")):
@@ -236,6 +268,59 @@ def test_approx_replay_equals_a_boost_exact_loop_bit_for_bit(recycle):
                 want[[a, b, c]] = report.eps_a, report.eps_b, report.eps_c
         got = simulate_plan(plan, mode="approx").eps_approx
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("recycle", [False, True])
+def test_approx_cooling_boosts_once_per_pool_value(monkeypatch, recycle):
+    calls = []
+
+    def spy(eps):
+        calls.append(eps)
+        return kernel(eps)
+
+    kernel = cooling._boost_marginals
+    monkeypatch.setattr(cooling, "_boost_marginals", spy)
+    plan = plan_rounds(3**8, 1e-4, 0.99 * 1.5**7 * 1e-4, recycle=recycle)
+    planned = len(calls)
+    simulate_plan(plan, mode="approx")
+    values = {v for rnd in plan.rounds for v in rnd.pool_eps}
+    triples = sum(len(rnd.triples) for rnd in plan.rounds)
+    assert triples > 3 * len(values)
+    assert planned <= len(values)
+    assert len(calls) - planned <= len(values)
+
+
+def _compare_with_reference_scheduler(n, eps0, target, recycle):
+    want = oracles.plan_rounds_reference(n, eps0, target, boost_exact, recycle=recycle)
+    if want is None:
+        with pytest.raises(InfeasibleError):
+            plan_rounds(n, eps0, target, recycle=recycle)
+        return
+    plan = plan_rounds(n, eps0, target, recycle=recycle)
+    assert [(rnd.triples, rnd.pool_eps) for rnd in plan.rounds] == want[0]
+    assert (plan.boost_gate_count, plan.refocus_gate_count) == want[1:3]
+    assert plan.predicted_best == want[3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    log_n=st.floats(min_value=1.0, max_value=7.0),
+    log_eps0=st.floats(min_value=-7.0, max_value=math.log10(0.5)),
+    depth=st.integers(min_value=1, max_value=9),
+    recycle=st.booleans(),
+)
+def test_scheduler_matches_the_one_triple_at_a_time_reference(log_n, log_eps0, depth, recycle):
+    eps0 = 10.0**log_eps0
+    target = eps0
+    for _ in range(depth):
+        target = boost_exact(target).eps_a
+    _compare_with_reference_scheduler(int(3**log_n), eps0, 0.99 * target, recycle)
+
+
+@pytest.mark.parametrize("recycle", [False, True])
+def test_scheduler_matches_the_reference_at_the_scaling_sizes(recycle):
+    for k, n in enumerate([3, 9, 27, 81, 243]):
+        _compare_with_reference_scheduler(n, 1e-5, 0.99 * 1.5 ** (k + 1) * 1e-5, recycle)
 
 
 def test_approx_replay_rejects_a_triple_that_mixes_pools():
