@@ -45,7 +45,7 @@ from .pulses import (
     coupled_delay_s,
     standard_toffoli_s,
 )
-from .spectra import SpectralLine, Spectrum, line_frequencies, mean_enhancement, readout
+from .spectra import Spectrum, line_frequencies, mean_enhancement, readout
 from .states import (
     DenseState,
     PopulationState,
@@ -81,7 +81,6 @@ __all__ = [
     "PulseSequence",
     "Round",
     "SelectivePulse",
-    "SpectralLine",
     "Spectrum",
     "SpinSystem",
     "Unitary",

@@ -13,6 +13,7 @@ success, 2 bad input, 3 infeasible cooling target, 4 capacity guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import math
@@ -180,6 +181,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coolspin",

@@ -30,28 +30,23 @@ def _delay_phases(system: SpinSystem, seconds: float) -> np.ndarray:
 
 
 def _single_spin_matrix(event: SelectivePulse | FrameShift) -> np.ndarray:
+    theta = np.radians(event.angle_deg)
     if isinstance(event, SelectivePulse):
-        theta = np.radians(event.angle_deg)
         phi = np.radians(event.phase_deg)
         c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
         return np.array(
             [[c, -1.0j * s * np.exp(-1.0j * phi)], [-1.0j * s * np.exp(1.0j * phi), c]]
         )
-    theta = np.radians(event.angle_deg)
     return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
 
 
-def _embed(gate: np.ndarray, n: int, spin: int) -> np.ndarray:
-    left = np.eye(1 << spin)
-    right = np.eye(1 << (n - 1 - spin))
-    return np.kron(left, np.kron(gate, right))
+def simulate_sequence(seq: PulseSequence) -> Unitary:
+    """Composite unitary of an event list, for systems of up to 8 spins.
 
-
-def simulate_sequence(seq: PulseSequence, system: SpinSystem | None = None) -> Unitary:
-    """Composite unitary of an event list, for systems of up to 8 spins."""
-    system = system or seq.system
-    if system.labels != seq.system.labels:
-        raise ValueError("sequence and system disagree on spin labels")
+    A pulse or frame shift multiplies the spin's axis of a (2**spin, 2, rest)
+    view of the running unitary by its 2x2 matrix, O(d**2) per event.
+    """
+    system = seq.system
     n = system.n
     check_capacity(n, dense=True)
     total = np.eye(1 << n, dtype=complex)
@@ -60,7 +55,8 @@ def simulate_sequence(seq: PulseSequence, system: SpinSystem | None = None) -> U
             total = _delay_phases(system, event.duration_s)[:, None] * total
         else:
             spin = system.spin_index(event.spin)
-            total = _embed(_single_spin_matrix(event), n, spin) @ total
+            m = _single_spin_matrix(event)
+            total = (m @ total.reshape(1 << spin, 2, -1)).reshape(total.shape)
     return Unitary(n=n, mat=total)
 
 

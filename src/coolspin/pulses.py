@@ -17,9 +17,16 @@ inside the numeric propagator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .system import SpinSystem
+
+
+def _require_finite(obj, *names: str) -> None:
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
 
 
 @dataclass(frozen=True)
@@ -30,8 +37,9 @@ class SelectivePulse:
     duration_s: float
 
     def __post_init__(self):
-        if self.duration_s < 0.0:
-            raise ValueError(f"pulse duration cannot be negative, got {self.duration_s}")
+        _require_finite(self, "phase_deg", "angle_deg")
+        if not 0.0 <= self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and nonnegative, got {self.duration_s}")
 
     def to_dict(self) -> dict:
         return {
@@ -48,8 +56,8 @@ class Delay:
     duration_s: float
 
     def __post_init__(self):
-        if self.duration_s < 0.0:
-            raise ValueError(f"delays cannot run backwards, got {self.duration_s}")
+        if not 0.0 <= self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and nonnegative, got {self.duration_s}")
 
     def to_dict(self) -> dict:
         return {"event": "delay", "duration_s": self.duration_s}
@@ -61,6 +69,9 @@ class FrameShift:
     angle_deg: float
 
     duration_s = 0.0
+
+    def __post_init__(self):
+        _require_finite(self, "angle_deg")
 
     def to_dict(self) -> dict:
         return {"event": "frame_shift", "spin": self.spin, "angle_deg": self.angle_deg}
@@ -96,8 +107,8 @@ class DurationModel:
     pulse90_s: float = 2e-3
 
     def __post_init__(self):
-        if self.pulse90_s <= 0.0:
-            raise ValueError(f"pulse90_s must be positive, got {self.pulse90_s}")
+        if not 0.0 < self.pulse90_s < math.inf:
+            raise ValueError(f"pulse90_s must be positive and finite, got {self.pulse90_s}")
 
     def pulse_s(self, angle_deg: float) -> float:
         return abs(angle_deg) / 90.0 * self.pulse90_s

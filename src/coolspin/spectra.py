@@ -16,7 +16,6 @@ first spin, 0:1:0:1 on the second, and -1:0:0:1 on the third.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,41 +24,32 @@ from .states import DenseState, PopulationState, bit_position, iz_diag
 from .system import SpinSystem
 
 COHERENCE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SpectralLine:
-    freq_hz: float
-    amplitude: float
-    spectator: int
-    """Bits of the other spins, most significant first in spin-index order."""
+# One record per line; spectator is the other spins' bits, spin order, MSB first.
+_LINE_DTYPE = np.dtype([("freq_hz", float), ("amplitude", float), ("spectator", np.int64)])
 
 
 @dataclass
 class Spectrum:
-    """Multiplet of one spin: 2**(n-1) lines, highest frequency first."""
+    """Multiplet of one spin: 2**(n-1) line records, highest frequency first."""
 
     spin: int
-    lines: list[SpectralLine]
+    lines: np.recarray
 
     @property
     def frequencies(self) -> np.ndarray:
-        return np.array([line.freq_hz for line in self.lines])
+        return self.lines.freq_hz
 
     @property
     def amplitudes(self) -> np.ndarray:
-        return np.array([line.amplitude for line in self.lines])
+        return self.lines.amplitude
 
     def mean_amplitude(self) -> float:
         """Equals the spin's polarization for deviation-unit states."""
         return float(self.amplitudes.mean())
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("freq_hz,amplitude\n")
-        for line in self.lines:
-            out.write(f"{line.freq_hz!r},{line.amplitude!r}\n")
-        return out.getvalue()
+        rows = zip(self.lines.freq_hz.tolist(), self.lines.amplitude.tolist())
+        return "freq_hz,amplitude\n" + "".join([f"{f!r},{a!r}\n" for f, a in rows])
 
 
 def _spectator_indices(n: int, spin: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,8 +79,7 @@ def _line_offsets(system: SpinSystem, j: int) -> np.ndarray:
 
 def line_frequencies(system: SpinSystem, spin: int | str) -> list[float]:
     """The 2**(n-1) multiplet offsets of one spin, sorted ascending."""
-    freq = _line_offsets(system, system.spin_index(spin))
-    return [float(f) for f in np.sort(freq, kind="stable")]
+    return np.sort(_line_offsets(system, system.spin_index(spin)), kind="stable").tolist()
 
 
 def readout(
@@ -107,7 +96,7 @@ def readout(
         raise ValueError(f"state has {state.n} spins, system has {system.n}")
     if isinstance(state, DenseState):
         stray = state.coherence_norm()
-        if stray > COHERENCE_TOL:
+        if not stray <= COHERENCE_TOL:
             raise ValueError(
                 f"state carries coherences (off-diagonal norm {stray:.3e});"
                 " readout expects a diagonal state"
@@ -119,10 +108,7 @@ def readout(
     amplitude = pops[idx0] - pops[idx1]
     freq = _line_offsets(system, j)
     order = np.argsort(-freq, kind="stable")
-    lines = [
-        SpectralLine(freq_hz=float(freq[i]), amplitude=float(amplitude[i]), spectator=int(i))
-        for i in order
-    ]
+    lines = np.rec.fromarrays((freq[order], amplitude[order], order), dtype=_LINE_DTYPE)
     return Spectrum(spin=j, lines=lines)
 
 

@@ -73,8 +73,10 @@ class PopulationState:
         pops = np.asarray(self.pops, dtype=float)
         if pops.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} populations, got shape {pops.shape}")
+        if not np.isfinite(pops).all():
+            raise ValueError("populations must be finite")
         scale = max(1.0, float(np.abs(pops).max()))
-        if abs(float(pops.sum())) > TRACE_TOL * scale:
+        if not abs(float(pops.sum())) <= TRACE_TOL * scale:
             raise ValueError("populations must sum to zero (deviation units)")
         self.pops = pops
 
@@ -103,9 +105,9 @@ class DenseState:
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
         scale = max(1.0, float(np.abs(mat).max()))
-        if float(np.abs(mat - mat.conj().T).max()) > HERMITICITY_TOL * scale:
+        if not float(np.abs(mat - mat.conj().T).max()) <= HERMITICITY_TOL * scale:
             raise ValueError("matrix must be Hermitian")
-        if abs(complex(mat.trace())) > TRACE_TOL * scale:
+        if not abs(complex(mat.trace())) <= TRACE_TOL * scale:
             raise ValueError("matrix must be traceless (deviation units)")
         self.mat = mat
 
@@ -138,7 +140,7 @@ class Unitary:
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
         defect = np.abs(mat @ mat.conj().T - np.eye(dim)).max()
-        if float(defect) > UNITARITY_TOL:
+        if not float(defect) <= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {float(defect):.3g})")
         self.mat = mat
 

@@ -41,10 +41,13 @@ class SpinSystem:
             raise ValueError(f"coupling matrix must be {n}x{n}, got {self.j_hz.shape}")
         if self.shift_ppm.shape != (n,):
             raise ValueError(f"need one chemical shift per spin, got {self.shift_ppm.shape}")
-        scale = max(1.0, float(np.abs(self.j_hz).max()) if n else 1.0)
-        if np.abs(self.j_hz - self.j_hz.T).max() > _SYMMETRY_TOL * scale:
+        for name in ("j_hz", "shift_ppm"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        scale = max(1.0, float(np.abs(self.j_hz).max()))
+        if not np.abs(self.j_hz - self.j_hz.T).max() <= _SYMMETRY_TOL * scale:
             raise ValueError("coupling matrix must be symmetric")
-        if np.abs(np.diag(self.j_hz)).max() > 0:
+        if not np.abs(np.diag(self.j_hz)).max() <= 0:
             raise ValueError("self-couplings must be zero")
         self.epsilon0 = float(self.epsilon0)
         if not 0.0 < self.epsilon0 < 1.0:

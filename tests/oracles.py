@@ -8,6 +8,7 @@ module directly to print the pinned numbers.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -210,6 +211,56 @@ def delay_angles(j_hz, seconds):
                     angle += 2.0 * math.pi * j_hz[i][k] * seconds * m[i] * m[k]
         out.append(angle)
     return out
+
+
+def line_amplitudes(pops, n, j):
+    """Population difference across spin j's transition, per spectator tuple.
+
+    One entry per bit tuple of the other spins in spin order: the population
+    with spin j up minus the one with it down.
+    """
+    by_bits = dict(zip(itertools.product((0, 1), repeat=n), pops))
+    return [
+        by_bits[rest[:j] + (0,) + rest[j:]] - by_bits[rest[:j] + (1,) + rest[j:]]
+        for rest in itertools.product((0, 1), repeat=n - 1)
+    ]
+
+
+# --- the propagator, one Kronecker-embedded pulse at a time --------------------
+
+def simulate_sequence_kron(seq):
+    """Composite unitary of a pulse sequence as a bare 2**n x 2**n matrix.
+
+    Reads only the system's labels and couplings and each event's
+    `to_dict()`. A delay multiplies by the phases of `delay_angles`; a pulse
+    or frame shift is padded with identities by np.kron into a full matrix,
+    O(d**3) per event.
+    """
+    labels = list(seq.system.labels)
+    j_hz = np.asarray(seq.system.j_hz).tolist()
+    n = len(labels)
+    phases = {}
+    total = np.eye(1 << n, dtype=complex)
+    for event in (e.to_dict() for e in seq.events):
+        if event["event"] == "delay":
+            t = event["duration_s"]
+            if t not in phases:
+                phases[t] = np.exp(-1.0j * np.array(delay_angles(j_hz, t)))
+            total = phases[t][:, None] * total
+            continue
+        theta = math.radians(event["angle_deg"])
+        if event["event"] == "pulse":
+            phi = math.radians(event["phase_deg"])
+            c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+            gate = np.array(
+                [[c, -1.0j * s * cmath.exp(-1.0j * phi)], [-1.0j * s * cmath.exp(1.0j * phi), c]]
+            )
+        else:
+            gate = np.diag([cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)])
+        spin = labels.index(event["spin"])
+        left, right = np.eye(1 << spin), np.eye(1 << (n - 1 - spin))
+        total = np.kron(left, np.kron(gate, right)) @ total
+    return total
 
 
 def max_projection_bruteforce(rho_diag, a_diag):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from coolspin import CoolingPlan, PulseSequence, PopulationState, example_system
-from coolspin.cli import main
+from coolspin.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -41,6 +41,18 @@ def test_help_returns_zero_instead_of_exiting(capsys):
     code, out, _ = run(capsys, "cool", "--help")
     assert code == 0
     assert "--recycle" in out
+
+
+def test_main_builds_one_parser_and_it_still_rejects_bad_flags(capsys):
+    build_parser.cache_clear()
+    assert run(capsys, "bound")[0] == 0
+    code, out, err = run(capsys, "bound", "--n", "1.5")
+    assert (code, out) == (2, "")
+    assert "--n" in err
+    code, out, err = run(capsys, "compile", "--bogus")
+    assert (code, out) == (2, "")
+    assert "--bogus" in err
+    assert build_parser.cache_info().misses == 1
 
 
 def test_bound_with_custom_system_and_spin(capsys, tmp_path):
@@ -110,6 +122,21 @@ def test_compile_default_circuit_verifies(capsys, tmp_path):
     assert "verification: PASS" in out
     seq = PulseSequence.from_json(out_path.read_text())
     assert seq.pulse_count() == 23
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--pulse90-s", "nan", "pulse90_s"),
+        ("--pulse90-s", "inf", "pulse90_s"),
+        ("--bloch-siegert-deg", "inf", "angle_deg"),
+        ("--bloch-siegert-deg", "nan", "angle_deg"),
+    ],
+)
+def test_compile_rejects_non_finite_flags(capsys, flag, value, field):
+    code, out, err = run(capsys, "compile", flag, value)
+    assert (code, out) == (2, "")
+    assert field in err and "finite" in err
 
 
 def test_compile_custom_circuit_and_options(capsys, tmp_path):

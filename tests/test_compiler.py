@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coolspin as cs
 from coolspin.compiler import elide_z_rotations, format_circuit, parse_circuit
@@ -16,6 +18,8 @@ from coolspin.pulses import (
     event_from_dict,
     standard_toffoli_s,
 )
+
+import oracles
 
 
 @pytest.fixture()
@@ -52,6 +56,40 @@ def test_event_validation_and_round_trip():
         assert event_from_dict(event.to_dict()) == event
     with pytest.raises(ValueError, match="unknown event kind"):
         event_from_dict({"event": "teleport"})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def two_spins(j_hz, shift_ppm=0.0):
+    return cs.SpinSystem(["s", "t"], [[0.0, j_hz], [j_hz, 0.0]], [shift_ppm, 1.0], 1e-4)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SelectivePulse("a", NAN, 90.0, 2e-3), "phase_deg"),
+        (lambda: SelectivePulse("a", 0.0, INF, 2e-3), "angle_deg"),
+        (lambda: SelectivePulse("a", 0.0, 90.0, NAN), "duration_s"),
+        (lambda: Delay(duration_s=NAN), "duration_s"),
+        (lambda: Delay(duration_s=INF), "duration_s"),
+        (lambda: FrameShift(spin="a", angle_deg=-INF), "angle_deg"),
+        (lambda: DurationModel(pulse90_s=NAN), "pulse90_s"),
+        (lambda: DurationModel(pulse90_s=INF), "pulse90_s"),
+        (lambda: event_from_dict({"event": "delay", "duration_s": "nan"}), "duration_s"),
+        (lambda: cs.PopulationState(n=1, pops=[NAN, NAN]), "populations"),
+        (lambda: cs.PopulationState(n=1, pops=[INF, 0.0]), "populations"),
+        (lambda: cs.Unitary(n=1, mat=np.full((2, 2), NAN)), "not unitary"),
+        (lambda: cs.DenseState(n=1, mat=np.diag([INF, -INF])), "Hermitian"),
+        (lambda: two_spins(NAN), "j_hz"),
+        (lambda: two_spins(INF), "j_hz"),
+        (lambda: two_spins(-INF), "j_hz"),
+        (lambda: two_spins(5.0, shift_ppm=NAN), "shift_ppm"),
+    ],
+)
+def test_non_finite_values_are_rejected_naming_the_field(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_duration_model_and_delay_helpers():
@@ -278,3 +316,37 @@ def test_simulated_delay_applies_coupling_phases(system):
     diag = np.diag(u)
     assert diag[0] == pytest.approx(np.exp(-1j * np.pi / 8), abs=1e-12)
     assert diag[1] == pytest.approx(np.exp(+1j * np.pi / 8), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_simulate_sequence_matches_the_kron_oracle(n, data, seed):
+    rng = np.random.default_rng(seed)
+    j_hz = np.triu(rng.uniform(-150.0, 150.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
+    system = cs.SpinSystem([f"s{k}" for k in range(n)], j_hz + j_hz.T, np.zeros(n), 1e-5)
+    spin = st.sampled_from(system.labels)
+    angle = st.floats(min_value=-3600.0, max_value=3600.0)
+    event = st.one_of(
+        st.builds(SelectivePulse, spin, angle, angle, st.floats(min_value=0.0, max_value=1e-2)),
+        st.builds(Delay, st.floats(min_value=0.0, max_value=5e-2)),
+        st.builds(FrameShift, spin, angle),
+    )
+    seq = PulseSequence(system, data.draw(st.lists(event, max_size=40)))
+    got = cs.simulate_sequence(seq).mat
+    assert np.abs(got - oracles.simulate_sequence_kron(seq)).max() <= 1e-12
+
+
+def test_simulate_sequence_matches_the_kron_oracle_on_an_8_spin_boost():
+    rng = np.random.default_rng(8)
+    j_hz = np.triu(rng.uniform(20.0, 150.0, (8, 8)) * rng.choice((-1.0, 1.0), (8, 8)), 1)
+    system = cs.SpinSystem([f"q{k}" for k in range(8)], j_hz + j_hz.T, np.zeros(8), 3e-5)
+    gates = cs.boost_circuit(0, 1, 2)
+    seq = cs.compile_circuit(cs.CircuitIR(8, gates), system)
+    got = cs.simulate_sequence(seq)
+    assert np.abs(got.mat - oracles.simulate_sequence_kron(seq)).max() <= 1e-12
+    target = cs.permutation_unitary(cs.circuit_permutation(gates, 8))
+    assert cs.phase_pattern_equal(got, target)

@@ -1,6 +1,8 @@
 """Multiplet prediction from diagonal states."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coolspin import (
     DenseState,
@@ -16,6 +18,8 @@ from coolspin import (
     readout,
     thermal_state,
 )
+
+import oracles
 
 
 @pytest.fixture()
@@ -128,3 +132,25 @@ def test_mean_enhancement_checks_compatibility(system):
     zero = PopulationState(n=3, pops=np.zeros(8))
     with pytest.raises(ValueError, match="zero mean"):
         mean_enhancement(after, readout(zero, system, "a"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_readout_matches_the_bit_tuple_oracle_and_csv_round_trips(n, seed):
+    rng = np.random.default_rng(seed)
+    # Integer populations keep every difference exact; entry 0 makes the sum zero.
+    pops = rng.integers(-1000, 1001, size=2**n).astype(float)
+    pops[0] -= pops.sum()
+    j_hz = np.triu(rng.uniform(-150.0, 150.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
+    system = SpinSystem([f"s{k}" for k in range(n)], j_hz + j_hz.T, np.zeros(n), 1e-5)
+    state = PopulationState(n=n, pops=pops)
+    for spin in range(n):
+        spec = readout(state, system, spin)
+        want = oracles.line_amplitudes(pops.tolist(), n, spin)
+        assert sorted(spec.lines.spectator.tolist()) == list(range(len(want)))
+        assert all(line.amplitude == want[line.spectator] for line in spec.lines)
+        header, *rows = spec.to_csv().splitlines()
+        assert header == "freq_hz,amplitude"
+        parsed = [tuple(float(x) for x in row.split(",")) for row in rows]
+        assert [f for f, _ in parsed] == spec.frequencies.tolist()
+        assert [a for _, a in parsed] == spec.amplitudes.tolist()
