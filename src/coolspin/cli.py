@@ -111,7 +111,7 @@ def cmd_boost(args: argparse.Namespace) -> int:
 def cmd_cool(args: argparse.Namespace) -> int:
     plan = plan_rounds(args.n, args.eps0, args.target_eps, recycle=args.recycle)
     for i, rnd in enumerate(plan.rounds, start=1):
-        pools = " ".join(sorted({_fmt(v) for v in set(rnd.pool_eps)}, reverse=True))
+        pools = " ".join(sorted({_fmt(v) for v in set(rnd.pool_eps.tolist())}, reverse=True))
         print(f"round {i}: {len(rnd.triples)} boosts, input pools: {pools}")
     print(f"boost gates: {plan.boost_gate_count}")
     print(f"refocus gates: {plan.refocus_gate_count}")
@@ -119,7 +119,7 @@ def cmd_cool(args: argparse.Namespace) -> int:
     print(f"predicted best polarization: {_fmt(plan.predicted_best)}")
     result = simulate_plan(plan, mode=args.mode)
     spin, value = result.best()
-    print(f"simulated best ({args.mode}): spin {plan.labels[spin]} at {_fmt(value)}")
+    print(f"simulated best ({args.mode}): spin {plan.label(spin)} at {_fmt(value)}")
     if result.discrepancy is not None:
         print(f"exact vs approx max difference: {_fmt(result.discrepancy)}")
     if args.out is not None:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
-from .states import check_capacity, product_probabilities, signed_bit_sum
+from .states import check_capacity, iz_diag, product_probabilities, signed_bit_sum
 
 GATES_PER_BOOST = 5
 
@@ -52,14 +52,20 @@ class BoostReport:
 
 
 _BOOST_PERM_3 = circuit_permutation(boost_circuit(), 3)
+_IZ_3 = tuple(iz_diag(3, j) for j in range(3))
 
 
 def _boost_marginals(eps: float) -> tuple[float, float, float]:
-    """Polarizations of roles a, b, c after boosting three independent spins at eps."""
+    """Polarizations of roles a, b, c after boosting three independent spins at eps.
+
+    Each marginal is `signed_bit_sum` of the permuted distribution, with the
+    three Iz rows built once.
+    """
     spin = np.array([1 + eps, 1 - eps]) / 2
     out = np.empty(8)
     out[_BOOST_PERM_3] = np.multiply.outer(np.multiply.outer(spin, spin), spin).reshape(-1)
-    return signed_bit_sum(out, 3, 0), signed_bit_sum(out, 3, 1), signed_bit_sum(out, 3, 2)
+    iz_a, iz_b, iz_c = _IZ_3
+    return float(2.0 * (iz_a @ out)), float(2.0 * (iz_b @ out)), float(2.0 * (iz_c @ out))
 
 
 def boost_exact(eps: float) -> BoostReport:
@@ -101,15 +107,36 @@ def _repeated(items: list):
 
 @dataclass
 class Round:
-    """Disjoint boost triples of one round, with each triple's input pool."""
+    """Disjoint boost triples of one round, with each triple's input pool.
 
-    triples: list[tuple[int, int, int]]
-    pool_eps: list[float]
+    `triples` is a (k, 3) integer array of spin indices and `pool_eps` the
+    (k,) array of the pool value each triple was drawn from.
+    """
+
+    triples: np.ndarray
+    pool_eps: np.ndarray
+
+    def __post_init__(self):
+        self.triples = np.asarray(self.triples, dtype=np.intp)
+        if self.triples.shape == (0,):
+            self.triples = self.triples.reshape(0, 3)
+        self.pool_eps = np.asarray(self.pool_eps, dtype=float)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Round):
+            return NotImplemented
+        return np.array_equal(self.triples, other.triples) and np.array_equal(
+            self.pool_eps, other.pool_eps
+        )
 
 
 @dataclass
 class CoolingPlan:
-    """A full schedule plus its operation-count ledger."""
+    """A full schedule plus its operation-count ledger.
+
+    An empty `labels` list stands for the default names s0..s{n-1}, which
+    are only built when a label is asked for or the plan is written out.
+    """
 
     n: int
     eps0: float
@@ -122,45 +149,50 @@ class CoolingPlan:
     labels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.labels:
-            self.labels = [f"s{i}" for i in range(self.n)]
-        if len(self.labels) != self.n:
+        if self.labels and len(self.labels) != self.n:
             raise ValueError("need one label per spin")
         if not 0.0 <= self.eps0 <= 1.0:
             raise ValueError(f"eps0 must lie in [0, 1], got {self.eps0}")
-        if len(set(self.labels)) < self.n:
+        if len(set(self.labels)) < len(self.labels):
             raise ValueError(f"label {_repeated(self.labels)} names more than one spin")
         for name in ("target_eps", "predicted_best"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        # The replay boosts a round's triples in turn, so they must be disjoint.
+        # The replay boosts a round's triples together, so they must be disjoint.
         for r, rnd in enumerate(self.rounds, start=1):
-            if any(len(t) != 3 for t in rnd.triples):
+            if rnd.triples.ndim != 2 or rnd.triples.shape[1] != 3:
                 raise ValueError(f"round {r}: every boost triple must name three spins")
-            used = [s for t in rnd.triples for s in t]
-            if used and not 0 <= min(used) <= max(used) < self.n:
+            used = rnd.triples.reshape(-1)
+            if used.size and not 0 <= used.min() <= used.max() < self.n:
                 raise ValueError(f"round {r}: a spin index lies outside 0..{self.n - 1}")
-            if len(set(used)) < len(used):
-                raise ValueError(f"round {r}: spin {self.labels[_repeated(used)]} is used twice")
-            if len(rnd.pool_eps) != len(rnd.triples) or not all(map(math.isfinite, rnd.pool_eps)):
+            if used.size and np.bincount(used, minlength=self.n).max() > 1:
+                raise ValueError(f"round {r}: spin {self.label(_repeated(used.tolist()))} is used twice")
+            if rnd.pool_eps.shape != (len(rnd.triples),) or not np.isfinite(rnd.pool_eps).all():
                 raise ValueError(f"round {r}: pool_eps must hold one finite value per triple")
 
     @property
     def total_gate_count(self) -> int:
         return self.boost_gate_count + self.refocus_gate_count
 
+    def label(self, spin: int) -> str:
+        """Name of one spin: its given label, or s{spin} by default."""
+        return self.labels[spin] if self.labels else f"s{spin}"
+
     def to_dict(self) -> dict:
+        labels = self.labels or [f"s{i}" for i in range(self.n)]
+
+        def named(triples: np.ndarray) -> list[list[str]]:
+            names = [labels[s] for s in triples.reshape(-1).tolist()]
+            return [names[i : i + 3] for i in range(0, len(names), 3)]
+
         return {
             "n": self.n,
             "eps0": self.eps0,
             "target_eps": self.target_eps,
             "recycle": self.recycle,
-            "labels": list(self.labels),
+            "labels": list(labels),
             "rounds": [
-                {
-                    "triples": [[self.labels[s] for s in t] for t in rnd.triples],
-                    "pool_eps": list(rnd.pool_eps),
-                }
+                {"triples": named(rnd.triples), "pool_eps": rnd.pool_eps.tolist()}
                 for rnd in self.rounds
             ],
             "boost_gate_count": self.boost_gate_count,
@@ -178,7 +210,9 @@ class CoolingPlan:
             unknown = [lab for t in rnd["triples"] for lab in t if lab not in index]
             if unknown:
                 raise ValueError(f"round {r}: unknown spin {unknown[0]}")
-            triples = [tuple(index[lab] for lab in t) for t in rnd["triples"]]
+            if any(len(t) != 3 for t in rnd["triples"]):
+                raise ValueError(f"round {r}: every boost triple must name three spins")
+            triples = [[index[lab] for lab in t] for t in rnd["triples"]]
             rounds.append(Round(triples=triples, pool_eps=[float(v) for v in rnd["pool_eps"]]))
         return cls(
             n=int(data["n"]),
@@ -205,11 +239,12 @@ def plan_rounds(
 
     Pools are keyed by exact polarization value; identical histories give
     bit-identical floats, so float keys are deterministic. Triples never mix
-    pools. Each round sorts every pool, takes its triples with three strided
-    slices and boosts once per pool, so a round costs O(k log k) in its k
-    live spins and the whole schedule about O(n log n). Raises the
-    infeasibility error when no pool can field a triple and the target is
-    still out of reach.
+    pools. A pool is a list of sorted index arrays, merged and sorted only
+    when it holds several; each round reshapes every pool's first 3k spins
+    into its k triples and boosts once per pool, so a round costs
+    O(k log k) in its k live spins and the whole schedule about O(n log n).
+    Raises the infeasibility error when no pool can field a triple and the
+    target is still out of reach.
     """
     if n < 3 or n != int(n):
         raise ValueError(f"need at least three spins to form a triple, got {n}")
@@ -218,7 +253,7 @@ def plan_rounds(
     if not eps0 < target_eps <= 1.0:
         raise ValueError(f"target must lie in (eps0, 1], got {target_eps}")
 
-    pools: dict[float, list[int]] = {eps0: list(range(n))}
+    pools: dict[float, list[np.ndarray]] = {eps0: [np.arange(n, dtype=np.intp)]}
     rounds: list[Round] = []
     boost_gates = 0
     refocus_gates = 0
@@ -227,31 +262,33 @@ def plan_rounds(
         return max(pools) if pools else 0.0
 
     while frontier() < target_eps:
-        triples: list[tuple[int, int, int]] = []
-        pool_eps: list[float] = []
-        next_pools: dict[float, list[int]] = {}
+        blocks: list[np.ndarray] = []
+        pool_eps: list[np.ndarray] = []
+        next_pools: dict[float, list[np.ndarray]] = {}
         for value in sorted(pools, reverse=True):
-            spins = sorted(pools[value])
+            runs = pools[value]
+            spins = np.sort(np.concatenate(runs)) if len(runs) > 1 else runs[0]
             end = len(spins) - len(spins) % 3
             if end:
                 eps_a, eps_b, _ = _boost_marginals(value)
-                a, b = spins[0:end:3], spins[1:end:3]
-                triples.extend(zip(a, b, spins[2:end:3]))
-                pool_eps.extend([value] * len(a))
-                next_pools.setdefault(eps_a, []).extend(a)
+                block = spins[:end].reshape(-1, 3)
+                blocks.append(block)
+                pool_eps.append(np.full(len(block), value))
+                next_pools.setdefault(eps_a, []).append(block[:, 0])
                 if recycle:
-                    next_pools.setdefault(eps_b, []).extend(b)
-            if spins[end:]:
-                next_pools.setdefault(value, []).extend(spins[end:])
-        if not triples:
+                    next_pools.setdefault(eps_b, []).append(block[:, 1])
+            if end < len(spins):
+                next_pools.setdefault(value, []).append(spins[end:])
+        if not blocks:
             best = frontier()
             raise InfeasibleError(
                 f"target {target_eps:g} is unreachable with n={n}"
                 f" (best reachable pool sits at {best:g})"
             )
-        rounds.append(Round(triples=triples, pool_eps=pool_eps))
-        boost_gates += GATES_PER_BOOST * len(triples)
-        refocus_gates += 2 * (n - 3 * len(triples))
+        rnd = Round(triples=np.concatenate(blocks), pool_eps=np.concatenate(pool_eps))
+        rounds.append(rnd)
+        boost_gates += GATES_PER_BOOST * len(rnd.triples)
+        refocus_gates += 2 * (n - 3 * len(rnd.triples))
         pools = next_pools
 
     return CoolingPlan(
@@ -292,25 +329,35 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
     permutes their three axes and reads their new marginals. With `joint`, a
     spin is summed out of its cluster after its last triple, which keeps the
     result exact. Without it, no cluster forms: every boost sees three
-    independent spins of one pool value, and each value is boosted once.
+    independent spins of one pool value, so a whole round is one array step
+    that boosts each new pool value once.
     """
-    if joint:
-        check_capacity(plan.n)
-    triples = [t for rnd in plan.rounds for t in rnd.triples]
-    last = {s: i for i, t in enumerate(triples) for s in t} if joint else {}
     eps = np.full(plan.n, plan.eps0)
+    if not joint:
+        boosts: dict[float, tuple[float, float, float]] = {}
+        for rnd in plan.rounds:
+            v = eps[rnd.triples]
+            if not v.size:
+                continue
+            if (v == v[0, 0]).all():  # one pool value, the common case: no np.unique
+                values, inverse = [float(v[0, 0])], 0
+            else:
+                mixed = (v != v[:, :1]).any(axis=1)
+                if mixed.any():
+                    triple = tuple(rnd.triples[np.argmax(mixed)].tolist())
+                    raise ValueError(f"triple {triple} mixes polarization pools")
+                values, inverse = np.unique(v[:, 0], return_inverse=True)
+                values = values.tolist()
+            for value in values:
+                if value not in boosts:
+                    boosts[value] = _boost_marginals(value)
+            eps[rnd.triples] = np.array([boosts[value] for value in values])[inverse]
+        return eps
+    check_capacity(plan.n)
+    triples = [tuple(t) for rnd in plan.rounds for t in rnd.triples.tolist()]
+    last = {s: i for i, t in enumerate(triples) for s in t}
     clusters: dict[int, tuple[list[int], np.ndarray]] = {}
-    boosts: dict[float, tuple[float, float, float]] = {}
     for i, triple in enumerate(triples):
-        if not joint:
-            a, b, c = triple
-            value = eps[a]
-            if not value == eps[b] == eps[c]:
-                raise ValueError(f"triple {triple} mixes polarization pools")
-            if value not in boosts:
-                boosts[value] = _boost_marginals(value)
-            eps[a], eps[b], eps[c] = boosts[value]
-            continue
         parts = []
         for s in triple:
             part = clusters.get(s) or ([s], np.array([1 + eps[s], 1 - eps[s]]) / 2)
@@ -323,7 +370,7 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
         out = np.empty_like(probs)
         out[_BOOST_PERM_3] = probs
         eps[list(triple)] = [signed_bit_sum(out.reshape(-1), len(spins), j) for j in range(3)]
-        done = tuple(j for j, s in enumerate(spins) if last.get(s, -1) <= i)
+        done = tuple(j for j, s in enumerate(spins) if last[s] <= i)
         kept = [s for j, s in enumerate(spins) if j not in done]
         if kept:
             clusters.update(dict.fromkeys(kept, (kept, out.reshape((2,) * len(spins)).sum(done))))

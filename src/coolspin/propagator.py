@@ -44,15 +44,19 @@ def simulate_sequence(seq: PulseSequence) -> Unitary:
     """Composite unitary of an event list, for systems of up to 8 spins.
 
     A pulse or frame shift multiplies the spin's axis of a (2**spin, 2, rest)
-    view of the running unitary by its 2x2 matrix, O(d**2) per event.
+    view of the running unitary by its 2x2 matrix, O(d**2) per event. A
+    delay's phases are built once per distinct duration within the call.
     """
     system = seq.system
     n = system.n
     check_capacity(n, dense=True)
     total = np.eye(1 << n, dtype=complex)
+    phases: dict[float, np.ndarray] = {}
     for event in seq.events:
         if isinstance(event, Delay):
-            total = _delay_phases(system, event.duration_s)[:, None] * total
+            if event.duration_s not in phases:
+                phases[event.duration_s] = _delay_phases(system, event.duration_s)
+            total = phases[event.duration_s][:, None] * total
         else:
             spin = system.spin_index(event.spin)
             m = _single_spin_matrix(event)

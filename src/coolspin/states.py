@@ -75,7 +75,8 @@ class PopulationState:
             raise ValueError(f"expected {2**self.n} populations, got shape {pops.shape}")
         if not np.isfinite(pops).all():
             raise ValueError("populations must be finite")
-        scale = max(1.0, float(np.abs(pops).max()))
+        # A float sum's rounding error grows with the sum of the magnitudes.
+        scale = max(1.0, float(np.abs(pops).sum()))
         if not abs(float(pops.sum())) <= TRACE_TOL * scale:
             raise ValueError("populations must sum to zero (deviation units)")
         self.pops = pops

@@ -73,7 +73,8 @@ def product_state(eps_list):
 
 
 def polarization_of(dist, j):
-    return sum(p if bits[j] == 0 else -p for bits, p in dist.items())
+    # fsum: a plain sum of 2**n float terms drifts by more than 1e-14 near eps = 1.
+    return math.fsum(p if bits[j] == 0 else -p for bits, p in dist.items())
 
 
 def boost_marginals(eps):

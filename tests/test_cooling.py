@@ -1,9 +1,10 @@
 """Exact single-boost statistics and the multi-round scheduling engine."""
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coolspin import (
@@ -81,10 +82,15 @@ def test_conditional_polarization_after_cnot():
     assert conditional_polarization_after_cnot(1.0) == (1.0, 0.0)
 
 
+def _triples(rnd):
+    """A round's triples as a list of index tuples."""
+    return [tuple(t) for t in rnd.triples.tolist()]
+
+
 def test_plan_rounds_single_triple():
     plan = plan_rounds(3, 1e-5, 1.4e-5)
     assert len(plan.rounds) == 1
-    assert plan.rounds[0].triples == [(0, 1, 2)]
+    assert _triples(plan.rounds[0]) == [(0, 1, 2)]
     assert plan.boost_gate_count == 5
     assert plan.refocus_gate_count == 0
     assert plan.total_gate_count == 5
@@ -112,11 +118,11 @@ def test_plan_rounds_reports_unreachable_targets():
 
 def test_plan_two_round_cascade_structure():
     plan = plan_rounds(9, 1e-3, 0.99 * 2.25e-3)
-    assert [r.triples for r in plan.rounds] == [
+    assert [_triples(r) for r in plan.rounds] == [
         [(0, 1, 2), (3, 4, 5), (6, 7, 8)],
         [(0, 3, 6)],
     ]
-    assert plan.rounds[0].pool_eps == [1e-3, 1e-3, 1e-3]
+    assert plan.rounds[0].pool_eps.tolist() == [1e-3, 1e-3, 1e-3]
     assert plan.rounds[1].pool_eps[0] == pytest.approx(1.5e-3, rel=1e-5)
     assert plan.boost_gate_count == 20
     assert plan.refocus_gate_count == 12
@@ -133,7 +139,7 @@ def test_triples_within_a_round_never_share_spins():
 
 def test_recycling_reuses_partially_cooled_spins():
     plan = plan_rounds(9, 1e-3, 0.99 * 2.25e-3, recycle=True)
-    assert [r.triples for r in plan.rounds] == [
+    assert [_triples(r) for r in plan.rounds] == [
         [(0, 1, 2), (3, 4, 5), (6, 7, 8)],
         [(0, 3, 6), (1, 4, 7)],
     ]
@@ -147,7 +153,7 @@ def test_plan_round_trips_through_dict():
     again = CoolingPlan.from_dict(plan.to_dict())
     assert again.labels == list("abcdefghi")
     assert again.n == plan.n
-    assert [r.triples for r in again.rounds] == [r.triples for r in plan.rounds]
+    assert [_triples(r) for r in again.rounds] == [_triples(r) for r in plan.rounds]
     assert again.total_gate_count == plan.total_gate_count
 
 
@@ -225,6 +231,7 @@ def _random_plans(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(plan=_random_plans())
+@example(plan=_plan(10, 0.9499518175846762, [[(0, 1, 2)]]))
 def test_exact_replay_matches_the_joint_distribution_oracle(plan):
     triples = [t for rnd in plan.rounds for t in rnd.triples]
     want = oracles.replay_exact(plan.n, plan.eps0, triples)
@@ -297,7 +304,7 @@ def _compare_with_reference_scheduler(n, eps0, target, recycle):
             plan_rounds(n, eps0, target, recycle=recycle)
         return
     plan = plan_rounds(n, eps0, target, recycle=recycle)
-    assert [(rnd.triples, rnd.pool_eps) for rnd in plan.rounds] == want[0]
+    assert [(_triples(rnd), rnd.pool_eps.tolist()) for rnd in plan.rounds] == want[0]
     assert (plan.boost_gate_count, plan.refocus_gate_count) == want[1:3]
     assert plan.predicted_best == want[3]
 
@@ -327,6 +334,63 @@ def test_approx_replay_rejects_a_triple_that_mixes_pools():
     plan = _plan(6, 1e-3, [[(0, 1, 2)], [(0, 3, 4)]])
     with pytest.raises(ValueError, match="mixes polarization pools"):
         simulate_plan(plan, mode="approx")
+
+
+def test_the_mixed_pool_error_names_the_first_bad_triple_of_its_round():
+    # After round 1, spins 0, 1 and 2 sit in three different pools.
+    rounds = [[(0, 1, 2)], [(3, 4, 5), (6, 7, 8), (0, 9, 10), (1, 11, 12)]]
+    with pytest.raises(ValueError, match=r"triple \(0, 9, 10\) mixes polarization pools"):
+        simulate_plan(_plan(13, 1e-3, rounds), mode="approx")
+
+
+def test_a_round_holds_its_triples_and_pool_values_as_arrays():
+    rnd = Round(triples=[(0, 1, 2), (3, 4, 5)], pool_eps=[1e-3, 1e-3])
+    assert rnd.triples.dtype == np.intp and rnd.triples.shape == (2, 3)
+    assert rnd.pool_eps.dtype == float and rnd.pool_eps.shape == (2,)
+    assert Round(triples=[], pool_eps=[]).triples.shape == (0, 3)
+    assert plan_rounds(9, 1e-3, 2.2e-3) == plan_rounds(9, 1e-3, 2.2e-3)
+    assert rnd != Round(triples=[(0, 1, 2), (3, 5, 4)], pool_eps=[1e-3, 1e-3])
+
+
+def test_a_hand_made_round_of_pairs_is_rejected_with_its_round_number():
+    rounds = [
+        Round(triples=[(0, 1, 2)], pool_eps=[1e-3]),
+        Round(triples=[(0, 1), (3, 4)], pool_eps=[1e-3, 1e-3]),
+    ]
+    with pytest.raises(ValueError, match="round 2: every boost triple must name three spins"):
+        CoolingPlan(
+            n=6, eps0=1e-3, target_eps=1.0, recycle=False, rounds=rounds,
+            boost_gate_count=0, refocus_gate_count=0, predicted_best=1e-3,
+        )
+
+
+def test_a_default_plan_names_its_spins_only_on_demand():
+    plan = plan_rounds(27, 1e-3, 2.2e-3)
+    assert plan.labels == []
+    assert plan.label(26) == "s26"
+    assert plan.to_dict()["labels"] == [f"s{i}" for i in range(27)]
+    named = plan_rounds(9, 1e-3, 2.2e-3, labels=list("abcdefghi"))
+    assert named.label(1) == "b"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_n=st.floats(min_value=1.0, max_value=7.0),
+    log_eps0=st.floats(min_value=-7.0, max_value=math.log10(0.5)),
+    depth=st.integers(min_value=1, max_value=7),
+    recycle=st.booleans(),
+)
+def test_a_plan_survives_a_dict_round_trip_byte_for_byte(log_n, log_eps0, depth, recycle):
+    eps0 = 10.0**log_eps0
+    target = eps0
+    for _ in range(depth):
+        target = boost_exact(target).eps_a
+    try:
+        plan = plan_rounds(int(3**log_n), eps0, 0.99 * target, recycle=recycle)
+    except InfeasibleError:
+        assume(False)
+    want = json.dumps(plan.to_dict())
+    assert json.dumps(CoolingPlan.from_dict(json.loads(want)).to_dict()) == want
 
 
 def test_simulation_modes_agree_at_low_polarization():

@@ -100,6 +100,21 @@ def test_population_state_rejects_wrong_shape_and_nonzero_sum():
         PopulationState(n=1, pops=np.array([1.0, 0.5]))
 
 
+@pytest.mark.parametrize(("n", "seed"), [(18, 2), (20, 3)])
+def test_population_state_tolerates_the_rounding_of_a_large_zero_sum(n, seed):
+    # Mean-subtracted normal draws sum to about 1e-11 in floats, not to zero,
+    # which a tolerance scaled by max|p| rejected for these seeds. A JSON
+    # float round trip is exact, so the dict stands for a loaded file.
+    pops = np.random.default_rng(seed).normal(size=2**n)
+    pops -= pops.mean()
+    data = {"n": n, "pops": pops.tolist()}
+    state = PopulationState.from_dict(data)
+    assert np.array_equal(state.pops, pops)
+    data["pops"][0] += 1e-3
+    with pytest.raises(ValueError, match="sum to zero"):
+        PopulationState.from_dict(data)
+
+
 def test_population_state_round_trips_through_dict():
     state = thermal_state(2)
     again = PopulationState.from_dict(state.to_dict())
