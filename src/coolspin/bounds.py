@@ -1,10 +1,12 @@
 """Limits on polarization transfer by closed (population-permuting) control.
 
-The reachable coefficient of a target observable is fixed by the spectra of
-the state and the observable alone: sort both sets of eigenvalues the same
-way and take the overlap. Any unitary that permutes populations can do no
-better, and a relabeling achieves it. The entropy bound caps how many fully
-polarized spins any closed procedure can extract from n equilibrium spins.
+States and z observables are both traceless diagonals (`PopulationState`),
+so their eigenvalues are their entries and every trace product is a dot
+product of two 2**n vectors. The reachable coefficient of a target is fixed
+by those two spectra alone: sort both the same way and take the overlap. Any
+unitary that permutes populations can do no better, and a relabeling
+achieves it. The entropy bound caps how many fully polarized spins any
+closed procedure can extract from n equilibrium spins.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DenseState, PopulationState
+from .states import PopulationState
 from .thermo import entropy_deficit
 
 
@@ -27,76 +29,51 @@ class ProjectionResult:
 
 @dataclass
 class Decomposition:
-    """Split of a state into a multiple of a target plus an orthogonal rest."""
+    """Split of a state into a multiple of a target plus an orthogonal rest.
+
+    `remainder` is the 2**n diagonal of the rest, orthogonal to the target.
+    """
 
     a: float
     b_norm: float
     remainder: np.ndarray
 
 
-def _eigenvalues(state: PopulationState | DenseState) -> np.ndarray:
-    if isinstance(state, PopulationState):
-        return state.pops
-    return np.linalg.eigvalsh(state.mat)
-
-
-def _trace_product(x: PopulationState | DenseState, y: PopulationState | DenseState) -> float:
-    # Tr(XY); when either factor is diagonal only the other's diagonal matters.
-    if isinstance(x, PopulationState) and isinstance(y, PopulationState):
-        return float(x.pops @ y.pops)
-    if isinstance(x, PopulationState):
-        return float(x.pops @ y.mat.diagonal().real)
-    if isinstance(y, PopulationState):
-        return float(x.mat.diagonal().real @ y.pops)
-    return float(np.trace(x.mat @ y.mat).real)
-
-
-def _check_same_size(rho, target) -> None:
+def _target_norm(rho: PopulationState, target: PopulationState, what: str) -> float:
     if rho.n != target.n:
         raise ValueError(f"state has {rho.n} spins but target has {target.n}")
+    denom = float(target.pops @ target.pops)
+    if denom == 0.0:
+        raise ValueError(f"target observable is zero; {what} undefined")
+    return denom
 
 
-def max_projection(
-    rho_i: PopulationState | DenseState,
-    a_target: PopulationState | DenseState,
-) -> ProjectionResult:
+def max_projection(rho_i: PopulationState, a_target: PopulationState) -> ProjectionResult:
     """Current and best-achievable coefficient of a target observable.
 
-    The maximum pairs the eigenvalues of the state and of the target in
-    matching (descending) order; it is invariant under any unitary applied
-    to the state beforehand.
+    The maximum pairs the populations of the state and of the target in
+    matching (descending) order; it is invariant under any permutation of
+    the state's populations applied beforehand.
     """
-    _check_same_size(rho_i, a_target)
-    target_eigs = _eigenvalues(a_target)
-    denom = float(target_eigs @ target_eigs)
-    if denom == 0.0:
-        raise ValueError("target observable is zero; projection undefined")
-    state_sorted = np.sort(_eigenvalues(rho_i))[::-1]
-    target_sorted = np.sort(target_eigs)[::-1]
+    denom = _target_norm(rho_i, a_target, "projection")
+    state_sorted = np.sort(rho_i.pops)[::-1]
+    target_sorted = np.sort(a_target.pops)[::-1]
     a_max = float(state_sorted @ target_sorted) / denom
-    a_initial = _trace_product(rho_i, a_target) / denom
+    a_initial = float(rho_i.pops @ a_target.pops) / denom
     enhancement = a_max / a_initial if a_initial != 0.0 else float("inf")
     return ProjectionResult(a_initial=a_initial, a_max=a_max, enhancement=enhancement)
 
 
-def decompose(
-    rho_f: PopulationState | DenseState,
-    a_target: PopulationState | DenseState,
-) -> Decomposition:
+def decompose(rho_f: PopulationState, a_target: PopulationState) -> Decomposition:
     """Coefficient of the target inside a state, plus the orthogonal rest.
 
     The coefficient is the trace inner product normalized by the target's
-    norm; the remainder (stored as a dense matrix) is exactly orthogonal to
-    the target, so coefficient and rest reconstruct the state.
+    norm; the remainder diagonal is exactly orthogonal to the target, so
+    coefficient and rest reconstruct the state.
     """
-    _check_same_size(rho_f, a_target)
-    rho_mat = DenseState.from_populations(rho_f).mat if isinstance(rho_f, PopulationState) else rho_f.mat
-    a_mat = DenseState.from_populations(a_target).mat if isinstance(a_target, PopulationState) else a_target.mat
-    denom = float(np.vdot(a_mat, a_mat).real)
-    if denom == 0.0:
-        raise ValueError("target observable is zero; decomposition undefined")
-    a = float(np.vdot(a_mat, rho_mat).real) / denom
-    remainder = rho_mat - a * a_mat
+    denom = _target_norm(rho_f, a_target, "decomposition")
+    a = float(a_target.pops @ rho_f.pops) / denom
+    remainder = rho_f.pops - a * a_target.pops
     return Decomposition(a=a, b_norm=float(np.linalg.norm(remainder)), remainder=remainder)
 
 

@@ -1,11 +1,11 @@
-"""Diagonal product operators in the shared basis convention."""
+"""z and z-product observables as traceless diagonals (`PopulationState`)."""
 from __future__ import annotations
 
 from collections.abc import Iterable
 
 import numpy as np
 
-from .states import DenseState, check_capacity, iz_diag
+from .states import PopulationState, check_capacity, iz_diag
 
 
 def iz_product_diag(n: int, spins: Iterable[int]) -> np.ndarray:
@@ -21,11 +21,13 @@ def iz_product_diag(n: int, spins: Iterable[int]) -> np.ndarray:
     return out
 
 
-def iz_operator(n: int, spin: int) -> DenseState:
-    check_capacity(n, dense=True)
-    return DenseState(n=n, mat=np.diag(iz_diag(n, spin).astype(complex)))
+def iz_operator(n: int, spin: int) -> PopulationState:
+    """One spin's Iz as a traceless diagonal: +-1/2 per basis state."""
+    check_capacity(n)  # before the 2**n diagonal is allocated
+    return PopulationState(n=n, pops=iz_diag(n, spin))
 
 
-def iz_product_operator(n: int, spins: Iterable[int]) -> DenseState:
-    check_capacity(n, dense=True)
-    return DenseState(n=n, mat=np.diag(iz_product_diag(n, spins).astype(complex)))
+def iz_product_operator(n: int, spins: Iterable[int]) -> PopulationState:
+    """A product of distinct spins' Iz as a traceless diagonal."""
+    check_capacity(n)
+    return PopulationState(n=n, pops=iz_product_diag(n, spins))

@@ -39,9 +39,12 @@ def capacity_limit(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        raise ValueError(f"{CAPACITY_ENV_VAR} must be an integer, got {raw!r}") from None
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{CAPACITY_ENV_VAR} must be a positive integer, got {raw!r}")
+    return limit
 
 
 def check_capacity(n: int, *, dense: bool = False) -> None:
@@ -62,7 +65,7 @@ def _validate_n(n: int) -> int:
 
 @dataclass
 class PopulationState:
-    """Diagonal deviation populations over the 2**n basis states."""
+    """A traceless diagonal: a state's deviation populations or a z-product observable."""
 
     n: int
     pops: np.ndarray
@@ -180,17 +183,13 @@ def signed_bit_sum(values: np.ndarray, n: int, spin: int) -> float:
     return float(2.0 * (iz_diag(n, spin) @ values))
 
 
-def polarization(state: PopulationState | DenseState, spin: int) -> float:
+def polarization(state: PopulationState, spin: int) -> float:
     """Polarization of one spin, in units of the equilibrium polarization.
 
     Normalized so the thermal ensemble reads 1.0 for every spin at every n:
     (2 / 2**n) times the signed population sum over the spin's basis bit.
     """
-    if isinstance(state, DenseState):
-        values = state.diagonal()
-    else:
-        values = state.pops
-    return 2.0 / 2**state.n * signed_bit_sum(values, state.n, spin)
+    return 2.0 / 2**state.n * signed_bit_sum(state.pops, state.n, spin)
 
 
 def permute_vector(values: np.ndarray, perm: np.ndarray) -> np.ndarray:

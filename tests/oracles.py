@@ -290,6 +290,19 @@ def max_projection_bruteforce_fast(rho_diag, a_diag):
     return float((rho[table] @ a).max() / (a @ a))
 
 
+def thermal_projection_bound(n):
+    """Best coefficient of spin 0's Iz in the n-spin thermal state.
+
+    The thermal spectrum puts (n - 2k)/2 on comb(n, k) basis states; the
+    target puts +1/2 on half of them and -1/2 on the rest. Sorted pairing
+    gives +1/2 to the upper half of the spectrum, whose sum is minus the
+    lower half's, so the overlap is the upper half's sum. The thermal
+    state's own coefficient is 1, so this is also the enhancement.
+    """
+    upper_half = sum(Fraction(math.comb(n, k) * (n - 2 * k), 2) for k in range((n + 1) // 2))
+    return float(upper_half / Fraction(2**n, 4))  # Tr(A^2) = 2**n / 4
+
+
 # --- multi-round exact propagation -------------------------------------------
 
 def replay_exact(n, eps0, triples):

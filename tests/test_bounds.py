@@ -1,9 +1,12 @@
 """z-basis product operators and the unitary polarization-transfer bound."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coolspin import (
-    DenseState,
     PopulationState,
     decompose,
     entropy_bound_kmax,
@@ -39,13 +42,13 @@ def test_iz_product_diag_is_elementwise_product():
         iz_product_diag(2, ())
 
 
-def test_iz_operators_are_traceless_diagonal_dense_states():
+def test_iz_operators_are_traceless_diagonal_population_states():
     op = iz_operator(3, 1)
-    assert isinstance(op, DenseState)
-    assert op.coherence_norm() == 0.0
-    assert np.array_equal(op.diagonal(), iz_diag(3, 1))
+    assert isinstance(op, PopulationState)
+    assert np.array_equal(op.pops, iz_diag(3, 1))
     prod = iz_product_operator(3, (0, 2))
-    assert np.array_equal(prod.diagonal(), iz_product_diag(3, (0, 2)))
+    assert isinstance(prod, PopulationState)
+    assert np.array_equal(prod.pops, iz_product_diag(3, (0, 2)))
 
 
 def test_thermal_three_spin_bound_is_three_halves():
@@ -55,12 +58,10 @@ def test_thermal_three_spin_bound_is_three_halves():
     assert result.enhancement == pytest.approx(1.5, abs=1e-12)
 
 
-def test_bound_accepts_population_targets_and_mixed_kinds():
+def test_bound_accepts_population_targets():
     target = PopulationState(n=3, pops=iz_diag(3, 0))
     result = max_projection(thermal_state(3), target)
     assert result.a_max == pytest.approx(1.5, abs=1e-12)
-    dense = DenseState.from_populations(thermal_state(3))
-    assert max_projection(dense, iz_operator(3, 0)).a_max == pytest.approx(1.5, abs=1e-12)
 
 
 def test_bound_agrees_with_exhaustive_search_on_random_states():
@@ -101,9 +102,33 @@ def test_decompose_reports_coefficient_and_orthogonal_remainder():
     dec = decompose(state, target)
     assert dec.a == pytest.approx(1.0, abs=1e-12)
     # remainder = rho - a * A has no overlap with A left in it.
-    overlap = np.trace(dec.remainder @ target.mat).real
+    overlap = dec.remainder @ target.pops
     assert overlap == pytest.approx(0.0, abs=1e-12)
     assert dec.b_norm == pytest.approx(np.linalg.norm(dec.remainder), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_diagonal_bounds_match_exhaustive_search_for_every_z_product(n, seed):
+    rng = np.random.default_rng(seed)
+    pops = rng.normal(size=2**n)
+    pops -= pops.mean()
+    state = PopulationState(n=n, pops=pops)
+    for k in range(1, n + 1):
+        for spins in itertools.combinations(range(n), k):
+            target = iz_product_operator(n, spins)
+            a_max = max_projection(state, target).a_max
+            assert a_max == pytest.approx(
+                oracles.max_projection_bruteforce_fast(state.pops, target.pops),
+                abs=1e-10,
+            )
+            dec = decompose(state, target)
+            assert np.allclose(dec.a * target.pops + dec.remainder, state.pops, rtol=0, atol=1e-12)
+            assert dec.remainder @ target.pops == pytest.approx(0.0, abs=1e-12)
+            assert dec.b_norm == np.linalg.norm(dec.remainder)
 
 
 def test_entropy_bound_kmax_frozen_value_and_scaling():

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from coolspin import CoolingPlan, PulseSequence, PopulationState, example_system
+from coolspin import CoolingPlan, PulseSequence, PopulationState, SpinSystem, example_system
 from coolspin.cli import build_parser, main
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -35,6 +37,37 @@ def test_bound_rejects_a_spin_count_that_is_not_a_positive_whole_number(capsys, 
     assert code == 2
     assert out == ""
     assert "--n" in err
+
+
+@pytest.mark.parametrize("raw", ["0", "-2"])
+def test_bound_rejects_a_spin_budget_below_one(capsys, monkeypatch, raw):
+    monkeypatch.setenv("COOLSPIN_MAX_N", raw)
+    code, out, err = run(capsys, "bound")
+    assert (code, out) == (2, "")
+    assert "COOLSPIN_MAX_N" in err
+
+
+def _coupled_system(tmp_path, n):
+    j_hz = [[0.0 if i == k else 10.0 + i + k for k in range(n)] for i in range(n)]
+    system = SpinSystem(labels=[f"q{i}" for i in range(n)], j_hz=j_hz, shift_ppm=[0.0] * n, epsilon0=1e-5)
+    path = tmp_path / f"sys{n}.json"
+    system.save(path)
+    return str(path)
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_bound_runs_past_the_dense_cap(capsys, tmp_path, n):
+    code, out, err = run(capsys, "bound", "--system", _coupled_system(tmp_path, n))
+    assert (code, err) == (0, "")
+    a_max = f"{oracles.thermal_projection_bound(n):.12g}"
+    assert f"a_max: {a_max}\n" in out
+    assert f"enhancement: {a_max}\n" in out
+
+
+def test_bound_beyond_the_population_budget_exits_4(capsys, tmp_path):
+    code, out, err = run(capsys, "bound", "--system", _coupled_system(tmp_path, 25))
+    assert (code, out) == (4, "")
+    assert "population vector" in err
 
 
 def test_help_returns_zero_instead_of_exiting(capsys):

@@ -152,9 +152,10 @@ def test_capacity_limits_and_env_override(monkeypatch):
     monkeypatch.setenv(CAPACITY_ENV_VAR, "4")
     with pytest.raises(CapacityError, match=CAPACITY_ENV_VAR):
         thermal_state(5)
-    monkeypatch.setenv(CAPACITY_ENV_VAR, "not-a-number")
-    with pytest.raises(ValueError):
-        thermal_state(5)
+    for raw in ("not-a-number", "0", "-2"):
+        monkeypatch.setenv(CAPACITY_ENV_VAR, raw)
+        with pytest.raises(ValueError, match=f"{CAPACITY_ENV_VAR} must be a positive integer"):
+            thermal_state(5)
 
 
 def test_permute_vector_moves_entry_i_to_perm_i():
