@@ -35,7 +35,12 @@ from .cooling import (
 from .errors import CapacityError, CoolspinError, InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation, lower_fredkin
 from .operators import iz_diag, iz_operator, iz_product_diag, iz_product_operator
-from .propagator import permutation_unitary, phase_pattern_equal, simulate_sequence
+from .propagator import (
+    permutation_unitary,
+    phase_pattern_equal,
+    simulate_sequence,
+    verify_permutation,
+)
 from .pulses import (
     Delay,
     DurationModel,
@@ -124,5 +129,6 @@ __all__ = [
     "standard_toffoli_s",
     "thermal_polarization",
     "thermal_state",
+    "verify_permutation",
     "__version__",
 ]

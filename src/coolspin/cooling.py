@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
-from .states import check_capacity, iz_diag, product_probabilities, signed_bit_sum
+from .states import _iz_diag, check_capacity, product_probabilities, signed_bit_sum
 
 GATES_PER_BOOST = 5
 
@@ -52,7 +52,8 @@ class BoostReport:
 
 
 _BOOST_PERM_3 = circuit_permutation(boost_circuit(), 3)
-_IZ_3 = tuple(iz_diag(3, j) for j in range(3))
+# Built at import, so without `iz_diag`'s budget check, which reads COOLSPIN_MAX_N.
+_IZ_3 = tuple(_iz_diag(3, j) for j in range(3))
 
 
 def _boost_marginals(eps: float) -> tuple[float, float, float]:

@@ -15,6 +15,7 @@ def iz_product_diag(n: int, spins: Iterable[int]) -> np.ndarray:
         raise ValueError("product factors must be distinct spins")
     if not spins:
         raise ValueError("need at least one factor")
+    check_capacity(n)  # before the 2**n diagonal is allocated
     out = np.ones(2**n)
     for s in spins:
         out = out * iz_diag(n, s)
@@ -23,11 +24,9 @@ def iz_product_diag(n: int, spins: Iterable[int]) -> np.ndarray:
 
 def iz_operator(n: int, spin: int) -> PopulationState:
     """One spin's Iz as a traceless diagonal: +-1/2 per basis state."""
-    check_capacity(n)  # before the 2**n diagonal is allocated
     return PopulationState(n=n, pops=iz_diag(n, spin))
 
 
 def iz_product_operator(n: int, spins: Iterable[int]) -> PopulationState:
     """A product of distinct spins' Iz as a traceless diagonal."""
-    check_capacity(n)
     return PopulationState(n=n, pops=iz_product_diag(n, spins))

@@ -26,6 +26,7 @@ from .errors import CapacityError
 
 MAX_POPULATION_SPINS = 24
 MAX_DENSE_SPINS = 8
+MAX_VERIFY_SPINS = 16
 CAPACITY_ENV_VAR = "COOLSPIN_MAX_N"
 
 TRACE_TOL = 1e-12
@@ -158,6 +159,12 @@ def bit_position(n: int, spin: int) -> int:
 
 def iz_diag(n: int, spin: int) -> np.ndarray:
     """Diagonal of the z angular momentum of one spin: +-1/2 per basis state."""
+    check_capacity(n)  # before the 2**n diagonal is allocated
+    return _iz_diag(n, spin)
+
+
+def _iz_diag(n: int, spin: int) -> np.ndarray:
+    """`iz_diag` without the budget check, for callers that hold a 2**n vector already."""
     pos = bit_position(n, spin)
     # One row per setting of the spins before `spin`: 2**pos ups, then downs.
     z = np.full((1 << spin, 2 << pos), 0.5)
@@ -171,7 +178,7 @@ def thermal_state(n: int) -> PopulationState:
     check_capacity(n)
     pops = np.zeros(2**n)
     for spin in range(n):
-        pops += iz_diag(n, spin)
+        pops += _iz_diag(n, spin)
     return PopulationState(n=n, pops=pops)
 
 
@@ -180,7 +187,7 @@ def signed_bit_sum(values: np.ndarray, n: int, spin: int) -> float:
     values = np.asarray(values)
     if values.shape != (2**n,):
         raise ValueError(f"expected {2**n} entries, got shape {values.shape}")
-    return float(2.0 * (iz_diag(n, spin) @ values))
+    return float(2.0 * (_iz_diag(n, spin) @ values))
 
 
 def polarization(state: PopulationState, spin: int) -> float:

@@ -1,8 +1,14 @@
 """Command-line interface: happy paths, artifacts, and exit codes."""
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import coolspin
 from coolspin import CoolingPlan, PulseSequence, PopulationState, SpinSystem, example_system
 from coolspin.cli import build_parser, main
 
@@ -191,6 +197,33 @@ def test_compile_rotation_circuit_skips_pattern_check(capsys, tmp_path):
     assert "verification: SKIPPED" in out
 
 
+def test_compile_verifies_past_the_dense_cap_in_under_a_second(capsys, tmp_path):
+    system = _coupled_system(tmp_path, 12)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "compile", "--system", system)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "verification: PASS" in out.splitlines()
+    assert elapsed < 1.0
+
+
+def test_compile_past_the_dense_cap_still_fails_a_wrong_sequence(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "compile", "--system", _coupled_system(tmp_path, 10), "--bloch-siegert-deg", "3"
+    )
+    assert code == 0
+    assert "verification: FAIL" in out.splitlines()
+
+
+@pytest.mark.parametrize("n, budget", [(17, None), (10, "9")])
+def test_compile_skips_verification_above_the_verify_cap(capsys, monkeypatch, tmp_path, n, budget):
+    if budget is not None:
+        monkeypatch.setenv("COOLSPIN_MAX_N", budget)
+    code, out, _ = run(capsys, "compile", "--system", _coupled_system(tmp_path, n))
+    assert code == 0
+    assert "verification: SKIPPED (system too large to verify)" in out.splitlines()
+
+
 def test_compile_missing_circuit_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "compile", "--circuit", str(tmp_path / "nope.txt"))
     assert code == 2
@@ -241,19 +274,24 @@ def test_spectrum_corrupt_state_file_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_running_as_a_module_works():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import coolspin
-
+def run_module(*argv, **env_vars):
     # Run the same package the tests import, installed or not.
     src = str(Path(coolspin.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "coolspin", "bound"], capture_output=True, text=True, env=env
+    env = {**os.environ, **env_vars}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "coolspin", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_running_as_a_module_works():
+    proc = run_module("bound")
     assert proc.returncode == 0
     assert "a_max: 1.5" in proc.stdout
+
+
+def test_a_malformed_spin_budget_is_bad_input_not_an_import_failure():
+    # The package builds small Iz tables at import; the budget is read later.
+    proc = run_module("bound", COOLSPIN_MAX_N="abc")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: COOLSPIN_MAX_N must be a positive integer")

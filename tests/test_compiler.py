@@ -1,13 +1,15 @@
 """Circuit text format, pulse-level lowering, and the sequence propagator."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import coolspin as cs
 from coolspin.compiler import elide_z_rotations, format_circuit, parse_circuit
+from coolspin.propagator import propagate
 from coolspin.pulses import (
     Delay,
     DurationModel,
@@ -350,3 +352,123 @@ def test_simulate_sequence_matches_the_kron_oracle_on_an_8_spin_boost():
     assert np.abs(got.mat - oracles.simulate_sequence_kron(seq)).max() <= 1e-12
     target = cs.permutation_unitary(cs.circuit_permutation(gates, 8))
     assert cs.phase_pattern_equal(got, target)
+
+
+# --- probe verification against the dense oracle -------------------------------
+
+
+def _coupled_system(n, seed):
+    rng = np.random.default_rng(seed)
+    j_hz = np.triu(rng.uniform(20.0, 150.0, (n, n)) * rng.choice((-1.0, 1.0), (n, n)), 1)
+    return cs.SpinSystem([f"q{k}" for k in range(n)], j_hz + j_hz.T, np.zeros(n), 3e-5)
+
+
+def _mutate(events, mutation, pick, factor):
+    """The event list with one pulse or delay changed; unchanged if none exists."""
+    kind = Delay if mutation == "delay" else SelectivePulse
+    where = [i for i, e in enumerate(events) if isinstance(e, kind)]
+    if mutation == "none" or not where:
+        return events
+    i = where[pick % len(where)]
+    event = events[i]
+    if mutation == "drop":
+        changed = []
+    elif mutation == "phase":
+        changed = [dataclasses.replace(event, phase_deg=event.phase_deg + 180.0)]
+    elif mutation == "angle":
+        changed = [dataclasses.replace(event, angle_deg=event.angle_deg + 90.0)]
+    else:
+        changed = [dataclasses.replace(event, duration_s=event.duration_s * factor)]
+    return events[:i] + changed + events[i + 1 :]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    z_mode=st.sampled_from(["virtual", "pulsed"]),
+    mutation=st.sampled_from(["none", "drop", "phase", "angle", "delay"]),
+    pick=st.integers(min_value=0, max_value=10**6),
+    factor=st.floats(min_value=1.1, max_value=2.0),
+)
+def test_probe_verdict_matches_the_dense_verdict(n, data, seed, z_mode, mutation, pick, factor):
+    """`verify_permutation` agrees with the dense phase-pattern check.
+
+    Random fully coupled systems of 2 to 6 spins, random NOT/CNOT/TOFFOLI/
+    FREDKIN circuits compiled in both z modes, unmutated or with a pulse
+    dropped, a pulse phase shifted by 180 degrees, a pulse angle changed by
+    90 degrees, or a delay scaled by a factor in [1.1, 2]. Draws whose dense
+    deviation (the largest | |U| - |P| | entry) lies in (1e-9, 1e-6) are
+    skipped: both checks use 1e-8, but on different quantities (a magnitude
+    against a probe residual of a similar but not equal size), so inside
+    that band they can honestly disagree.
+    """
+    kinds = [k for k, arity in cs.gates.PERMUTATION_KINDS.items() if arity <= n]
+    gate = st.builds(
+        lambda kind, order: cs.Gate(kind, tuple(order[: cs.gates.PERMUTATION_KINDS[kind]])),
+        st.sampled_from(kinds),
+        st.permutations(range(n)),
+    )
+    gates = data.draw(st.lists(gate, min_size=1, max_size=5))
+    system = _coupled_system(n, seed)
+    seq = cs.compile_circuit(cs.CircuitIR(n, gates), system, z_mode=z_mode)
+    seq = PulseSequence(system, _mutate(list(seq.events), mutation, pick, factor))
+    perm = cs.circuit_permutation(gates, n)
+    dense, target = cs.simulate_sequence(seq), cs.permutation_unitary(perm)
+    deviation = np.abs(np.abs(dense.mat) - np.abs(target.mat)).max()
+    assume(not 1e-9 < deviation < 1e-6)
+    assert cs.verify_permutation(seq, perm) == cs.phase_pattern_equal(dense, target)
+
+
+def test_probe_verdict_passes_the_boost_and_fails_a_phase_ramp_at_8_spins():
+    system = _coupled_system(8, 8)
+    gates = cs.boost_circuit(0, 1, 2)
+    perm = cs.circuit_permutation(gates, 8)
+    for z_mode in ("virtual", "pulsed"):
+        good = cs.compile_circuit(cs.CircuitIR(8, gates), system, z_mode=z_mode)
+        bad = cs.compile_circuit(cs.CircuitIR(8, gates), system, z_mode=z_mode, bloch_siegert_deg=3.0)
+        assert cs.verify_permutation(good, perm)
+        assert not cs.verify_permutation(bad, perm)
+        # A different permutation of the same sequence is not its circuit.
+        assert not cs.verify_permutation(good, cs.circuit_permutation(gates[:-1], 8))
+
+
+@pytest.mark.parametrize("error_deg, verdict", [(1e-3, False), (1e-9, True)])
+def test_probe_and_dense_verdicts_agree_on_small_pulse_errors(error_deg, verdict):
+    # A pulse off by 1e-3 degrees leaks about 9e-6 of amplitude, well above
+    # the 1e-8 tolerance of both checks; 1e-9 degrees leaks about 9e-12.
+    system = _coupled_system(5, 5)
+    gates = cs.boost_circuit(0, 2, 4)
+    seq = cs.compile_circuit(cs.CircuitIR(5, gates), system)
+    events = list(seq.events)
+    i = next(k for k, e in enumerate(events) if isinstance(e, SelectivePulse))
+    events[i] = dataclasses.replace(events[i], angle_deg=events[i].angle_deg + error_deg)
+    seq = PulseSequence(system, events)
+    perm = cs.circuit_permutation(gates, 5)
+    dense = cs.phase_pattern_equal(cs.simulate_sequence(seq), cs.permutation_unitary(perm))
+    assert cs.verify_permutation(seq, perm) == dense == verdict
+
+
+def test_propagate_applies_the_dense_unitary_to_a_block_of_vectors():
+    system = _coupled_system(4, 4)
+    seq = cs.compile_circuit(cs.CircuitIR(4, cs.boost_circuit(1, 2, 3)), system, z_mode="pulsed")
+    block = np.random.default_rng(4).standard_normal((16, 3)) + 0j
+    got = propagate(seq, block)
+    assert np.abs(got - oracles.simulate_sequence_kron(seq) @ block).max() <= 1e-12
+    with pytest.raises(ValueError, match=r"\(16, k\) block"):
+        propagate(seq, np.ones(16))
+
+
+def test_verify_permutation_rejects_bad_permutations_and_non_unitary_events(monkeypatch):
+    system = _coupled_system(3, 3)
+    seq = cs.compile_circuit(cs.CircuitIR(3, cs.boost_circuit()), system)
+    with pytest.raises(ValueError, match="8 entries"):
+        cs.verify_permutation(seq, np.arange(4))
+    with pytest.raises(ValueError, match="bijection"):
+        cs.verify_permutation(seq, np.zeros(8, dtype=int))
+    monkeypatch.setattr(cs.propagator, "_single_spin_matrix", lambda event: 1.001 * np.eye(2))
+    with pytest.raises(ValueError, match="not unitary"):
+        cs.verify_permutation(seq, cs.circuit_permutation(cs.boost_circuit(), 3))
+    with pytest.raises(ValueError, match="not unitary"):
+        cs.simulate_sequence(seq)

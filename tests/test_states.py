@@ -14,6 +14,7 @@ from coolspin import (
     apply_unitary,
     example_system,
     example_system_path,
+    iz_product_diag,
     permute_vector,
     polarization,
     product_probabilities,
@@ -25,6 +26,7 @@ from coolspin.states import (
     CAPACITY_ENV_VAR,
     MAX_DENSE_SPINS,
     MAX_POPULATION_SPINS,
+    MAX_VERIFY_SPINS,
     bit_position,
     capacity_limit,
     iz_diag,
@@ -144,6 +146,7 @@ def test_capacity_limits_and_env_override(monkeypatch):
     monkeypatch.delenv(CAPACITY_ENV_VAR, raising=False)
     assert capacity_limit(MAX_POPULATION_SPINS) == 24
     assert capacity_limit(MAX_DENSE_SPINS) == 8
+    assert capacity_limit(MAX_VERIFY_SPINS) == 16
     with pytest.raises(CapacityError):
         thermal_state(25)
     with pytest.raises(CapacityError):
@@ -156,6 +159,15 @@ def test_capacity_limits_and_env_override(monkeypatch):
         monkeypatch.setenv(CAPACITY_ENV_VAR, raw)
         with pytest.raises(ValueError, match=f"{CAPACITY_ENV_VAR} must be a positive integer"):
             thermal_state(5)
+
+
+def test_bare_diagonals_check_the_budget_before_allocating(monkeypatch):
+    monkeypatch.setenv(CAPACITY_ENV_VAR, "4")
+    with pytest.raises(CapacityError, match=CAPACITY_ENV_VAR):
+        iz_diag(10, 0)
+    with pytest.raises(CapacityError, match=CAPACITY_ENV_VAR):
+        iz_product_diag(10, [0, 1])
+    assert iz_diag(4, 0).shape == iz_product_diag(4, [0, 1]).shape == (16,)
 
 
 def test_permute_vector_moves_entry_i_to_perm_i():
