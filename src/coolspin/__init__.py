@@ -52,11 +52,9 @@ from .pulses import (
 )
 from .spectra import Spectrum, line_frequencies, mean_enhancement, readout
 from .states import (
-    DenseState,
     PopulationState,
     Unitary,
     apply_permutation,
-    apply_unitary,
     permute_vector,
     polarization,
     product_probabilities,
@@ -75,7 +73,6 @@ __all__ = [
     "CoolspinError",
     "Decomposition",
     "Delay",
-    "DenseState",
     "DurationModel",
     "FrameShift",
     "Gate",
@@ -90,7 +87,6 @@ __all__ = [
     "SpinSystem",
     "Unitary",
     "apply_permutation",
-    "apply_unitary",
     "boost_circuit",
     "boost_exact",
     "circuit_permutation",

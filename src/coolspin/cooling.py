@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
-from .states import _iz_diag, check_capacity, product_probabilities, signed_bit_sum
+from .states import _iz_diag, check_capacity, product_probabilities
 
 GATES_PER_BOOST = 5
 
@@ -59,8 +59,8 @@ _IZ_3 = tuple(_iz_diag(3, j) for j in range(3))
 def _boost_marginals(eps: float) -> tuple[float, float, float]:
     """Polarizations of roles a, b, c after boosting three independent spins at eps.
 
-    Each marginal is `signed_bit_sum` of the permuted distribution, with the
-    three Iz rows built once.
+    Each marginal is twice an Iz row dotted with the permuted distribution,
+    with the three rows built once.
     """
     spin = np.array([1 + eps, 1 - eps]) / 2
     out = np.empty(8)
@@ -129,6 +129,12 @@ class Round:
         return np.array_equal(self.triples, other.triples) and np.array_equal(
             self.pool_eps, other.pool_eps
         )
+
+
+def _gate_ledger(n: int, rounds: list[Round]) -> tuple[int, int]:
+    """Boost and refocus gate counts: five per triple, an echo pair per idle spin per round."""
+    sizes = [len(rnd.triples) for rnd in rounds]
+    return GATES_PER_BOOST * sum(sizes), sum(2 * (n - 3 * k) for k in sizes)
 
 
 @dataclass
@@ -215,7 +221,7 @@ class CoolingPlan:
                 raise ValueError(f"round {r}: every boost triple must name three spins")
             triples = [[index[lab] for lab in t] for t in rnd["triples"]]
             rounds.append(Round(triples=triples, pool_eps=[float(v) for v in rnd["pool_eps"]]))
-        return cls(
+        plan = cls(
             n=int(data["n"]),
             eps0=float(data["eps0"]),
             target_eps=float(data["target_eps"]),
@@ -226,6 +232,12 @@ class CoolingPlan:
             predicted_best=float(data["predicted_best"]),
             labels=labels,
         )
+        boost, refocus = _gate_ledger(plan.n, plan.rounds)
+        ledger = {"boost_gate_count": boost, "refocus_gate_count": refocus}
+        for name, want in {**ledger, "total_gate_count": boost + refocus}.items():
+            if data[name] != want:
+                raise ValueError(f"{name} is {data[name]!r}, but the rounds give {want}")
+        return plan
 
 
 def plan_rounds(
@@ -256,8 +268,6 @@ def plan_rounds(
 
     pools: dict[float, list[np.ndarray]] = {eps0: [np.arange(n, dtype=np.intp)]}
     rounds: list[Round] = []
-    boost_gates = 0
-    refocus_gates = 0
 
     def frontier() -> float:
         return max(pools) if pools else 0.0
@@ -286,12 +296,10 @@ def plan_rounds(
                 f"target {target_eps:g} is unreachable with n={n}"
                 f" (best reachable pool sits at {best:g})"
             )
-        rnd = Round(triples=np.concatenate(blocks), pool_eps=np.concatenate(pool_eps))
-        rounds.append(rnd)
-        boost_gates += GATES_PER_BOOST * len(rnd.triples)
-        refocus_gates += 2 * (n - 3 * len(rnd.triples))
+        rounds.append(Round(triples=np.concatenate(blocks), pool_eps=np.concatenate(pool_eps)))
         pools = next_pools
 
+    boost_gates, refocus_gates = _gate_ledger(n, rounds)
     return CoolingPlan(
         n=n,
         eps0=eps0,
@@ -358,6 +366,7 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
     triples = [tuple(t) for rnd in plan.rounds for t in rnd.triples.tolist()]
     last = {s: i for i, t in enumerate(triples) for s in t}
     clusters: dict[int, tuple[list[int], np.ndarray]] = {}
+    iz_rows = {3: _IZ_3}  # cluster width -> the Iz rows of its first three axes
     for i, triple in enumerate(triples):
         parts = []
         for s in triple:
@@ -370,7 +379,10 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
         spins = list(triple) + [s for s in spins if s not in triple]
         out = np.empty_like(probs)
         out[_BOOST_PERM_3] = probs
-        eps[list(triple)] = [signed_bit_sum(out.reshape(-1), len(spins), j) for j in range(3)]
+        k = len(spins)
+        if k not in iz_rows:
+            iz_rows[k] = tuple(_iz_diag(k, j) for j in range(3))
+        eps[list(triple)] = [float(2.0 * (row @ out.reshape(-1))) for row in iz_rows[k]]
         done = tuple(j for j, s in enumerate(spins) if last[s] <= i)
         kept = [s for j, s in enumerate(spins) if j not in done]
         if kept:

@@ -1,4 +1,4 @@
-"""Idealized absorption-mode readout spectra from diagonal states.
+"""Idealized absorption-mode readout spectra from population states.
 
 A readout pulse on spin j splits its resonance into one line per
 configuration of the other spins. In the weak-coupling first-order
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DenseState, PopulationState, bit_position, iz_diag
+from .states import PopulationState, iz_diag
 from .system import SpinSystem
 
-COHERENCE_TOL = 1e-10
 # One record per line; spectator is the other spins' bits, spin order, MSB first.
 _LINE_DTYPE = np.dtype([("freq_hz", float), ("amplitude", float), ("spectator", np.int64)])
 
@@ -52,16 +51,6 @@ class Spectrum:
         return "freq_hz,amplitude\n" + "".join([f"{f!r},{a!r}\n" for f, a in rows])
 
 
-def _spectator_indices(n: int, spin: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices with spin j forced to 0 and to 1, per spectator config."""
-    pos = bit_position(n, spin)
-    spectators = np.arange(1 << (n - 1))
-    high = spectators >> pos
-    low = spectators & ((1 << pos) - 1)
-    idx0 = (high << (pos + 1)) | low
-    return idx0, idx0 | (1 << pos)
-
-
 def _line_offsets(system: SpinSystem, j: int) -> np.ndarray:
     """Offset of spin j's line for each spectator configuration, in index order.
 
@@ -82,30 +71,18 @@ def line_frequencies(system: SpinSystem, spin: int | str) -> list[float]:
     return np.sort(_line_offsets(system, system.spin_index(spin)), kind="stable").tolist()
 
 
-def readout(
-    state: PopulationState | DenseState, system: SpinSystem, spin: int | str
-) -> Spectrum:
+def readout(state: PopulationState, system: SpinSystem, spin: int | str) -> Spectrum:
     """Predicted multiplet of one spin after an ideal readout pulse.
 
-    The state must be diagonal: a dense input whose off-diagonal norm
-    exceeds the coherence tolerance is rejected rather than silently
-    truncated.
+    Viewing the populations as (2**j, 2, rest) puts spin j on the middle
+    axis; each line's amplitude is the up-minus-down difference across it,
+    flattened in spectator index order.
     """
     j = system.spin_index(spin)
     if state.n != system.n:
         raise ValueError(f"state has {state.n} spins, system has {system.n}")
-    if isinstance(state, DenseState):
-        stray = state.coherence_norm()
-        if not stray <= COHERENCE_TOL:
-            raise ValueError(
-                f"state carries coherences (off-diagonal norm {stray:.3e});"
-                " readout expects a diagonal state"
-            )
-        pops = state.diagonal()
-    else:
-        pops = state.pops
-    idx0, idx1 = _spectator_indices(system.n, j)
-    amplitude = pops[idx0] - pops[idx1]
+    p = state.pops.reshape(1 << j, 2, -1)
+    amplitude = (p[:, 0] - p[:, 1]).reshape(-1)
     freq = _line_offsets(system, j)
     order = np.argsort(-freq, kind="stable")
     lines = np.rec.fromarrays((freq[order], amplitude[order], order), dtype=_LINE_DTYPE)

@@ -1,12 +1,18 @@
 """State containers for small spin-1/2 ensembles.
 
+`PopulationState` is the package's one state type: a traceless diagonal in
+deviation units, for states and z observables alike. `Unitary` is the dense
+2**n matrix that the pulse-sequence oracle builds and checks.
+
 Basis convention, used everywhere in this package: a basis state of n spins
 is indexed by the integer whose most significant bit is spin 0 and whose
 least significant bit is spin n-1, with bit value 0 meaning the spin-up
 state. Index 0 is therefore all-spins-up. This is the only module that maps
 index bits to spin values: `iz_diag` gives one spin's +-1/2 over the basis,
 and everything else that needs a spin's sign is built on it. Code that
-permutes basis indices locates a spin's bit with `bit_position`.
+permutes basis indices locates a spin's bit with `bit_position`; code that
+acts on one spin views a 2**n vector as (2**spin, 2, rest), whose middle
+axis is that spin, up first.
 
 Populations are kept in deviation units: the traceless part of the density
 matrix in units of the high-temperature expansion parameter, so that the
@@ -30,7 +36,6 @@ MAX_VERIFY_SPINS = 16
 CAPACITY_ENV_VAR = "COOLSPIN_MAX_N"
 
 TRACE_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 
 
@@ -93,41 +98,6 @@ class PopulationState:
         if "n" not in data or "pops" not in data:
             raise ValueError("state object needs 'n' and 'pops' fields")
         return cls(n=data["n"], pops=np.asarray(data["pops"], dtype=float))
-
-
-@dataclass
-class DenseState:
-    """Full deviation density matrix; traceless and Hermitian by contract."""
-
-    n: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        self.n = _validate_n(self.n)
-        check_capacity(self.n, dense=True)
-        mat = np.asarray(self.mat, dtype=complex)
-        dim = 2**self.n
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
-        scale = max(1.0, float(np.abs(mat).max()))
-        if not float(np.abs(mat - mat.conj().T).max()) <= HERMITICITY_TOL * scale:
-            raise ValueError("matrix must be Hermitian")
-        if not abs(complex(mat.trace())) <= TRACE_TOL * scale:
-            raise ValueError("matrix must be traceless (deviation units)")
-        self.mat = mat
-
-    @classmethod
-    def from_populations(cls, state: PopulationState) -> "DenseState":
-        check_capacity(state.n, dense=True)
-        return cls(n=state.n, mat=np.diag(state.pops.astype(complex)))
-
-    def diagonal(self) -> np.ndarray:
-        return self.mat.diagonal().real.copy()
-
-    def coherence_norm(self) -> float:
-        """Largest off-diagonal magnitude; zero for population-only states."""
-        off = self.mat - np.diag(self.mat.diagonal())
-        return float(np.abs(off).max())
 
 
 @dataclass
@@ -218,12 +188,6 @@ def apply_permutation(state: PopulationState, perm: np.ndarray) -> PopulationSta
     if perm.shape != (2**state.n,):
         raise ValueError(f"permutation must have {2**state.n} entries")
     return PopulationState(n=state.n, pops=permute_vector(state.pops, perm))
-
-
-def apply_unitary(state: DenseState, u: Unitary) -> DenseState:
-    if state.n != u.n:
-        raise ValueError(f"state has {state.n} spins but unitary has {u.n}")
-    return DenseState(n=state.n, mat=u.mat @ state.mat @ u.mat.conj().T)
 
 
 def product_probabilities(n: int, eps: float | np.ndarray) -> np.ndarray:

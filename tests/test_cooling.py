@@ -18,7 +18,7 @@ from coolspin import (
 )
 from coolspin import cooling
 from coolspin.cooling import GATES_PER_BOOST, Round
-from coolspin.states import product_probabilities, signed_bit_sum
+from coolspin.states import _iz_diag, product_probabilities, signed_bit_sum
 
 import oracles
 
@@ -203,6 +203,16 @@ def test_plan_loading_rejects_a_non_finite_target_or_prediction(field, value):
         CoolingPlan.from_dict({**data, field: value})
 
 
+@pytest.mark.parametrize("field", ["boost_gate_count", "refocus_gate_count", "total_gate_count"])
+@pytest.mark.parametrize("recycle", [False, True])
+def test_plan_loading_rejects_a_gate_ledger_that_disagrees_with_the_rounds(field, recycle):
+    data = plan_rounds(9, 1e-3, 0.99 * 2.25e-3, recycle=recycle).to_dict()
+    assert CoolingPlan.from_dict(data).to_dict() == data
+    tampered = data[field] + 2
+    with pytest.raises(ValueError, match=f"{field} is {tampered}, but the rounds give {data[field]}"):
+        CoolingPlan.from_dict({**data, field: tampered})
+
+
 def test_plan_loading_rejects_a_polarization_outside_the_unit_interval():
     data = _plan_dict(["s0", "s1", "s2"], [[["s0", "s1", "s2"]]])
     for eps0 in (-0.1, 1.5, float("nan")):
@@ -250,11 +260,11 @@ def test_a_spin_leaves_its_cluster_after_its_last_triple(monkeypatch):
     ]
     cluster_sizes = []
 
-    def spy(values, n, spin):
+    def spy(n, spin):  # the replay builds Iz rows once per new cluster width
         cluster_sizes.append(n)
-        return signed_bit_sum(values, n, spin)
+        return _iz_diag(n, spin)
 
-    monkeypatch.setattr(cooling, "signed_bit_sum", spy)
+    monkeypatch.setattr(cooling, "_iz_diag", spy)
     got = simulate_plan(_plan(12, 0.3, rounds), mode="exact").eps_exact
     want = oracles.replay_exact(12, 0.3, [t for rnd in rounds for t in rnd])
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)

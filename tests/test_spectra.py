@@ -1,11 +1,10 @@
-"""Multiplet prediction from diagonal states."""
+"""Multiplet prediction from population states."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coolspin import (
-    DenseState,
     PopulationState,
     SpinSystem,
     apply_permutation,
@@ -97,15 +96,6 @@ def test_spectator_field_tracks_line_identity(system):
     # Spectator bits follow spin order (a, b), most significant first.
     assert by_spectator[0].freq_hz == pytest.approx((75.0 + 53.8) / 2)
     assert by_spectator[3].freq_hz == pytest.approx(-(75.0 + 53.8) / 2)
-
-
-def test_readout_accepts_diagonal_dense_states_only(system):
-    dense = DenseState.from_populations(thermal_state(3))
-    assert readout(dense, system, 0).amplitudes.tolist() == [1.0] * 4
-    mat = dense.mat.copy()
-    mat[0, 1] = mat[1, 0] = 1e-6
-    with pytest.raises(ValueError, match="coherence"):
-        readout(DenseState(n=3, mat=mat), system, 0)
 
 
 def test_readout_rejects_mismatched_sizes(system):

@@ -1,4 +1,6 @@
 """State containers, basis conventions, and the spin-system value object."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,10 @@ from hypothesis import strategies as st
 
 from coolspin import (
     CapacityError,
-    DenseState,
     PopulationState,
     SpinSystem,
     Unitary,
     apply_permutation,
-    apply_unitary,
     example_system,
     example_system_path,
     iz_product_diag,
@@ -124,17 +124,17 @@ def test_population_state_round_trips_through_dict():
     assert np.array_equal(again.pops, state.pops)
 
 
-def test_dense_state_rejects_non_hermitian_and_traceful_input():
-    with pytest.raises(ValueError, match="Hermitian"):
-        DenseState(n=1, mat=np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="traceless"):
-        DenseState(n=1, mat=np.eye(2))
+_FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
-def test_dense_state_from_populations_and_coherence_norm():
-    dense = DenseState.from_populations(thermal_state(2))
-    assert dense.coherence_norm() == 0.0
-    assert np.array_equal(dense.diagonal(), thermal_state(2).pops)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=8), data=st.data())
+def test_a_population_state_survives_a_json_round_trip(n, data):
+    raw = np.array(data.draw(st.lists(_FINITE, min_size=2**n, max_size=2**n)))
+    state = PopulationState(n=n, pops=raw - raw.mean())
+    again = PopulationState.from_dict(json.loads(json.dumps(state.to_dict())))
+    assert again.n == state.n
+    assert np.array_equal(again.pops, state.pops)
 
 
 def test_unitary_rejects_non_unitary_matrix():
@@ -150,7 +150,7 @@ def test_capacity_limits_and_env_override(monkeypatch):
     with pytest.raises(CapacityError):
         thermal_state(25)
     with pytest.raises(CapacityError):
-        DenseState(n=9, mat=np.zeros((512, 512)))
+        Unitary(n=9, mat=np.eye(512))
 
     monkeypatch.setenv(CAPACITY_ENV_VAR, "4")
     with pytest.raises(CapacityError, match=CAPACITY_ENV_VAR):
@@ -185,15 +185,6 @@ def test_apply_permutation_swaps_populations():
     assert swapped.pops.tolist() == [-0.5, 0.5]
     with pytest.raises(ValueError, match="entries"):
         apply_permutation(state, np.array([1, 0, 2]))
-
-
-def test_apply_unitary_conjugates():
-    x = Unitary(n=1, mat=np.array([[0, 1], [1, 0]], dtype=complex))
-    state = DenseState(n=1, mat=np.diag([0.5, -0.5]).astype(complex))
-    flipped = apply_unitary(state, x)
-    assert np.allclose(flipped.mat, np.diag([-0.5, 0.5]))
-    with pytest.raises(ValueError, match="spins"):
-        apply_unitary(state, Unitary(n=2, mat=np.eye(4, dtype=complex)))
 
 
 def test_product_probabilities_scalar_and_per_spin():
@@ -241,3 +232,18 @@ def test_spin_system_lookup_and_round_trip(tmp_path):
     again = SpinSystem.load(path)
     assert again.to_dict() == system.to_dict()
     assert example_system_path().exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=6), data=st.data())
+def test_a_spin_system_survives_a_json_round_trip(n, data):
+    labels = data.draw(st.lists(st.text(min_size=1, max_size=4), min_size=n, max_size=n, unique=True))
+    upper = np.triu(np.array(data.draw(st.lists(_FINITE, min_size=n * n, max_size=n * n))).reshape(n, n), 1)
+    shifts = data.draw(st.lists(_FINITE, min_size=n, max_size=n))
+    eps0 = data.draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    system = SpinSystem(labels=labels, j_hz=upper + upper.T, shift_ppm=shifts, epsilon0=eps0)
+    again = SpinSystem.from_dict(json.loads(json.dumps(system.to_dict())))
+    assert again.labels == system.labels
+    assert np.array_equal(again.j_hz, system.j_hz)
+    assert np.array_equal(again.shift_ppm, system.shift_ppm)
+    assert again.epsilon0 == system.epsilon0
