@@ -1,8 +1,9 @@
 """Entropy-pumping boosts and multi-round cooling schedules.
 
-`boost_exact` propagates the full eight-state occupation distribution of
-three equally polarized spins through the boost circuit, so its marginals
-are exact at any polarization, not a small-polarization expansion.
+Boosts act on Z correlators <Z_S>, one per subset S of the spins: a spin
+at eps is (1, eps), independent spins multiply, and the boost is one fixed
+8x8 matrix with entries 0, +-1/2 and +-1. So `boost_exact` is exact at any
+polarization up to the rounding of eps**2 and eps**3.
 
 `plan_rounds` builds a schedule: spins sit in pools keyed by their exact
 polarization value, each round greedily forms disjoint triples inside every
@@ -27,14 +28,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 
 import numpy as np
 
 from .errors import InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
-from .states import _iz_diag, check_capacity, product_probabilities
+from .states import check_capacity, product_probabilities
 
 GATES_PER_BOOST = 5
 
@@ -51,22 +52,18 @@ class BoostReport:
     gate_count: int = GATES_PER_BOOST
 
 
-_BOOST_PERM_3 = circuit_permutation(boost_circuit(), 3)
-# Built at import, so without `iz_diag`'s budget check, which reads COOLSPIN_MAX_N.
-_IZ_3 = tuple(_iz_diag(3, j) for j in range(3))
+# Sylvester-Hadamard matrix: W @ probs are the Z correlators, and W @ W = 8.
+_W_3 = reduce(np.kron, [[[1, 1], [1, -1]]] * 3)
+_BOOST_Z = _W_3[:, circuit_permutation(boost_circuit(), 3)] @ _W_3 / 8
+_MARGINALS = [4, 2, 1]  # correlator indices of spins a, b, c (spin 0 is the high bit)
 
 
 def _boost_marginals(eps: float) -> tuple[float, float, float]:
-    """Polarizations of roles a, b, c after boosting three independent spins at eps.
-
-    Each marginal is twice an Iz row dotted with the permuted distribution,
-    with the three rows built once.
-    """
-    spin = np.array([1 + eps, 1 - eps]) / 2
-    out = np.empty(8)
-    out[_BOOST_PERM_3] = np.multiply.outer(np.multiply.outer(spin, spin), spin).reshape(-1)
-    iz_a, iz_b, iz_c = _IZ_3
-    return float(2.0 * (iz_a @ out)), float(2.0 * (iz_b @ out)), float(2.0 * (iz_c @ out))
+    """Polarizations of roles a, b, c after boosting three independent spins at eps."""
+    spin = np.array([1.0, eps])
+    z = np.multiply.outer(np.multiply.outer(spin, spin), spin).reshape(-1)
+    eps_a, eps_b, eps_c = (_BOOST_Z @ z)[_MARGINALS]
+    return float(eps_a), float(eps_b), float(eps_c)
 
 
 def boost_exact(eps: float) -> BoostReport:
@@ -210,6 +207,14 @@ class CoolingPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoolingPlan":
+        missing = {"total_gate_count", *(f.name for f in fields(cls))} - set(data)
+        if missing:
+            raise ValueError(f"plan object missing fields: {sorted(missing)}")
+        n, recycle = data["n"], data["recycle"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        if not isinstance(recycle, bool):
+            raise ValueError(f"recycle must be true or false, got {recycle!r}")
         labels = [str(s) for s in data["labels"]]
         index = {lab: i for i, lab in enumerate(labels)}
         rounds = []
@@ -222,10 +227,10 @@ class CoolingPlan:
             triples = [[index[lab] for lab in t] for t in rnd["triples"]]
             rounds.append(Round(triples=triples, pool_eps=[float(v) for v in rnd["pool_eps"]]))
         plan = cls(
-            n=int(data["n"]),
+            n=n,
             eps0=float(data["eps0"]),
             target_eps=float(data["target_eps"]),
-            recycle=bool(data["recycle"]),
+            recycle=recycle,
             rounds=rounds,
             boost_gate_count=int(data["boost_gate_count"]),
             refocus_gate_count=int(data["refocus_gate_count"]),
@@ -333,13 +338,13 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
     """Per-spin polarizations after the plan's triples, boosted in order.
 
     An uncorrelated spin is kept as its polarization alone; spins that a
-    boost has correlated share a cluster: a spin list and a probability
+    boost has correlated share a cluster: a spin list and a correlator
     tensor with one axis per spin. A boost merges its spins' clusters,
-    permutes their three axes and reads their new marginals. With `joint`, a
-    spin is summed out of its cluster after its last triple, which keeps the
-    result exact. Without it, no cluster forms: every boost sees three
-    independent spins of one pool value, so a whole round is one array step
-    that boosts each new pool value once.
+    applies the boost matrix to their three axes and reads their marginals.
+    With `joint`, a spin leaves its cluster after its last triple (index 0
+    on its axis), which keeps the result exact. Without it, no cluster
+    forms: every boost sees three independent spins of one pool value, so a
+    whole round is one array step that boosts each new pool value once.
     """
     eps = np.full(plan.n, plan.eps0)
     if not joint:
@@ -366,27 +371,22 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
     triples = [tuple(t) for rnd in plan.rounds for t in rnd.triples.tolist()]
     last = {s: i for i, t in enumerate(triples) for s in t}
     clusters: dict[int, tuple[list[int], np.ndarray]] = {}
-    iz_rows = {3: _IZ_3}  # cluster width -> the Iz rows of its first three axes
     for i, triple in enumerate(triples):
         parts = []
         for s in triple:
-            part = clusters.get(s) or ([s], np.array([1 + eps[s], 1 - eps[s]]) / 2)
+            part = clusters.get(s) or ([s], np.array([1.0, eps[s]]))
             if all(part is not p for p in parts):
                 parts.append(part)
         spins = [s for part in parts for s in part[0]]
-        probs = reduce(np.multiply.outer, [part[1] for part in parts])
-        probs = np.moveaxis(probs, [spins.index(s) for s in triple], [0, 1, 2]).reshape(8, -1)
+        merged = reduce(np.multiply.outer, [part[1] for part in parts])
+        merged = np.moveaxis(merged, [spins.index(s) for s in triple], [0, 1, 2]).reshape(8, -1)
         spins = list(triple) + [s for s in spins if s not in triple]
-        out = np.empty_like(probs)
-        out[_BOOST_PERM_3] = probs
-        k = len(spins)
-        if k not in iz_rows:
-            iz_rows[k] = tuple(_iz_diag(k, j) for j in range(3))
-        eps[list(triple)] = [float(2.0 * (row @ out.reshape(-1))) for row in iz_rows[k]]
-        done = tuple(j for j, s in enumerate(spins) if last[s] <= i)
-        kept = [s for j, s in enumerate(spins) if j not in done]
+        out = _BOOST_Z @ merged
+        eps[list(triple)] = out[_MARGINALS, 0]
+        kept = [s for s in spins if last[s] > i]
         if kept:
-            clusters.update(dict.fromkeys(kept, (kept, out.reshape((2,) * len(spins)).sum(done))))
+            index = tuple(slice(None) if last[s] > i else 0 for s in spins)
+            clusters.update(dict.fromkeys(kept, (kept, out.reshape((2,) * len(spins))[index])))
     return eps
 
 

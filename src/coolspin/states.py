@@ -7,9 +7,10 @@ deviation units, for states and z observables alike. `Unitary` is the dense
 Basis convention, used everywhere in this package: a basis state of n spins
 is indexed by the integer whose most significant bit is spin 0 and whose
 least significant bit is spin n-1, with bit value 0 meaning the spin-up
-state. Index 0 is therefore all-spins-up. This is the only module that maps
-index bits to spin values: `iz_diag` gives one spin's +-1/2 over the basis,
-and everything else that needs a spin's sign is built on it. Code that
+state. Index 0 is therefore all-spins-up. `iz_diag` gives one spin's +-1/2
+over the basis, after the spin-budget check, and everything else that needs
+a spin's sign on a 2**n vector is built on it; the boost's 8-entry
+correlator basis in `cooling` follows the same convention. Code that
 permutes basis indices locates a spin's bit with `bit_position`; code that
 acts on one spin views a 2**n vector as (2**spin, 2, rest), whose middle
 axis is that spin, up first.
@@ -130,11 +131,6 @@ def bit_position(n: int, spin: int) -> int:
 def iz_diag(n: int, spin: int) -> np.ndarray:
     """Diagonal of the z angular momentum of one spin: +-1/2 per basis state."""
     check_capacity(n)  # before the 2**n diagonal is allocated
-    return _iz_diag(n, spin)
-
-
-def _iz_diag(n: int, spin: int) -> np.ndarray:
-    """`iz_diag` without the budget check, for callers that hold a 2**n vector already."""
     pos = bit_position(n, spin)
     # One row per setting of the spins before `spin`: 2**pos ups, then downs.
     z = np.full((1 << spin, 2 << pos), 0.5)
@@ -148,7 +144,7 @@ def thermal_state(n: int) -> PopulationState:
     check_capacity(n)
     pops = np.zeros(2**n)
     for spin in range(n):
-        pops += _iz_diag(n, spin)
+        pops += iz_diag(n, spin)
     return PopulationState(n=n, pops=pops)
 
 
@@ -157,7 +153,7 @@ def signed_bit_sum(values: np.ndarray, n: int, spin: int) -> float:
     values = np.asarray(values)
     if values.shape != (2**n,):
         raise ValueError(f"expected {2**n} entries, got shape {values.shape}")
-    return float(2.0 * (_iz_diag(n, spin) @ values))
+    return float(2.0 * (iz_diag(n, spin) @ values))
 
 
 def polarization(state: PopulationState, spin: int) -> float:

@@ -115,6 +115,12 @@ def test_boost_reports_marginals_and_writes_state(capsys, tmp_path):
     assert state.n == 3
 
 
+def test_boost_prints_the_exact_helper_marginal_at_low_polarization(capsys):
+    code, out, _ = run(capsys, "boost", "--eps0", "3e-5")
+    assert code == 0
+    assert "  eps_c: -9e-10" in out.splitlines()
+
+
 def test_boost_rejects_bad_polarization(capsys):
     code, out, err = run(capsys, "boost", "--eps0", "1.5")
     assert code == 2

@@ -1,6 +1,7 @@
 """Exact single-boost statistics and the multi-round scheduling engine."""
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from coolspin import (
 )
 from coolspin import cooling
 from coolspin.cooling import GATES_PER_BOOST, Round
-from coolspin.states import _iz_diag, product_probabilities, signed_bit_sum
 
 import oracles
 
@@ -35,17 +35,15 @@ def test_boost_marginals_match_closed_forms(eps):
 
 
 @settings(max_examples=300, deadline=None)
-@given(eps=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+@given(eps=st.floats(min_value=1e-12, max_value=1.0))
 @example(eps=0.0)
 @example(eps=1.0)
-def test_boost_kernel_equals_the_product_state_permutation_bit_for_bit(eps):
-    probs = product_probabilities(3, eps)
-    out = np.empty_like(probs)
-    out[cooling._BOOST_PERM_3] = probs
-    want = [signed_bit_sum(out, 3, j) for j in range(3)]
+@example(eps=3e-5)
+def test_boost_marginals_lie_within_4_ulp_of_the_rational_oracle(eps):
     report = boost_exact(eps)
-    got = [report.eps_a, report.eps_b, report.eps_c]
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    wants = oracles.boost_marginals_rational(Fraction(eps))
+    for got, want in zip((report.eps_a, report.eps_b, report.eps_c), wants):
+        assert abs(Fraction(got) - want) <= 4 * Fraction(np.spacing(abs(float(want))))
 
 
 def test_boost_against_independent_rational_oracle():
@@ -162,7 +160,8 @@ def _plan_dict(labels, rounds):
         "n": len(labels), "eps0": 1e-3, "target_eps": 2e-3, "recycle": False,
         "labels": labels,
         "rounds": [{"triples": r, "pool_eps": [1e-3] * len(r)} for r in rounds],
-        "boost_gate_count": 0, "refocus_gate_count": 0, "predicted_best": 1e-3,
+        "boost_gate_count": 0, "refocus_gate_count": 0, "total_gate_count": 0,
+        "predicted_best": 1e-3,
     }
 
 
@@ -213,6 +212,31 @@ def test_plan_loading_rejects_a_gate_ledger_that_disagrees_with_the_rounds(field
         CoolingPlan.from_dict({**data, field: tampered})
 
 
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        pytest.param({"n": 9.7}, "n must be a positive integer, got 9.7", id="fractional-n"),
+        pytest.param({"n": True}, "n must be a positive integer, got True", id="boolean-n"),
+        pytest.param({"recycle": "no"}, "recycle must be true or false, got 'no'", id="string-recycle"),
+        pytest.param(
+            {"predicted_best": None},
+            r"plan object missing fields: \['predicted_best'\]",
+            id="missing-prediction",
+        ),
+        pytest.param(
+            {"labels": None, "rounds": None},
+            r"missing fields: \['labels', 'rounds'\]",
+            id="missing-labels-and-rounds",
+        ),
+    ],
+)
+def test_plan_loading_rejects_a_malformed_or_missing_field(change, message):
+    data = {**plan_rounds(9, 1e-3, 2.2e-3).to_dict(), **change}
+    data = {key: value for key, value in data.items() if value is not None}
+    with pytest.raises(ValueError, match=message):
+        CoolingPlan.from_dict(data)
+
+
 def test_plan_loading_rejects_a_polarization_outside_the_unit_interval():
     data = _plan_dict(["s0", "s1", "s2"], [[["s0", "s1", "s2"]]])
     for eps0 in (-0.1, 1.5, float("nan")):
@@ -251,8 +275,8 @@ def test_exact_replay_matches_the_joint_distribution_oracle(plan):
 
 def test_a_spin_leaves_its_cluster_after_its_last_triple(monkeypatch):
     # Triple (1, 4, 9) of round 2 uses spins that (0, 3, 6) made correlated.
-    # Summing 3 and 6 out right after (0, 3, 6), not at the end of the round,
-    # keeps the largest cluster at seven spins instead of nine.
+    # Dropping 3 and 6 from their cluster right after (0, 3, 6), not at the end
+    # of the round, keeps the largest cluster at seven spins instead of nine.
     rounds = [
         [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)],
         [(0, 3, 6), (1, 4, 9), (2, 7, 10)],
@@ -260,15 +284,26 @@ def test_a_spin_leaves_its_cluster_after_its_last_triple(monkeypatch):
     ]
     cluster_sizes = []
 
-    def spy(n, spin):  # the replay builds Iz rows once per new cluster width
-        cluster_sizes.append(n)
-        return _iz_diag(n, spin)
+    def spy(*args):  # the replay merges every boost's clusters with one reduce
+        merged = merge(*args)
+        cluster_sizes.append(merged.ndim)
+        return merged
 
-    monkeypatch.setattr(cooling, "_iz_diag", spy)
+    merge = cooling.reduce
+    monkeypatch.setattr(cooling, "reduce", spy)
     got = simulate_plan(_plan(12, 0.3, rounds), mode="exact").eps_exact
     want = oracles.replay_exact(12, 0.3, [t for rnd in rounds for t in rnd])
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
     assert max(cluster_sizes) == 7
+
+
+def test_exact_and_approx_replay_agree_to_rounding_on_a_recycled_plan(monkeypatch):
+    # The recycled 81-spin plan's triples draw on disjoint histories, so the
+    # two policies agree exactly in exact arithmetic.
+    monkeypatch.setenv("COOLSPIN_MAX_N", "81")
+    plan = plan_rounds(81, 1e-4, 0.99 * 1.5**4 * 1e-4, recycle=True)
+    both = simulate_plan(plan, mode="both")
+    assert both.discrepancy <= 1e-15 * both.eps_exact.max()
 
 
 @pytest.mark.parametrize("recycle", [False, True])
@@ -338,6 +373,14 @@ def test_scheduler_matches_the_one_triple_at_a_time_reference(log_n, log_eps0, d
 def test_scheduler_matches_the_reference_at_the_scaling_sizes(recycle):
     for k, n in enumerate([3, 9, 27, 81, 243]):
         _compare_with_reference_scheduler(n, 1e-5, 0.99 * 1.5 ** (k + 1) * 1e-5, recycle)
+
+
+def test_recycled_pools_stay_apart_at_low_polarization():
+    # Every boost of a round splits its pool into a and b pools, so a pool
+    # count below 2**r means rounding merged two histories into one key.
+    for k, n in ((4, 81), (5, 243)):
+        plan = plan_rounds(n, 1e-5, 0.99 * 1.5**k * 1e-5, recycle=True)
+        assert [len(set(rnd.pool_eps.tolist())) for rnd in plan.rounds] == [2**r for r in range(k)]
 
 
 def test_approx_replay_rejects_a_triple_that_mixes_pools():
