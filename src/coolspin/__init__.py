@@ -57,7 +57,6 @@ from .states import (
     apply_permutation,
     permute_vector,
     polarization,
-    product_probabilities,
     thermal_state,
 )
 from .system import SpinSystem, example_system, example_system_path
@@ -118,7 +117,6 @@ __all__ = [
     "phase_pattern_equal",
     "plan_rounds",
     "polarization",
-    "product_probabilities",
     "readout",
     "simulate_plan",
     "simulate_sequence",

@@ -8,7 +8,8 @@ self-verification), and `spectrum` (readout prediction as CSV).
 All numeric output is printed with 12 significant digits; state and plan
 dumps are JSON at full float precision so a dumped artifact re-ingested
 by a later command reproduces its reports bit for bit. Exit codes: 0
-success, 2 bad input, 3 infeasible cooling target, 4 capacity guard.
+success, 2 bad input, 3 infeasible cooling target, 4 capacity guard or an
+allocation that ran out of memory.
 """
 from __future__ import annotations
 
@@ -246,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 4
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

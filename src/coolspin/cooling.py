@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
-from .states import check_capacity, product_probabilities
+from .states import check_capacity
 
 GATES_PER_BOOST = 5
 
@@ -52,9 +52,12 @@ class BoostReport:
     gate_count: int = GATES_PER_BOOST
 
 
-# Sylvester-Hadamard matrix: W @ probs are the Z correlators, and W @ W = 8.
-_W_3 = reduce(np.kron, [[[1, 1], [1, -1]]] * 3)
+# Sylvester-Hadamard matrices: W @ probs are the Z correlators, and W @ W = 2**n.
+_H = np.array([[1, 1], [1, -1]])
+_W_2 = np.kron(_H, _H)
+_W_3 = np.kron(_W_2, _H)
 _BOOST_Z = _W_3[:, circuit_permutation(boost_circuit(), 3)] @ _W_3 / 8
+_CNOT_Z = _W_2[:, gate_permutation(Gate("CNOT", (0, 1)), 2)] @ _W_2 / 4
 _MARGINALS = [4, 2, 1]  # correlator indices of spins a, b, c (spin 0 is the high bit)
 
 
@@ -87,14 +90,13 @@ def conditional_polarization_after_cnot(eps: float) -> tuple[float, float]:
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"polarization must lie in [0, 1], got {eps}")
-    probs = product_probabilities(2, eps)
-    out = np.empty_like(probs)
-    out[gate_permutation(Gate("CNOT", (0, 1)), 2)] = probs
+    spin = np.array([1.0, eps])
+    _, z2, z1, z12 = _CNOT_Z @ np.multiply.outer(spin, spin).reshape(-1)
     conds = []
-    # Axis 0 is the first spin, so each column is one reading of the second.
-    for keep, drop in out.reshape(2, 2).T:
-        weight = keep + drop
-        conds.append(float((keep - drop) / weight) if weight > 0.0 else 0.0)
+    # The second spin reads 0 with weight (1 + <Z2>)/2 and 1 with (1 - <Z2>)/2.
+    for sign in (1.0, -1.0):
+        weight = 1.0 + sign * z2
+        conds.append(float((z1 + sign * z12) / weight) if weight > 0.0 else 0.0)
     return conds[0], conds[1]
 
 
@@ -128,15 +130,9 @@ class Round:
         )
 
 
-def _gate_ledger(n: int, rounds: list[Round]) -> tuple[int, int]:
-    """Boost and refocus gate counts: five per triple, an echo pair per idle spin per round."""
-    sizes = [len(rnd.triples) for rnd in rounds]
-    return GATES_PER_BOOST * sum(sizes), sum(2 * (n - 3 * k) for k in sizes)
-
-
 @dataclass
 class CoolingPlan:
-    """A full schedule plus its operation-count ledger.
+    """A full schedule; its operation-count ledger follows from the rounds.
 
     An empty `labels` list stands for the default names s0..s{n-1}, which
     are only built when a label is asked for or the plan is written out.
@@ -147,8 +143,6 @@ class CoolingPlan:
     target_eps: float
     recycle: bool
     rounds: list[Round]
-    boost_gate_count: int
-    refocus_gate_count: int
     predicted_best: float
     labels: list[str] = field(default_factory=list)
 
@@ -173,6 +167,16 @@ class CoolingPlan:
                 raise ValueError(f"round {r}: spin {self.label(_repeated(used.tolist()))} is used twice")
             if rnd.pool_eps.shape != (len(rnd.triples),) or not np.isfinite(rnd.pool_eps).all():
                 raise ValueError(f"round {r}: pool_eps must hold one finite value per triple")
+
+    @property
+    def boost_gate_count(self) -> int:
+        """Five gates per boost triple."""
+        return GATES_PER_BOOST * sum(len(rnd.triples) for rnd in self.rounds)
+
+    @property
+    def refocus_gate_count(self) -> int:
+        """One echo pair per round for every spin outside that round's triples."""
+        return sum(2 * (self.n - 3 * len(rnd.triples)) for rnd in self.rounds)
 
     @property
     def total_gate_count(self) -> int:
@@ -207,7 +211,8 @@ class CoolingPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoolingPlan":
-        missing = {"total_gate_count", *(f.name for f in fields(cls))} - set(data)
+        ledger = ("boost_gate_count", "refocus_gate_count", "total_gate_count")
+        missing = {*ledger, *(f.name for f in fields(cls))} - set(data)
         if missing:
             raise ValueError(f"plan object missing fields: {sorted(missing)}")
         n, recycle = data["n"], data["recycle"]
@@ -232,14 +237,11 @@ class CoolingPlan:
             target_eps=float(data["target_eps"]),
             recycle=recycle,
             rounds=rounds,
-            boost_gate_count=int(data["boost_gate_count"]),
-            refocus_gate_count=int(data["refocus_gate_count"]),
             predicted_best=float(data["predicted_best"]),
             labels=labels,
         )
-        boost, refocus = _gate_ledger(plan.n, plan.rounds)
-        ledger = {"boost_gate_count": boost, "refocus_gate_count": refocus}
-        for name, want in {**ledger, "total_gate_count": boost + refocus}.items():
+        for name in ledger:
+            want = getattr(plan, name)
             if data[name] != want:
                 raise ValueError(f"{name} is {data[name]!r}, but the rounds give {want}")
         return plan
@@ -304,15 +306,12 @@ def plan_rounds(
         rounds.append(Round(triples=np.concatenate(blocks), pool_eps=np.concatenate(pool_eps)))
         pools = next_pools
 
-    boost_gates, refocus_gates = _gate_ledger(n, rounds)
     return CoolingPlan(
         n=n,
         eps0=eps0,
         target_eps=target_eps,
         recycle=recycle,
         rounds=rounds,
-        boost_gate_count=boost_gates,
-        refocus_gate_count=refocus_gates,
         predicted_best=frontier() if rounds else eps0,
         labels=labels or [],
     )

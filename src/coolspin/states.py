@@ -17,10 +17,9 @@ axis is that spin, up first.
 
 Populations are kept in deviation units: the traceless part of the density
 matrix in units of the high-temperature expansion parameter, so that the
-thermal ensemble is exactly the sum of the single-spin z operators. True
-occupation probabilities at a finite polarization are a separate
-representation (`product_probabilities`) used by the exact CNOT statistics;
-the two coincide only to first order in the polarization.
+thermal ensemble is exactly the sum of the single-spin z operators. At a
+finite polarization the package works with Z correlators instead (see
+`cooling`), where a spin at eps is (1, eps) to all orders.
 """
 from __future__ import annotations
 
@@ -184,21 +183,3 @@ def apply_permutation(state: PopulationState, perm: np.ndarray) -> PopulationSta
     if perm.shape != (2**state.n,):
         raise ValueError(f"permutation must have {2**state.n} entries")
     return PopulationState(n=state.n, pops=permute_vector(state.pops, perm))
-
-
-def product_probabilities(n: int, eps: float | np.ndarray) -> np.ndarray:
-    """Exact joint occupation probabilities of independent polarized spins.
-
-    Each spin contributes (1 + eps)/2 for bit 0 and (1 - eps)/2 for bit 1.
-    This is the finite-polarization representation; it reduces to the
-    deviation picture only to first order in eps.
-    """
-    n = _validate_n(n)
-    check_capacity(n)
-    eps_arr = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
-    if np.any(eps_arr < -1.0) or np.any(eps_arr > 1.0):
-        raise ValueError("polarizations must lie in [-1, 1]")
-    probs = np.array([1.0])
-    for e in eps_arr:
-        probs = np.kron(probs, [(1.0 + e) / 2.0, (1.0 - e) / 2.0])
-    return probs

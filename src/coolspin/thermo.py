@@ -1,9 +1,17 @@
-"""Single-spin thermodynamic quantities."""
+"""Single-spin thermodynamic quantities.
+
+The Planck and Boltzmann constants are exact by definition since the 2019
+SI redefinition (BIPM, The International System of Units, 9th ed., 2019),
+so they are written out here rather than taken from a constants library.
+"""
 from __future__ import annotations
 
 import math
 
-from scipy import constants
+_PLANCK_J_S = 6.62607015e-34
+_BOLTZMANN_J_PER_K = 1.380649e-23
+# h / (2 pi) in this order rounds to the same double as CODATA's hbar.
+_HBAR_J_S = _PLANCK_J_S / (2 * math.pi)
 
 
 def entropy_binary(eps: float) -> float:
@@ -34,11 +42,11 @@ def entropy_deficit(eps: float) -> float:
 def thermal_polarization(larmor_hz: float, temperature_k: float) -> float:
     """Equilibrium polarization hbar*omega / (2 kB T) of a spin-1/2.
 
-    CODATA constants via scipy. larmor_hz may be zero (unpolarized limit);
-    temperature must be positive.
+    Uses the exact SI values of h and kB. larmor_hz may be zero (unpolarized
+    limit); temperature must be positive.
     """
     if larmor_hz < 0:
         raise ValueError(f"Larmor frequency must be non-negative, got {larmor_hz}")
     if temperature_k <= 0:
         raise ValueError(f"temperature must be positive, got {temperature_k}")
-    return constants.hbar * 2.0 * math.pi * larmor_hz / (2.0 * constants.k * temperature_k)
+    return _HBAR_J_S * 2.0 * math.pi * larmor_hz / (2.0 * _BOLTZMANN_J_PER_K * temperature_k)

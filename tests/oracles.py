@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 # CODATA 2018 values, written out so this file shares no constants code with
-# the package (which takes them from scipy.constants).
+# the package (which derives hbar from the exact SI value of h).
 HBAR = 1.054571817e-34
 KB = 1.380649e-23
 

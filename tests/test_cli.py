@@ -10,6 +10,7 @@ import pytest
 
 import coolspin
 from coolspin import CoolingPlan, PulseSequence, PopulationState, SpinSystem, example_system
+from coolspin import cli
 from coolspin.cli import build_parser, main
 
 import oracles
@@ -158,6 +159,19 @@ def test_cool_exact_mode_beyond_capacity_exits_4(capsys):
     assert "capacity:" in err
 
 
+def test_cool_running_out_of_memory_exits_4(capsys, monkeypatch):
+    def allocate(plan, mode):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "simulate_plan", allocate)
+    code, out, err = run(
+        capsys, "cool", "--n", "9", "--eps0", "1e-3", "--target-eps", "2.2e-3", "--mode", "both",
+    )
+    assert code == 4
+    assert out.startswith("round 1: 3 boosts")
+    assert err == "capacity: Unable to allocate 32.0 GiB for an array\n"
+
+
 def test_compile_default_circuit_verifies(capsys, tmp_path):
     out_path = tmp_path / "seq.json"
     code, out, _ = run(capsys, "compile", "--out", str(out_path))
@@ -280,20 +294,31 @@ def test_spectrum_corrupt_state_file_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
-def run_module(*argv, **env_vars):
-    # Run the same package the tests import, installed or not.
+def run_python(*argv, **env_vars):
+    # Run the same package the tests import, installed or not, in a fresh interpreter.
     src = str(Path(coolspin.__file__).parents[1])
     env = {**os.environ, **env_vars}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "coolspin", *argv], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def run_module(*argv, **env_vars):
+    return run_python("-m", "coolspin", *argv, **env_vars)
 
 
 def test_running_as_a_module_works():
     proc = run_module("bound")
     assert proc.returncode == 0
     assert "a_max: 1.5" in proc.stdout
+
+
+def test_the_cli_imports_and_runs_without_scipy():
+    blocked = "import sys; sys.modules['scipy'] = None\nfrom coolspin.cli import main\n"
+    proc = run_python("-c", blocked + "raise SystemExit(main(['boost']))")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "  eps_c: -9e-10\n" in proc.stdout
+    proc = run_python("-c", "import sys, coolspin.cli; print('scipy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_a_malformed_spin_budget_is_bad_input_not_an_import_failure():

@@ -80,6 +80,18 @@ def test_conditional_polarization_after_cnot():
     assert conditional_polarization_after_cnot(1.0) == (1.0, 0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(eps=st.floats(min_value=1e-12, max_value=1.0))
+@example(eps=0.0)
+@example(eps=1.0)
+def test_conditional_polarization_after_cnot_lies_within_4_ulp_of_the_rational_oracle(eps):
+    cond0, cond1 = conditional_polarization_after_cnot(eps)
+    # At eps = 1 the oracle divides by the zero weight of the second branch.
+    want0 = oracles.conditional_after_cnot(Fraction(eps))[0] if eps < 1.0 else Fraction(1)
+    assert abs(Fraction(cond0) - want0) <= 4 * Fraction(np.spacing(float(want0)))
+    assert cond1 == 0.0
+
+
 def _triples(rnd):
     """A round's triples as a list of index tuples."""
     return [tuple(t) for t in rnd.triples.tolist()]
@@ -248,7 +260,7 @@ def _plan(n, eps0, rounds):
     return CoolingPlan(
         n=n, eps0=eps0, target_eps=1.0, recycle=False,
         rounds=[Round(triples=list(r), pool_eps=[eps0] * len(r)) for r in rounds],
-        boost_gate_count=0, refocus_gate_count=0, predicted_best=eps0,
+        predicted_best=eps0,
     )
 
 
@@ -412,9 +424,15 @@ def test_a_hand_made_round_of_pairs_is_rejected_with_its_round_number():
     ]
     with pytest.raises(ValueError, match="round 2: every boost triple must name three spins"):
         CoolingPlan(
-            n=6, eps0=1e-3, target_eps=1.0, recycle=False, rounds=rounds,
-            boost_gate_count=0, refocus_gate_count=0, predicted_best=1e-3,
+            n=6, eps0=1e-3, target_eps=1.0, recycle=False, rounds=rounds, predicted_best=1e-3,
         )
+
+
+def test_a_hand_made_plan_derives_its_gate_ledger_from_its_rounds():
+    plan = _plan(9, 1e-3, [[(0, 1, 2), (3, 4, 5)], [(0, 3, 6)]])
+    assert plan.boost_gate_count == 3 * GATES_PER_BOOST
+    assert plan.refocus_gate_count == 2 * (9 - 6) + 2 * (9 - 3)
+    assert plan.total_gate_count == 15 + 18
 
 
 def test_a_default_plan_names_its_spins_only_on_demand():

@@ -17,7 +17,6 @@ from coolspin import (
     iz_product_diag,
     permute_vector,
     polarization,
-    product_probabilities,
     readout,
     thermal_state,
 )
@@ -185,17 +184,6 @@ def test_apply_permutation_swaps_populations():
     assert swapped.pops.tolist() == [-0.5, 0.5]
     with pytest.raises(ValueError, match="entries"):
         apply_permutation(state, np.array([1, 0, 2]))
-
-
-def test_product_probabilities_scalar_and_per_spin():
-    eps = 0.5
-    probs = product_probabilities(1, eps)
-    assert probs.tolist() == [0.75, 0.25]
-    probs = product_probabilities(2, [1.0, 0.0])
-    assert probs.tolist() == [0.5, 0.5, 0.0, 0.0]
-    assert product_probabilities(3, eps).sum() == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        product_probabilities(1, 1.5)
 
 
 def test_spin_system_validation():

@@ -1,6 +1,7 @@
 """Single-spin entropy and equilibrium polarization."""
 import math
 
+import numpy as np
 import pytest
 
 from coolspin import entropy_binary, entropy_deficit, thermal_polarization
@@ -46,6 +47,16 @@ def test_thermal_polarization_value_and_scaling():
     assert thermal_polarization(940e6, 300.0) == pytest.approx(2 * eps, rel=1e-12)
     assert thermal_polarization(470e6, 150.0) == pytest.approx(2 * eps, rel=1e-12)
     assert thermal_polarization(0.0, 300.0) == 0.0
+
+
+def test_thermal_polarization_matches_the_codata_formula_bit_for_bit():
+    constants = pytest.importorskip("scipy.constants")
+    rng = np.random.default_rng(2019)
+    larmor = 10 ** rng.uniform(0.0, 12.0, 2000)
+    temperature = 10 ** rng.uniform(-3.0, 4.0, 2000)
+    for f, t in zip(larmor.tolist(), temperature.tolist()):
+        want = constants.hbar * 2.0 * math.pi * f / (2.0 * constants.k * t)
+        assert thermal_polarization(f, t) == want
 
 
 def test_thermal_polarization_rejects_bad_arguments():
