@@ -114,7 +114,8 @@ def cmd_boost(args: argparse.Namespace) -> int:
 def cmd_cool(args: argparse.Namespace) -> int:
     plan = plan_rounds(args.n, args.eps0, args.target_eps, recycle=args.recycle)
     for i, rnd in enumerate(plan.rounds, start=1):
-        pools = " ".join(sorted({_fmt(v) for v in set(rnd.pool_eps.tolist())}, reverse=True))
+        values = sorted(set(rnd.pool_eps.tolist()), reverse=True)
+        pools = " ".join(dict.fromkeys(_fmt(v) for v in values))
         print(f"round {i}: {len(rnd.triples)} boosts, input pools: {pools}")
     print(f"boost gates: {plan.boost_gate_count}")
     print(f"refocus gates: {plan.refocus_gate_count}")
@@ -144,7 +145,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         system,
         model,
         z_mode=args.z_mode,
-        elide=not args.no_elide,
         bloch_siegert_deg=args.bloch_siegert_deg,
     )
     print(f"events: {len(seq.events)}")
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_system(p)
     p.add_argument("--circuit", help="gate list file (default: the boost circuit)")
     p.add_argument("--z-mode", choices=["virtual", "pulsed"], default="virtual")
-    p.add_argument("--no-elide", action="store_true", help="keep frame shifts in place")
     p.add_argument("--bloch-siegert-deg", type=float, default=0.0)
     p.add_argument("--pulse90-s", type=float, default=2e-3)
     p.add_argument("--out", help="write the sequence as JSON")

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
-from .states import check_capacity
+from .states import IZ, check_capacity
 
 GATES_PER_BOOST = 5
 
@@ -53,7 +53,7 @@ class BoostReport:
 
 
 # Sylvester-Hadamard matrices: W @ probs are the Z correlators, and W @ W = 2**n.
-_H = np.array([[1, 1], [1, -1]])
+_H = np.array([np.ones(2), 2 * IZ])
 _W_2 = np.kron(_H, _H)
 _W_3 = np.kron(_W_2, _H)
 _BOOST_Z = _W_3[:, circuit_permutation(boost_circuit(), 3)] @ _W_3 / 8
@@ -94,7 +94,7 @@ def conditional_polarization_after_cnot(eps: float) -> tuple[float, float]:
     _, z2, z1, z12 = _CNOT_Z @ np.multiply.outer(spin, spin).reshape(-1)
     conds = []
     # The second spin reads 0 with weight (1 + <Z2>)/2 and 1 with (1 - <Z2>)/2.
-    for sign in (1.0, -1.0):
+    for sign in 2 * IZ:
         weight = 1.0 + sign * z2
         conds.append(float((z1 + sign * z12) / weight) if weight > 0.0 else 0.0)
     return conds[0], conds[1]
@@ -341,9 +341,11 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
     tensor with one axis per spin. A boost merges its spins' clusters,
     applies the boost matrix to their three axes and reads their marginals.
     With `joint`, a spin leaves its cluster after its last triple (index 0
-    on its axis), which keeps the result exact. Without it, no cluster
-    forms: every boost sees three independent spins of one pool value, so a
-    whole round is one array step that boosts each new pool value once.
+    on its axis), which keeps the result exact, and each merged cluster is
+    checked against the spin budget before it is allocated. Without it, no
+    cluster forms: every boost sees three independent spins of one pool
+    value, so a whole round is one array step that boosts each new pool
+    value once.
     """
     eps = np.full(plan.n, plan.eps0)
     if not joint:
@@ -366,7 +368,6 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
                     boosts[value] = _boost_marginals(value)
             eps[rnd.triples] = np.array([boosts[value] for value in values])[inverse]
         return eps
-    check_capacity(plan.n)
     triples = [tuple(t) for rnd in plan.rounds for t in rnd.triples.tolist()]
     last = {s: i for i, t in enumerate(triples) for s in t}
     clusters: dict[int, tuple[list[int], np.ndarray]] = {}
@@ -377,6 +378,7 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
             if all(part is not p for p in parts):
                 parts.append(part)
         spins = [s for part in parts for s in part[0]]
+        check_capacity(len(spins))
         merged = reduce(np.multiply.outer, [part[1] for part in parts])
         merged = np.moveaxis(merged, [spins.index(s) for s in triple], [0, 1, 2]).reshape(8, -1)
         spins = list(triple) + [s for s in spins if s not in triple]
@@ -394,9 +396,9 @@ def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
 
     "approx" forgets correlations after each boost, so every boost sees
     independent spins (cost independent of the state-space size); "exact"
-    keeps each cluster of correlated spins until their last triple and is
-    limited by the population capacity guard; "both" runs the two and
-    reports their largest per-spin difference.
+    keeps each cluster of correlated spins until their last triple, and the
+    population capacity guard bounds the largest such cluster; "both" runs
+    the two and reports their largest per-spin difference.
     """
     if mode not in {"exact", "approx", "both"}:
         raise ValueError(f"mode must be exact, approx, or both, got {mode!r}")

@@ -1,16 +1,16 @@
 """Reversible gates as basis-state permutations, and the boost circuit.
 
 Gate operands list controls first and the target last. The permutation
-representation maps basis index i to perm[i] under the package-wide bit
-convention (spin 0 = most significant bit, bit 0 = spin up).
+representation maps basis index i to perm[i] under the package-wide basis
+convention (see `states`): the indices, viewed as a (2,)*n tensor with one
+axis per spin, are flipped along the target's axis (or swapped between the
+two swap axes) wherever every control is 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .states import bit_position
 
 PERMUTATION_KINDS = {"NOT": 1, "CNOT": 2, "TOFFOLI": 3, "FREDKIN": 3}
 ROTATION_KINDS = {"RX": 1, "RY": 1, "RZ": 1, "CRY": 2, "CRZ": 2}
@@ -53,21 +53,17 @@ def gate_permutation(gate: Gate, n: int) -> np.ndarray:
         raise ValueError(f"{gate.kind} is not a basis permutation")
     if max(gate.spins) >= n:
         raise ValueError(f"gate {gate.kind}{gate.spins} does not fit in {n} spins")
-    idx = np.arange(2**n, dtype=np.int64)
-    shifts = [bit_position(n, s) for s in gate.spins]
-    if gate.kind == "NOT":
-        return idx ^ (1 << shifts[0])
-    if gate.kind == "CNOT":
-        c, t = shifts
-        return idx ^ (((idx >> c) & 1) << t)
-    if gate.kind == "TOFFOLI":
-        c1, c2, t = shifts
-        both = ((idx >> c1) & 1) & ((idx >> c2) & 1)
-        return idx ^ (both << t)
-    # FREDKIN: exchange the two swap bits when the control is set.
-    c, q1, q2 = shifts
-    active = ((idx >> c) & 1) & (((idx >> q1) ^ (idx >> q2)) & 1)
-    return idx ^ (active << q1) ^ (active << q2)
+    idx = np.arange(2**n, dtype=np.int64).reshape((2,) * n)
+    if gate.kind == "FREDKIN":
+        c, q1, q2 = gate.spins
+        controls, moved = (c,), np.swapaxes(idx, q1, q2)
+    else:
+        *controls, target = gate.spins
+        moved = np.flip(idx, target)
+    where = tuple(1 if s in controls else slice(None) for s in range(n))
+    perm = idx.copy()
+    perm[where] = moved[where]
+    return perm.reshape(-1)
 
 
 def circuit_permutation(gates: list[Gate], n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pulses import Delay, FrameShift, PulseSequence, SelectivePulse
-from .states import UNITARITY_TOL, Unitary, check_capacity, iz_diag
+from .states import IZ, UNITARITY_TOL, Unitary, check_capacity, iz_diag, spin_axis
 from .system import SpinSystem
 
 PATTERN_TOL = 1e-8
@@ -46,14 +46,14 @@ def _single_spin_matrix(event: SelectivePulse | FrameShift) -> np.ndarray:
         return np.array(
             [[c, -1.0j * s * np.exp(-1.0j * phi)], [-1.0j * s * np.exp(1.0j * phi), c]]
         )
-    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+    return np.diag(np.exp(-1.0j * theta * IZ))
 
 
 def propagate(seq: PulseSequence, vecs: np.ndarray) -> np.ndarray:
     """Apply the sequence's events, first to last, to a (2**n, k) block of columns.
 
-    A pulse or frame shift multiplies its spin's axis of the (2**spin, 2,
-    rest) view of the block by its 2x2 matrix, and a delay multiplies the
+    A pulse or frame shift multiplies its spin's axis of the block
+    (`spin_axis`) by its 2x2 matrix, and a delay multiplies the
     rows by its coupling phases: O(2**n * k) per event. Within one call each
     delay duration's phases and each distinct pulse or frame shift's matrix
     are built once (events are frozen, so an event is its own cache key),
@@ -75,7 +75,7 @@ def propagate(seq: PulseSequence, vecs: np.ndarray) -> np.ndarray:
         else:
             if event not in matrices:
                 matrices[event] = _single_spin_matrix(event)
-            out = (matrices[event] @ out.reshape(1 << index[event.spin], 2, -1)).reshape(out.shape)
+            out = (matrices[event] @ spin_axis(out, index[event.spin])).reshape(out.shape)
     return out
 
 

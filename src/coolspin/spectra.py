@@ -17,10 +17,11 @@ first spin, 0:1:0:1 on the second, and -1:0:0:1 on the third.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .states import PopulationState, iz_diag
+from .states import IZ, PopulationState, spin_axis
 from .system import SpinSystem
 
 # One record per line; spectator is the other spins' bits, spin order, MSB first.
@@ -54,16 +55,12 @@ class Spectrum:
 def _line_offsets(system: SpinSystem, j: int) -> np.ndarray:
     """Offset of spin j's line for each spectator configuration, in index order.
 
-    A spectator configuration is a basis index over the other n-1 spins in
-    spin order: spin k keeps its place in that basis when k < j and moves
-    down one when k > j.
+    The spectators are the other n-1 spins in spin order, one axis each of
+    an outer sum of their J_jk * IZ rows, so its flattening lists the
+    configurations in the basis order of the spins left when j is removed.
     """
-    m = system.n - 1
-    freq = np.zeros(1 << m)
-    for k in range(system.n):
-        if k != j:
-            freq += system.coupling(j, k) * iz_diag(m, k if k < j else k - 1)
-    return freq
+    terms = [system.coupling(j, k) * IZ for k in range(system.n) if k != j]
+    return reduce(np.add.outer, terms, np.zeros(1)).reshape(-1)
 
 
 def line_frequencies(system: SpinSystem, spin: int | str) -> list[float]:
@@ -74,14 +71,14 @@ def line_frequencies(system: SpinSystem, spin: int | str) -> list[float]:
 def readout(state: PopulationState, system: SpinSystem, spin: int | str) -> Spectrum:
     """Predicted multiplet of one spin after an ideal readout pulse.
 
-    Viewing the populations as (2**j, 2, rest) puts spin j on the middle
-    axis; each line's amplitude is the up-minus-down difference across it,
-    flattened in spectator index order.
+    Each line's amplitude is the up-minus-down difference across spin j's
+    axis of the populations (`spin_axis`), flattened in spectator index
+    order.
     """
     j = system.spin_index(spin)
     if state.n != system.n:
         raise ValueError(f"state has {state.n} spins, system has {system.n}")
-    p = state.pops.reshape(1 << j, 2, -1)
+    p = spin_axis(state.pops, j)
     amplitude = (p[:, 0] - p[:, 1]).reshape(-1)
     freq = _line_offsets(system, j)
     order = np.argsort(-freq, kind="stable")

@@ -4,16 +4,14 @@
 deviation units, for states and z observables alike. `Unitary` is the dense
 2**n matrix that the pulse-sequence oracle builds and checks.
 
-Basis convention, used everywhere in this package: a basis state of n spins
-is indexed by the integer whose most significant bit is spin 0 and whose
-least significant bit is spin n-1, with bit value 0 meaning the spin-up
-state. Index 0 is therefore all-spins-up. `iz_diag` gives one spin's +-1/2
-over the basis, after the spin-budget check, and everything else that needs
-a spin's sign on a 2**n vector is built on it; the boost's 8-entry
-correlator basis in `cooling` follows the same convention. Code that
-permutes basis indices locates a spin's bit with `bit_position`; code that
-acts on one spin views a 2**n vector as (2**spin, 2, rest), whose middle
-axis is that spin, up first.
+Basis convention, used everywhere in this package: a 2**n vector is the
+C-order flattening of a (2,)*n tensor whose axis s is spin s, with index 0
+on an axis meaning the spin points up. So spin 0 is the most significant
+bit of a basis index, and index 0 is all-spins-up. This module is the only
+one that knows it, through two objects: `IZ`, one spin's Iz with up first,
+and `spin_axis`, the view of a 2**n vector (or a block of them) whose
+middle axis is one spin. The boost's 8-entry correlator basis in `cooling`
+follows the same rule.
 
 Populations are kept in deviation units: the traceless part of the density
 matrix in units of the high-temperature expansion parameter, so that the
@@ -25,6 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -37,6 +36,8 @@ CAPACITY_ENV_VAR = "COOLSPIN_MAX_N"
 
 TRACE_TOL = 1e-12
 UNITARITY_TOL = 1e-10
+
+IZ = np.array([0.5, -0.5])  # one spin's Iz over its two states, up first
 
 
 def capacity_limit(default: int) -> int:
@@ -120,48 +121,37 @@ class Unitary:
         self.mat = mat
 
 
-def bit_position(n: int, spin: int) -> int:
-    """Bit position of a spin inside the basis index (spin 0 = MSB)."""
+def spin_axis(values: np.ndarray, spin: int) -> np.ndarray:
+    """View of a (2**n, ...) array as (2**spin, 2, rest), whose middle axis is `spin`."""
+    n = values.shape[0].bit_length() - 1
     if not 0 <= spin < n:
         raise ValueError(f"spin {spin} out of range for {n} spins")
-    return n - 1 - spin
+    return values.reshape(1 << spin, 2, -1)
 
 
 def iz_diag(n: int, spin: int) -> np.ndarray:
     """Diagonal of the z angular momentum of one spin: +-1/2 per basis state."""
     check_capacity(n)  # before the 2**n diagonal is allocated
-    pos = bit_position(n, spin)
-    # One row per setting of the spins before `spin`: 2**pos ups, then downs.
-    z = np.full((1 << spin, 2 << pos), 0.5)
-    z[:, 1 << pos :] = -0.5
-    return z.reshape(-1)
+    z = np.empty(2**n)
+    spin_axis(z, spin)[...] = IZ[:, None]
+    return z
 
 
 def thermal_state(n: int) -> PopulationState:
     """Equilibrium deviation populations: the sum of every spin's Iz diagonal."""
     n = _validate_n(n)
     check_capacity(n)
-    pops = np.zeros(2**n)
-    for spin in range(n):
-        pops += iz_diag(n, spin)
-    return PopulationState(n=n, pops=pops)
-
-
-def signed_bit_sum(values: np.ndarray, n: int, spin: int) -> float:
-    """Sum of entries whose bit for `spin` is 0, minus those where it is 1."""
-    values = np.asarray(values)
-    if values.shape != (2**n,):
-        raise ValueError(f"expected {2**n} entries, got shape {values.shape}")
-    return float(2.0 * (iz_diag(n, spin) @ values))
+    return PopulationState(n=n, pops=reduce(np.add.outer, [IZ] * n).reshape(-1))
 
 
 def polarization(state: PopulationState, spin: int) -> float:
     """Polarization of one spin, in units of the equilibrium polarization.
 
     Normalized so the thermal ensemble reads 1.0 for every spin at every n:
-    (2 / 2**n) times the signed population sum over the spin's basis bit.
+    (2 / 2**n) times the spin-up minus spin-down population sum.
     """
-    return 2.0 / 2**state.n * signed_bit_sum(state.pops, state.n, spin)
+    p = spin_axis(state.pops, spin)
+    return 2.0 / 2**state.n * float((p[:, 0] - p[:, 1]).sum())
 
 
 def permute_vector(values: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -133,7 +133,8 @@ def conditional_after_cnot(eps):
     for c_val in (0, 1):
         sel = {b: p for b, p in moved.items() if b[2] == c_val}
         tot = sum(sel.values())
-        cond.append(sum(p if b[1] == 0 else -p for b, p in sel.items()) / tot)
+        # A branch that never occurs reports 0, as the package does.
+        cond.append(sum(p if b[1] == 0 else -p for b, p in sel.items()) / tot if tot else 0)
     return tuple(cond)
 
 

@@ -150,13 +150,36 @@ def test_cool_unreachable_target_exits_3(capsys):
     assert "infeasible:" in err
 
 
-def test_cool_exact_mode_beyond_capacity_exits_4(capsys):
-    code, _, err = run(
-        capsys, "cool", "--n", "27", "--eps0", "1e-5", "--target-eps", "1.4e-5",
-        "--mode", "exact",
-    )
+_COOL_27 = ("cool", "--n", "27", "--eps0", "1e-5", "--target-eps", "3.34e-5", "--mode", "both")
+
+
+def test_cool_exact_mode_is_bounded_by_its_cluster_not_by_n(capsys, monkeypatch):
+    # 27 spins exceed the default budget of 24, but without recycling the
+    # exact replay never holds more than one triple's cluster.
+    monkeypatch.delenv("COOLSPIN_MAX_N", raising=False)
+    code, out, err = run(capsys, *_COOL_27)
+    assert (code, err) == (0, "")
+    assert "exact vs approx max difference: 0\n" in out
+
+
+def test_cool_exact_mode_beyond_capacity_exits_4(capsys, monkeypatch):
+    # Recycling merges a 12-spin cluster at this size.
+    monkeypatch.setenv("COOLSPIN_MAX_N", "10")
+    code, _, err = run(capsys, *_COOL_27, "--recycle")
     assert code == 4
-    assert "capacity:" in err
+    assert err.startswith("capacity: 12 spins exceeds the budget of 10")
+
+
+def test_cool_prints_each_rounds_pools_in_numeric_order(capsys):
+    # The pools straddle 1e-4, where sorting the printed strings misorders them.
+    code, out, _ = run(capsys, "cool", "--n", "81", "--eps0", "8e-5", "--target-eps", "2.6e-4", "--recycle")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "round 2: 18 boosts, input pools: 0.000119999999744 4.0000000256e-05"
+    assert lines[2] == (
+        "round 3: 12 boosts, input pools:"
+        " 0.000179999998752 6.0000000736e-05 6.0000000352e-05 2.000000016e-05"
+    )
 
 
 def test_cool_running_out_of_memory_exits_4(capsys, monkeypatch):

@@ -19,6 +19,7 @@ from coolspin import (
 )
 from coolspin import cooling
 from coolspin.cooling import GATES_PER_BOOST, Round
+from coolspin.states import CAPACITY_ENV_VAR
 
 import oracles
 
@@ -86,10 +87,9 @@ def test_conditional_polarization_after_cnot():
 @example(eps=1.0)
 def test_conditional_polarization_after_cnot_lies_within_4_ulp_of_the_rational_oracle(eps):
     cond0, cond1 = conditional_polarization_after_cnot(eps)
-    # At eps = 1 the oracle divides by the zero weight of the second branch.
-    want0 = oracles.conditional_after_cnot(Fraction(eps))[0] if eps < 1.0 else Fraction(1)
+    want0, want1 = oracles.conditional_after_cnot(Fraction(eps))
     assert abs(Fraction(cond0) - want0) <= 4 * Fraction(np.spacing(float(want0)))
-    assert cond1 == 0.0
+    assert cond1 == want1 == 0
 
 
 def _triples(rnd):
@@ -480,13 +480,19 @@ def test_simulation_modes_agree_at_low_polarization():
         simulate_plan(plan, mode="bogus")
 
 
-def test_exact_simulation_respects_population_capacity():
-    plan = plan_rounds(27, 1e-5, 1.4e-5)
-    with pytest.raises(CapacityError):
-        simulate_plan(plan, mode="exact")
+def test_exact_simulation_respects_population_capacity(monkeypatch):
+    # The budget bounds the largest correlated cluster, not the plan's n:
+    # without recycling no cluster outgrows a triple, so 27 spins replay.
+    monkeypatch.delenv(CAPACITY_ENV_VAR, raising=False)
+    result = simulate_plan(plan_rounds(27, 1e-5, 3.34e-5), mode="both")
+    assert result.discrepancy == 0.0
+    # Recycling role b merges clusters of up to 12 spins at this size.
+    recycled = plan_rounds(27, 1e-5, 3.34e-5, recycle=True)
+    monkeypatch.setenv(CAPACITY_ENV_VAR, "10")
+    with pytest.raises(CapacityError, match="12 spins exceeds the budget of 10"):
+        simulate_plan(recycled, mode="exact")
     # The approx policy has no such ceiling.
-    result = simulate_plan(plan, mode="approx")
-    assert result.eps_approx is not None
+    assert simulate_plan(recycled, mode="approx").eps_approx is not None
 
 
 def test_gate_totals_track_quasi_linear_growth():

@@ -63,10 +63,18 @@ def test_toffoli_and_fredkin_match_bitwise_oracles():
         assert fred[i] == index_of(oracles.fredkin(bits_of(i, 3), 0, 1, 2))
 
 
+_BIT_ORACLES = {
+    "NOT": oracles.not_gate,
+    "CNOT": oracles.cnot,
+    "TOFFOLI": oracles.toffoli,
+    "FREDKIN": oracles.fredkin,
+}
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    n=st.integers(min_value=1, max_value=6),
-    kind=st.sampled_from(["NOT", "CNOT", "TOFFOLI", "FREDKIN"]),
+    n=st.integers(min_value=1, max_value=7),
+    kind=st.sampled_from(list(_BIT_ORACLES)),
     data=st.data(),
 )
 def test_every_gate_is_a_self_inverse_bijection(n, kind, data):
@@ -88,6 +96,9 @@ def test_every_gate_is_a_self_inverse_bijection(n, kind, data):
     perm = gate_permutation(Gate(kind, spins), n)
     assert np.array_equal(np.sort(perm), np.arange(2**n))
     assert np.array_equal(perm[perm], np.arange(2**n))
+    # Any operand order, e.g. a control after its target or FREDKIN with q1 > q2.
+    want = [index_of(_BIT_ORACLES[kind](bits_of(i, n), *spins)) for i in range(2**n)]
+    assert perm.tolist() == want
 
 
 def test_circuit_permutation_composes_first_to_last():

@@ -26,20 +26,11 @@ from coolspin.states import (
     MAX_DENSE_SPINS,
     MAX_POPULATION_SPINS,
     MAX_VERIFY_SPINS,
-    bit_position,
     capacity_limit,
     iz_diag,
-    signed_bit_sum,
 )
 
 import oracles
-
-
-def test_bit_position_spin_zero_is_most_significant():
-    assert bit_position(3, 0) == 2
-    assert bit_position(3, 2) == 0
-    with pytest.raises(ValueError):
-        bit_position(3, 3)
 
 
 def test_thermal_state_three_spins():
@@ -65,13 +56,15 @@ def test_spin_signs_match_bit_tuple_references(n, data, seed):
     rng = np.random.default_rng(seed)
     # Integer entries keep every signed sum exact whatever the summation order.
     values = rng.integers(-1000, 1001, size=2**n).astype(float)
+    values[0] -= values.sum()  # traceless, so it is a population state
     j_hz = np.triu(rng.uniform(-150.0, 150.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
     j_hz = j_hz + j_hz.T
     system = SpinSystem([f"s{k}" for k in range(n)], j_hz, np.zeros(n), 1e-5)
     seconds = float(rng.uniform(1e-4, 1e-1))
 
     assert iz_diag(n, spin).tolist() == oracles.iz_diag(n, spin)
-    assert signed_bit_sum(values, n, spin) == oracles.signed_sum(values.tolist(), n, spin)
+    signed = oracles.signed_sum(values.tolist(), n, spin)
+    assert polarization(PopulationState(n=n, pops=values), spin) == signed * 2 / 2**n
     offsets = oracles.line_offsets(j_hz.tolist(), spin)
     lines = readout(thermal_state(n), system, spin).lines
     assert len(lines) == len(offsets)
@@ -85,13 +78,6 @@ def test_thermal_polarization_is_one_for_every_spin():
         state = thermal_state(n)
         for spin in range(n):
             assert polarization(state, spin) == 1.0
-
-
-def test_signed_bit_sum_counts_spin_up_minus_spin_down():
-    values = np.arange(4, dtype=float)
-    # Spin 0 is the high bit: indices 0,1 up; 2,3 down.
-    assert signed_bit_sum(values, 2, 0) == (0 + 1) - (2 + 3)
-    assert signed_bit_sum(values, 2, 1) == (0 + 2) - (1 + 3)
 
 
 def test_population_state_rejects_wrong_shape_and_nonzero_sum():
