@@ -114,9 +114,9 @@ def cmd_boost(args: argparse.Namespace) -> int:
 def cmd_cool(args: argparse.Namespace) -> int:
     plan = plan_rounds(args.n, args.eps0, args.target_eps, recycle=args.recycle)
     for i, rnd in enumerate(plan.rounds, start=1):
-        values = sorted(set(rnd.pool_eps.tolist()), reverse=True)
+        values = sorted({value for value, _ in rnd.blocks}, reverse=True)
         pools = " ".join(dict.fromkeys(_fmt(v) for v in values))
-        print(f"round {i}: {len(rnd.triples)} boosts, input pools: {pools}")
+        print(f"round {i}: {rnd.boosts} boosts, input pools: {pools}")
     print(f"boost gates: {plan.boost_gate_count}")
     print(f"refocus gates: {plan.refocus_gate_count}")
     print(f"total gates: {plan.total_gate_count}")

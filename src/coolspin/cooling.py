@@ -9,35 +9,43 @@ polarization up to the rounding of eps**2 and eps**3.
 polarization value, each round greedily forms disjoint triples inside every
 pool that still holds three spins (coldest pool first, lowest indices
 first), the first member of each triple comes out boosted, and the other
-two leave the live set unless role b is recycled. A round walks each sorted
-pool once and boosts once per pool value, so it costs O(k log k) in its k
-live spins. The recorded operation count adds, on top of five gates per
-boost, one refocusing echo pair (two NOT pulses) per round for every
-physically present spin outside that round's triples: those couplings must
-be refocused while the active spins evolve, and it is this per-round
-overhead that makes the total cost grow as n log n rather than linearly.
-Echo pairs compose to the identity, so they are bookkeeping only and never
-touch the simulated state.
+two leave the live set unless role b is recycled. A pool holds runs of spin
+indices, each a `range` or a sorted index array, and slicing a range with a
+step gives a range; so a round boosts once per pool value and costs
+O(pools), not O(spins), and a round keeps each pool's boosted spins as one
+block. The (k, 3) spin-index triples are built from the blocks only when
+something reads them: the plan file and the per-spin replays. The recorded
+operation count adds, on top of five gates per boost, one refocusing echo
+pair (two NOT pulses) per round for every physically present spin outside
+that round's triples: those couplings must be refocused while the active
+spins evolve, and it is this per-round overhead that makes the total cost
+grow as n log n rather than linearly. Echo pairs compose to the identity,
+so they are bookkeeping only and never touch the simulated state.
 
 `simulate_plan` replays a plan with one engine under two policies: exact
 keeps the spins that boosts have correlated together until their last
 triple, approx forgets every correlation after each boost, so it boosts once
-per distinct pool value and copies the three marginals to every triple.
+per distinct pool value and copies the three marginals to every triple. On
+a plan the planner built, the approx policy's coldest spin is the lowest
+spin of the coldest pool, so it needs no per-spin replay.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import CapacityError, InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
-from .states import IZ, check_capacity
+from .states import IZ, MAX_POPULATION_SPINS, capacity_limit, check_capacity
 
 GATES_PER_BOOST = 5
+# Largest plan whose spin-index triples are built, for the plan file and the
+# per-spin replays: about n/2 triples, 170 MB of indices at 3**15 spins.
+MAX_TRIPLE_SPINS = 3**15
 
 
 @dataclass
@@ -58,15 +66,17 @@ _W_2 = np.kron(_H, _H)
 _W_3 = np.kron(_W_2, _H)
 _BOOST_Z = _W_3[:, circuit_permutation(boost_circuit(), 3)] @ _W_3 / 8
 _CNOT_Z = _W_2[:, gate_permutation(Gate("CNOT", (0, 1)), 2)] @ _W_2 / 4
-_MARGINALS = [4, 2, 1]  # correlator indices of spins a, b, c (spin 0 is the high bit)
+# Size of each correlator's subset S: three independent spins at eps give eps**|S|.
+_SUBSET_SIZES = reduce(np.add.outer, [np.arange(2)] * 3).reshape(-1)
+# Correlator indices of spins a, b, c alone: the one-hot corners of the (2, 2, 2) view.
+_MARGINALS = np.ravel_multi_index(tuple(np.eye(3, dtype=int)), (2, 2, 2))
 
 
 def _boost_marginals(eps: float) -> tuple[float, float, float]:
     """Polarizations of roles a, b, c after boosting three independent spins at eps."""
-    spin = np.array([1.0, eps])
-    z = np.multiply.outer(np.multiply.outer(spin, spin), spin).reshape(-1)
-    eps_a, eps_b, eps_c = (_BOOST_Z @ z)[_MARGINALS]
-    return float(eps_a), float(eps_b), float(eps_c)
+    z = np.array([1.0, eps, eps * eps, eps * eps * eps])[_SUBSET_SIZES]
+    eps_a, eps_b, eps_c = (_BOOST_Z @ z)[_MARGINALS].tolist()
+    return eps_a, eps_b, eps_c
 
 
 def boost_exact(eps: float) -> BoostReport:
@@ -105,22 +115,73 @@ def _repeated(items: list):
     return next(item for item, k in Counter(items).items() if k > 1)
 
 
-@dataclass
+def _indices(run: range | np.ndarray) -> np.ndarray:
+    """A run of spin indices as an integer array."""
+    if isinstance(run, range):
+        return np.arange(run.start, run.stop, run.step, dtype=np.intp)
+    return run
+
+
+def _check_triple_budget(n: int) -> None:
+    """Refuse to build the spin triples of a plan larger than MAX_TRIPLE_SPINS."""
+    if n > MAX_TRIPLE_SPINS:
+        raise CapacityError(
+            f"{n} spins exceeds MAX_TRIPLE_SPINS = {MAX_TRIPLE_SPINS}, the largest plan"
+            " whose spin triples are built (for the plan file and the per-spin replays)"
+        )
+
+
 class Round:
     """Disjoint boost triples of one round, with each triple's input pool.
 
-    `triples` is a (k, 3) integer array of spin indices and `pool_eps` the
-    (k,) array of the pool value each triple was drawn from.
+    A round is a list of blocks (pool value, spins): each three consecutive
+    spins of a block form one triple boosted at that value. The planner
+    hands over each pool's boosted spins as one block, a `range` or a sorted
+    index array. `triples`, the (k, 3) integer array of spin indices, and
+    `pool_eps`, the (k,) array of each triple's pool value, are built from
+    the blocks when first read. A round given as `triples` and `pool_eps`
+    (a loaded or hand-made plan) keeps them, and its blocks group
+    consecutive equal pool values.
     """
 
-    triples: np.ndarray
-    pool_eps: np.ndarray
-
-    def __post_init__(self):
-        self.triples = np.asarray(self.triples, dtype=np.intp)
+    def __init__(self, triples=(), pool_eps=(), *, blocks=None):
+        self.planned = blocks is not None
+        if self.planned:
+            self.blocks = blocks
+            return
+        self.triples = np.asarray(triples, dtype=np.intp)
         if self.triples.shape == (0,):
             self.triples = self.triples.reshape(0, 3)
-        self.pool_eps = np.asarray(self.pool_eps, dtype=float)
+        self.pool_eps = np.asarray(pool_eps, dtype=float)
+
+    @cached_property
+    def blocks(self) -> list[tuple[float, range | np.ndarray]]:
+        values = self.pool_eps
+        if not values.size:
+            return []
+        starts = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()]
+        stops = [*starts[1:], values.size]
+        spins = self.triples.reshape(-1)
+        return [(float(values[a]), spins[3 * a : 3 * b]) for a, b in zip(starts, stops)]
+
+    @cached_property
+    def triples(self) -> np.ndarray:
+        runs = [_indices(spins) for _, spins in self.blocks]
+        return np.concatenate([np.empty(0, np.intp), *runs]).reshape(-1, 3)
+
+    @cached_property
+    def pool_eps(self) -> np.ndarray:
+        values = np.array([value for value, _ in self.blocks], dtype=float)
+        counts = np.array([len(spins) // 3 for _, spins in self.blocks], dtype=np.intp)
+        return np.repeat(values, counts)
+
+    @property
+    def boosts(self) -> int:
+        """Number of triples, counted from the blocks."""
+        return sum(len(spins) for _, spins in self.blocks) // 3
+
+    def __repr__(self) -> str:
+        return f"Round(blocks={self.blocks!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Round):
@@ -145,6 +206,8 @@ class CoolingPlan:
     rounds: list[Round]
     predicted_best: float
     labels: list[str] = field(default_factory=list)
+    # Lowest spin of the coldest pool, set by the planner: the approx replay's best.
+    best_spin: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.labels and len(self.labels) != self.n:
@@ -157,7 +220,11 @@ class CoolingPlan:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # The replay boosts a round's triples together, so they must be disjoint.
+        # A planned round's blocks come from disjoint pools of the spins 0..n-1,
+        # so only rounds given as triples pay for these O(n) checks.
         for r, rnd in enumerate(self.rounds, start=1):
+            if rnd.planned:
+                continue
             if rnd.triples.ndim != 2 or rnd.triples.shape[1] != 3:
                 raise ValueError(f"round {r}: every boost triple must name three spins")
             used = rnd.triples.reshape(-1)
@@ -171,12 +238,12 @@ class CoolingPlan:
     @property
     def boost_gate_count(self) -> int:
         """Five gates per boost triple."""
-        return GATES_PER_BOOST * sum(len(rnd.triples) for rnd in self.rounds)
+        return GATES_PER_BOOST * sum(rnd.boosts for rnd in self.rounds)
 
     @property
     def refocus_gate_count(self) -> int:
         """One echo pair per round for every spin outside that round's triples."""
-        return sum(2 * (self.n - 3 * len(rnd.triples)) for rnd in self.rounds)
+        return sum(2 * (self.n - 3 * rnd.boosts) for rnd in self.rounds)
 
     @property
     def total_gate_count(self) -> int:
@@ -187,6 +254,7 @@ class CoolingPlan:
         return self.labels[spin] if self.labels else f"s{spin}"
 
     def to_dict(self) -> dict:
+        _check_triple_budget(self.n)
         labels = self.labels or [f"s{i}" for i in range(self.n)]
 
         def named(triples: np.ndarray) -> list[list[str]]:
@@ -212,7 +280,7 @@ class CoolingPlan:
     @classmethod
     def from_dict(cls, data: dict) -> "CoolingPlan":
         ledger = ("boost_gate_count", "refocus_gate_count", "total_gate_count")
-        missing = {*ledger, *(f.name for f in fields(cls))} - set(data)
+        missing = {*ledger, *(f.name for f in fields(cls) if f.init)} - set(data)
         if missing:
             raise ValueError(f"plan object missing fields: {sorted(missing)}")
         n, recycle = data["n"], data["recycle"]
@@ -259,12 +327,15 @@ def plan_rounds(
 
     Pools are keyed by exact polarization value; identical histories give
     bit-identical floats, so float keys are deterministic. Triples never mix
-    pools. A pool is a list of sorted index arrays, merged and sorted only
-    when it holds several; each round reshapes every pool's first 3k spins
-    into its k triples and boosts once per pool, so a round costs
-    O(k log k) in its k live spins and the whole schedule about O(n log n).
-    Raises the infeasibility error when no pool can field a triple and the
-    target is still out of reach.
+    pools. A pool is a list of runs of spin indices, starting as
+    `[range(n)]`; a pool's first 3k spins are the round's block for it, its
+    a-spins `spins[0:end:3]` (and, when recycling, its b-spins
+    `spins[1:end:3]`) move to the boosted pools, and `spins[end:]` stays.
+    Slicing keeps a range a range, so a round costs O(pools) and one boost
+    per pool value; only a pool fed by several runs, which takes a float tie
+    (eps0 below about 1e-9), is merged into a sorted index array. Raises the
+    infeasibility error when no pool can field a triple and the target is
+    still out of reach.
     """
     if n < 3 or n != int(n):
         raise ValueError(f"need at least three spins to form a triple, got {n}")
@@ -273,61 +344,76 @@ def plan_rounds(
     if not eps0 < target_eps <= 1.0:
         raise ValueError(f"target must lie in (eps0, 1], got {target_eps}")
 
-    pools: dict[float, list[np.ndarray]] = {eps0: [np.arange(n, dtype=np.intp)]}
+    n = int(n)
+    pools: dict[float, list[range | np.ndarray]] = {eps0: [range(n)]}
     rounds: list[Round] = []
 
     def frontier() -> float:
         return max(pools) if pools else 0.0
 
     while frontier() < target_eps:
-        blocks: list[np.ndarray] = []
-        pool_eps: list[np.ndarray] = []
-        next_pools: dict[float, list[np.ndarray]] = {}
+        blocks: list[tuple[float, range | np.ndarray]] = []
+        next_pools: dict[float, list[range | np.ndarray]] = {}
         for value in sorted(pools, reverse=True):
-            runs = pools[value]
-            spins = np.sort(np.concatenate(runs)) if len(runs) > 1 else runs[0]
+            spins = pools[value][0]
+            if len(pools[value]) > 1:  # a float tie fed this pool from several runs
+                spins = np.sort(np.concatenate([_indices(run) for run in pools[value]]))
             end = len(spins) - len(spins) % 3
             if end:
                 eps_a, eps_b, _ = _boost_marginals(value)
-                block = spins[:end].reshape(-1, 3)
-                blocks.append(block)
-                pool_eps.append(np.full(len(block), value))
-                next_pools.setdefault(eps_a, []).append(block[:, 0])
+                blocks.append((value, spins[:end]))
+                next_pools.setdefault(eps_a, []).append(spins[0:end:3])
                 if recycle:
-                    next_pools.setdefault(eps_b, []).append(block[:, 1])
+                    next_pools.setdefault(eps_b, []).append(spins[1:end:3])
             if end < len(spins):
                 next_pools.setdefault(value, []).append(spins[end:])
         if not blocks:
-            best = frontier()
+            # Twelve digits, as the CLI prints, or in full where they read alike.
+            target, best = f"{target_eps:.12g}", f"{frontier():.12g}"
+            if best == target:
+                target, best = repr(float(target_eps)), repr(float(frontier()))
             raise InfeasibleError(
-                f"target {target_eps:g} is unreachable with n={n}"
-                f" (best reachable pool sits at {best:g})"
+                f"target {target} is unreachable with n={n} (best reachable pool sits at {best})"
             )
-        rounds.append(Round(triples=np.concatenate(blocks), pool_eps=np.concatenate(pool_eps)))
+        rounds.append(Round(blocks=blocks))
         pools = next_pools
 
-    return CoolingPlan(
+    plan = CoolingPlan(
         n=n,
         eps0=eps0,
         target_eps=target_eps,
         recycle=recycle,
         rounds=rounds,
-        predicted_best=frontier() if rounds else eps0,
+        predicted_best=frontier(),
         labels=labels or [],
     )
+    plan.best_spin = min(int(run[0]) for run in pools[plan.predicted_best])
+    return plan
 
 
 @dataclass
 class PlanResult:
-    """Per-spin polarizations after executing a plan."""
+    """Per-spin polarizations after executing a plan.
+
+    `eps_approx` is replayed from the plan when first read (None in exact mode).
+    """
 
     mode: str
-    eps_exact: np.ndarray | None
-    eps_approx: np.ndarray | None
-    discrepancy: float | None
+    plan: CoolingPlan = field(repr=False)
+    eps_exact: np.ndarray | None = None
+    discrepancy: float | None = None
+
+    @cached_property
+    def eps_approx(self) -> np.ndarray | None:
+        return None if self.mode == "exact" else _replay(self.plan, joint=False)
 
     def best(self) -> tuple[int, float]:
-        """Index and value of the coldest spin (exact values preferred)."""
+        """Index and value of the coldest spin (exact values preferred).
+
+        Without exact values, a planned plan answers from its coldest pool.
+        """
+        if self.eps_exact is None and self.plan.best_spin is not None:
+            return self.plan.best_spin, self.plan.predicted_best
         eps = self.eps_exact if self.eps_exact is not None else self.eps_approx
         spin = int(np.argmax(eps))
         return spin, float(eps[spin])
@@ -342,11 +428,12 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
     applies the boost matrix to their three axes and reads their marginals.
     With `joint`, a spin leaves its cluster after its last triple (index 0
     on its axis), which keeps the result exact, and each merged cluster is
-    checked against the spin budget before it is allocated. Without it, no
-    cluster forms: every boost sees three independent spins of one pool
-    value, so a whole round is one array step that boosts each new pool
-    value once.
+    checked against the spin budget, read once per replay, before it is
+    allocated. Without it, no cluster forms: every boost sees three
+    independent spins of one pool value, so a whole round is one array step
+    that boosts each new pool value once.
     """
+    _check_triple_budget(plan.n)
     eps = np.full(plan.n, plan.eps0)
     if not joint:
         boosts: dict[float, tuple[float, float, float]] = {}
@@ -371,6 +458,7 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
     triples = [tuple(t) for rnd in plan.rounds for t in rnd.triples.tolist()]
     last = {s: i for i, t in enumerate(triples) for s in t}
     clusters: dict[int, tuple[list[int], np.ndarray]] = {}
+    limit = capacity_limit(MAX_POPULATION_SPINS)
     for i, triple in enumerate(triples):
         parts = []
         for s in triple:
@@ -378,7 +466,7 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
             if all(part is not p for p in parts):
                 parts.append(part)
         spins = [s for part in parts for s in part[0]]
-        check_capacity(len(spins))
+        check_capacity(len(spins), limit=limit)
         merged = reduce(np.multiply.outer, [part[1] for part in parts])
         merged = np.moveaxis(merged, [spins.index(s) for s in triple], [0, 1, 2]).reshape(8, -1)
         spins = list(triple) + [s for s in spins if s not in triple]
@@ -398,15 +486,18 @@ def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
     independent spins (cost independent of the state-space size); "exact"
     keeps each cluster of correlated spins until their last triple, and the
     population capacity guard bounds the largest such cluster; "both" runs
-    the two and reports their largest per-spin difference.
+    the two and reports their largest per-spin difference. A planned plan
+    answers the approx `best` from its pools, so its per-spin approx replay
+    waits until `eps_approx` is read; a loaded or hand-made plan is replayed
+    at once, which checks that every triple draws on one pool.
     """
     if mode not in {"exact", "approx", "both"}:
         raise ValueError(f"mode must be exact, approx, or both, got {mode!r}")
-    eps_approx = _replay(plan, joint=False) if mode in {"approx", "both"} else None
-    eps_exact = _replay(plan, joint=True) if mode in {"exact", "both"} else None
-    discrepancy = None
+    result = PlanResult(mode=mode, plan=plan)
+    if mode == "both" or plan.best_spin is None:
+        eps_approx = result.eps_approx
+    if mode != "approx":
+        result.eps_exact = _replay(plan, joint=True)
     if mode == "both":
-        discrepancy = float(np.abs(eps_exact - eps_approx).max())
-    return PlanResult(
-        mode=mode, eps_exact=eps_exact, eps_approx=eps_approx, discrepancy=discrepancy
-    )
+        result.discrepancy = float(np.abs(result.eps_exact - eps_approx).max())
+    return result

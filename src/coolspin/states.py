@@ -54,8 +54,10 @@ def capacity_limit(default: int) -> int:
     return limit
 
 
-def check_capacity(n: int, *, dense: bool = False) -> None:
-    limit = capacity_limit(MAX_DENSE_SPINS if dense else MAX_POPULATION_SPINS)
+def check_capacity(n: int, *, dense: bool = False, limit: int | None = None) -> None:
+    """Raise CapacityError past the spin budget: `limit` if given, else read it now."""
+    if limit is None:
+        limit = capacity_limit(MAX_DENSE_SPINS if dense else MAX_POPULATION_SPINS)
     if n > limit:
         kind = "a dense matrix" if dense else "a population vector"
         raise CapacityError(

@@ -182,6 +182,35 @@ def test_cool_prints_each_rounds_pools_in_numeric_order(capsys):
     )
 
 
+def test_cool_reports_an_unreachable_pool_at_full_precision_when_it_rounds_to_the_target(capsys):
+    code, out, err = run(capsys, "cool", "--n", "27", "--eps0", "0.99", "--target-eps", "1")
+    assert (code, out) == (3, "")
+    assert err == (
+        "infeasible: target 1.0 is unreachable with n=27"
+        " (best reachable pool sits at 0.9999999999999983)\n"
+    )
+    code, _, err = run(capsys, "cool", "--n", "6", "--eps0", "1e-3", "--target-eps", "2.2e-3")
+    assert err.endswith("(best reachable pool sits at 0.0014999995)\n")
+
+
+_COOL_1E9 = ("cool", "--n", "1e9", "--eps0", "3e-5", "--target-eps", "1e-3")
+
+
+def test_cool_plans_a_billion_spins_in_approx_mode(capsys):
+    code, out, err = run(capsys, *_COOL_1E9)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "simulated best (approx): spin s0 at 0.00115330037246"
+
+
+@pytest.mark.parametrize("extra", [["--out", "plan.json"], ["--mode", "exact"], ["--mode", "both"]])
+def test_cool_refuses_to_build_a_billion_spin_triples(capsys, tmp_path, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *_COOL_1E9, *extra)
+    assert code == 4
+    assert err.startswith("capacity: 1000000000 spins exceeds MAX_TRIPLE_SPINS = 14348907")
+    assert not (tmp_path / "plan.json").exists()
+
+
 def test_cool_running_out_of_memory_exits_4(capsys, monkeypatch):
     def allocate(plan, mode):
         raise MemoryError("Unable to allocate 32.0 GiB for an array")

@@ -1,6 +1,7 @@
 """Exact single-boost statistics and the multi-round scheduling engine."""
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -369,16 +370,71 @@ def _compare_with_reference_scheduler(n, eps0, target, recycle):
 @settings(max_examples=80, deadline=None)
 @given(
     log_n=st.floats(min_value=1.0, max_value=7.0),
-    log_eps0=st.floats(min_value=-7.0, max_value=math.log10(0.5)),
+    log_eps0=st.floats(min_value=-13.0, max_value=math.log10(0.9999)),
     depth=st.integers(min_value=1, max_value=9),
+    slack=st.sampled_from([0.99, 1.0]),
     recycle=st.booleans(),
 )
-def test_scheduler_matches_the_one_triple_at_a_time_reference(log_n, log_eps0, depth, recycle):
+@example(log_n=3.0, log_eps0=math.log10(0.99), depth=4, slack=1.0, recycle=False)
+@example(log_n=4.0, log_eps0=math.log10(0.9999), depth=3, slack=1.0, recycle=True)
+@example(log_n=6.0, log_eps0=-11.0, depth=5, slack=0.99, recycle=True)  # float ties merge pools
+def test_scheduler_matches_the_one_triple_at_a_time_reference(log_n, log_eps0, depth, slack, recycle):
     eps0 = 10.0**log_eps0
     target = eps0
     for _ in range(depth):
         target = boost_exact(target).eps_a
-    _compare_with_reference_scheduler(int(3**log_n), eps0, 0.99 * target, recycle)
+    target *= slack  # up to 1.0, where the boost iterate rounds to full polarization
+    assume(eps0 < target)
+    _compare_with_reference_scheduler(int(3**log_n), eps0, target, recycle)
+
+
+@st.composite
+def _planned(draw):
+    """A feasible plan at n <= 3**10, from one of three polarization regimes."""
+    log_n = draw(st.floats(min_value=1.0, max_value=10.0))
+    eps0 = draw(
+        st.one_of(
+            st.floats(min_value=0.5, max_value=0.9999),
+            st.floats(min_value=-13.0, max_value=-9.0).map(lambda x: 10.0**x),  # float ties merge pools
+            st.floats(min_value=-6.0, max_value=-1.0).map(lambda x: 10.0**x),
+        )
+    )
+    target = eps0
+    for _ in range(min(draw(st.integers(min_value=1, max_value=10)), int(log_n))):
+        target = boost_exact(target).eps_a
+    target *= draw(st.sampled_from([0.99, 1.0]))
+    assume(eps0 < target)
+    return plan_rounds(int(3**log_n), eps0, target, recycle=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=_planned())
+@example(plan=plan_rounds(729, 1e-11, 0.99 * 1.5**5 * 1e-11, recycle=True))
+@example(plan=plan_rounds(81, 0.99, 1.0, recycle=True))
+def test_the_pool_level_plan_matches_the_per_spin_replay(plan):
+    eps = np.full(plan.n, plan.eps0)
+    for rnd in plan.rounds:
+        assert (eps[rnd.triples] == rnd.pool_eps[:, None]).all()
+        assert rnd.boosts == len(rnd.triples)
+        assert [value for value, _ in rnd.blocks] == sorted(set(rnd.pool_eps.tolist()), reverse=True)
+        values, inverse = np.unique(rnd.pool_eps, return_inverse=True)
+        reports = [boost_exact(float(value)) for value in values]
+        eps[rnd.triples] = np.array([(r.eps_a, r.eps_b, r.eps_c) for r in reports])[inverse]
+    triples = [len(rnd.triples) for rnd in plan.rounds]
+    assert plan.boost_gate_count == GATES_PER_BOOST * sum(triples)
+    assert plan.refocus_gate_count == sum(2 * (plan.n - 3 * k) for k in triples)
+    result = simulate_plan(plan, mode="approx")
+    spin = int(np.argmax(eps))
+    assert result.best() == (spin, float(eps[spin])) == (spin, plan.predicted_best)
+    assert result.eps_approx.tobytes() == eps.tobytes()
+
+
+def test_a_billion_spins_plan_in_under_a_second():
+    started = time.perf_counter()
+    plan = plan_rounds(10**9, 3e-5, 0.99 * 1.5**18 * 3e-5)
+    assert time.perf_counter() - started < 1.0
+    assert len(plan.rounds) == 18
+    assert simulate_plan(plan, mode="approx").best() == (0, plan.predicted_best)
 
 
 @pytest.mark.parametrize("recycle", [False, True])
@@ -413,6 +469,15 @@ def test_a_round_holds_its_triples_and_pool_values_as_arrays():
     assert rnd.triples.dtype == np.intp and rnd.triples.shape == (2, 3)
     assert rnd.pool_eps.dtype == float and rnd.pool_eps.shape == (2,)
     assert Round(triples=[], pool_eps=[]).triples.shape == (0, 3)
+    assert Round(triples=[], pool_eps=[]).blocks == []
+    grouped = Round(triples=[(0, 1, 2), (3, 4, 5), (6, 7, 8)], pool_eps=[1e-3, 1e-3, 2e-3])
+    assert [(value, spins.tolist()) for value, spins in grouped.blocks] == [
+        (1e-3, [0, 1, 2, 3, 4, 5]), (2e-3, [6, 7, 8]),
+    ]
+    planned = plan_rounds(9, 1e-3, 0.99 * 2.25e-3).rounds
+    eps_a = boost_exact(1e-3).eps_a
+    assert [rnd.blocks for rnd in planned] == [[(1e-3, range(9))], [(eps_a, range(0, 9, 3))]]
+    assert planned[1].triples.dtype == np.intp and planned[1].triples.tolist() == [[0, 3, 6]]
     assert plan_rounds(9, 1e-3, 2.2e-3) == plan_rounds(9, 1e-3, 2.2e-3)
     assert rnd != Round(triples=[(0, 1, 2), (3, 5, 4)], pool_eps=[1e-3, 1e-3])
 
@@ -493,6 +558,27 @@ def test_exact_simulation_respects_population_capacity(monkeypatch):
         simulate_plan(recycled, mode="exact")
     # The approx policy has no such ceiling.
     assert simulate_plan(recycled, mode="approx").eps_approx is not None
+
+
+def test_exact_replay_reads_the_spin_budget_once(monkeypatch):
+    reads = []
+
+    def spy(default):
+        reads.append(default)
+        return limit(default)
+
+    limit = cooling.capacity_limit
+    monkeypatch.setattr(cooling, "capacity_limit", spy)
+    simulate_plan(plan_rounds(27, 1e-5, 3.34e-5, recycle=True), mode="exact")
+    assert reads == [24]
+
+
+@pytest.mark.parametrize("mode", ["exact", "both"])
+def test_triples_are_not_built_beyond_their_budget(mode):
+    plan = plan_rounds(cooling.MAX_TRIPLE_SPINS + 1, 3e-5, 4.4e-5)
+    for build in (plan.to_dict, lambda: simulate_plan(plan, mode=mode)):
+        with pytest.raises(CapacityError, match="exceeds MAX_TRIPLE_SPINS = 14348907"):
+            build()
 
 
 def test_gate_totals_track_quasi_linear_growth():
