@@ -102,7 +102,7 @@ def _delay_angle_deg(theta_deg: float, j_hz: float) -> float:
 
 
 def _refocused_delay(
-    system: SpinSystem, model: DurationModel, active: tuple[int, int], duration_s: float
+    system: SpinSystem, echo: list[SelectivePulse], active: tuple[int, int], duration_s: float
 ) -> list[Event]:
     """Free evolution under one coupling with every other coupling echoed away.
 
@@ -112,7 +112,7 @@ def _refocused_delay(
     constant row carried by the active pair, so every coupling involving a
     spectator averages to zero over the slices while the active coupling
     evolves for the full duration. One spectator reduces to the familiar
-    two-pulse echo.
+    two-pulse echo. `echo[u]` is spin u's 180-degree pulse (`_echo_pulses`).
     """
     spectators = [
         u
@@ -133,7 +133,7 @@ def _refocused_delay(
             before = walsh(rows[u], boundary - 1)
             after = walsh(rows[u], boundary) if boundary < slices else 1
             if before != after:
-                events.append(_pulse(model, system.labels[u], 0.0, 180.0))
+                events.append(echo[u])
         if boundary < slices:
             events.append(Delay(duration_s=duration_s / slices))
     return events
@@ -145,8 +145,13 @@ def _pulse(model: DurationModel, spin: str, phase_deg: float, angle_deg: float) 
     )
 
 
+def _echo_pulses(system: SpinSystem, model: DurationModel) -> list[SelectivePulse]:
+    """Each spin's 180-degree x pulse, by spin index, built once per lowering."""
+    return [_pulse(model, label, 0.0, 180.0) for label in system.labels]
+
+
 def _controlled_rz(
-    system: SpinSystem, model: DurationModel, control: int, target: int, theta_deg: float
+    system: SpinSystem, echo: list[SelectivePulse], control: int, target: int, theta_deg: float
 ) -> list[Event]:
     j_hz = _require_coupling(system, control, target)
     s, t = system.labels[control], system.labels[target]
@@ -154,7 +159,7 @@ def _controlled_rz(
     events: list[Event] = []
     if chi != 0.0:
         tau = (abs(chi) / 360.0) / abs(j_hz)
-        events.extend(_refocused_delay(system, model, (control, target), tau))
+        events.extend(_refocused_delay(system, echo, (control, target), tau))
         events.append(FrameShift(spin=t, angle_deg=chi / 2.0))
     if chi != theta_deg:
         events.append(FrameShift(spin=s, angle_deg=(chi - theta_deg) / 2.0))
@@ -162,7 +167,8 @@ def _controlled_rz(
 
 
 def _controlled_ry(
-    system: SpinSystem, model: DurationModel, control: int, target: int, theta_deg: float
+    system: SpinSystem, model: DurationModel, echo: list[SelectivePulse], control: int,
+    target: int, theta_deg: float,
 ) -> list[Event]:
     j_hz = _require_coupling(system, control, target)
     t = system.labels[target]
@@ -172,7 +178,7 @@ def _controlled_ry(
         head, inner_theta, tail = 90.0, theta_deg, -90.0
     return [
         _pulse(model, t, 0.0, head),
-        *_controlled_rz(system, model, control, target, inner_theta),
+        *_controlled_rz(system, echo, control, target, inner_theta),
         _pulse(model, t, 0.0, tail),
     ]
 
@@ -181,10 +187,16 @@ def lower_cnot(
     system: SpinSystem, model: DurationModel, control: int, target: int
 ) -> list[Event]:
     """CNOT as y-pulse-conjugated CRz(180) plus a control frame shift."""
+    return _cnot(system, model, _echo_pulses(system, model), control, target)
+
+
+def _cnot(
+    system: SpinSystem, model: DurationModel, echo: list[SelectivePulse], control: int, target: int
+) -> list[Event]:
     s, t = system.labels[control], system.labels[target]
     return [
         _pulse(model, t, 90.0, -90.0),
-        *_controlled_rz(system, model, control, target, 180.0),
+        *_controlled_rz(system, echo, control, target, 180.0),
         FrameShift(spin=s, angle_deg=90.0),
         _pulse(model, t, 90.0, 90.0),
     ]
@@ -200,10 +212,16 @@ def lower_toffoli_phase(
     rotation. Its coupled-evolution budget is 1/J for a uniform coupling,
     against 7/(4J) for the textbook construction.
     """
+    return _toffoli(system, model, _echo_pulses(system, model), c1, c2, target)
+
+
+def _toffoli(
+    system: SpinSystem, model: DurationModel, echo: list[SelectivePulse], c1: int, c2: int, t: int
+) -> list[Event]:
     return [
-        *_controlled_ry(system, model, c2, target, 90.0),
-        *_controlled_rz(system, model, c1, target, 180.0),
-        *_controlled_ry(system, model, c2, target, -90.0),
+        *_controlled_ry(system, model, echo, c2, t, 90.0),
+        *_controlled_rz(system, echo, c1, t, 180.0),
+        *_controlled_ry(system, model, echo, c2, t, -90.0),
     ]
 
 
@@ -216,18 +234,20 @@ def _rz_as_pulses(model: DurationModel, spin: str, theta_deg: float) -> list[Eve
     ]
 
 
-def _lower_gate(gate: Gate, system: SpinSystem, model: DurationModel) -> list[Event]:
+def _lower_gate(
+    gate: Gate, system: SpinSystem, model: DurationModel, echo: list[SelectivePulse]
+) -> list[Event]:
     kind = gate.kind
     if kind == "NOT":
-        return [_pulse(model, system.labels[gate.spins[0]], 0.0, 180.0)]
+        return [echo[gate.spins[0]]]
     if kind == "CNOT":
-        return lower_cnot(system, model, *gate.spins)
+        return _cnot(system, model, echo, *gate.spins)
     if kind == "TOFFOLI":
-        return lower_toffoli_phase(system, model, *gate.spins)
+        return _toffoli(system, model, echo, *gate.spins)
     if kind == "FREDKIN":
         events: list[Event] = []
         for part in lower_fredkin(gate):
-            events.extend(_lower_gate(part, system, model))
+            events.extend(_lower_gate(part, system, model, echo))
         return events
     if kind == "RX":
         return [_pulse(model, system.labels[gate.spins[0]], 0.0, gate.angle_deg)]
@@ -236,9 +256,9 @@ def _lower_gate(gate: Gate, system: SpinSystem, model: DurationModel) -> list[Ev
     if kind == "RZ":
         return [FrameShift(spin=system.labels[gate.spins[0]], angle_deg=gate.angle_deg)]
     if kind == "CRY":
-        return _controlled_ry(system, model, *gate.spins, gate.angle_deg)
+        return _controlled_ry(system, model, echo, *gate.spins, gate.angle_deg)
     if kind == "CRZ":
-        return _controlled_rz(system, model, *gate.spins, gate.angle_deg)
+        return _controlled_rz(system, echo, *gate.spins, gate.angle_deg)
     raise ValueError(f"no lowering for gate kind {kind!r}")
 
 
@@ -295,9 +315,10 @@ def compile_circuit(
         raise ValueError(f"circuit is for {circuit.n} spins, system has {system.n}")
     model = model or DurationModel()
 
+    echo = _echo_pulses(system, model)
     events: list[Event] = []
     for gate in circuit.gates:
-        events.extend(_lower_gate(gate, system, model))
+        events.extend(_lower_gate(gate, system, model, echo))
 
     if z_mode == "pulsed":
         realized: list[Event] = []

@@ -279,6 +279,20 @@ def test_compile_verifies_past_the_dense_cap_in_under_a_second(capsys, tmp_path)
     assert elapsed < 1.0
 
 
+def test_compile_verifies_a_16_spin_boost_in_under_half_a_second(capsys, tmp_path):
+    # 709 of the sequence's 818 events are 180-degree echo pulses.
+    system = _coupled_system(tmp_path, 16)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "compile", "--system", system)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "verification: PASS" in out.splitlines()
+    assert elapsed < 0.5
+    code, out, _ = run(capsys, "compile", "--system", system, "--bloch-siegert-deg", "3")
+    assert code == 0
+    assert "verification: FAIL" in out.splitlines()
+
+
 def test_compile_past_the_dense_cap_still_fails_a_wrong_sequence(capsys, tmp_path):
     code, out, _ = run(
         capsys, "compile", "--system", _coupled_system(tmp_path, 10), "--bloch-siegert-deg", "3"

@@ -470,6 +470,49 @@ def test_probe_and_dense_verdicts_agree_on_small_pulse_errors(error_deg, verdict
     assert cs.verify_permutation(seq, perm) == dense == verdict
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    other_pulses=st.booleans(),
+)
+def test_propagate_collapses_echo_runs_as_the_kron_oracle_does(n, data, seed, other_pulses):
+    """Runs of delays, frame shifts and exact 180/540-degree pulses.
+
+    Most events flip a spin (angles +-180 and +-540 at random phases, and
+    often at phase 0 or 90 as compiled echoes are), so runs are long and
+    most spins end a run flipped. Without `other_pulses`
+    the whole sequence is one run; with them, a few pulses of arbitrary
+    angle split it. A tail of one to three flips ends the sequence, so the
+    last run often leaves a spin flipped an odd number of times.
+    """
+    rng = np.random.default_rng(seed)
+    j_hz = np.triu(rng.uniform(-150.0, 150.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
+    system = cs.SpinSystem([f"s{k}" for k in range(n)], j_hz + j_hz.T, np.zeros(n), 1e-5)
+    spin = st.sampled_from(system.labels)
+    phase = st.one_of(st.sampled_from([0.0, 90.0]), st.floats(min_value=-720.0, max_value=720.0))
+    flip = st.builds(
+        SelectivePulse, spin, phase, st.sampled_from([180.0, -180.0, 540.0, -540.0]), st.just(4e-3)
+    )
+    kinds = [
+        flip,
+        flip,
+        flip,
+        st.builds(Delay, st.floats(min_value=0.0, max_value=5e-2)),
+        st.builds(FrameShift, spin, phase),
+    ]
+    if other_pulses:
+        kinds.append(st.builds(SelectivePulse, spin, phase, phase, st.just(2e-3)))
+    events = data.draw(st.lists(st.one_of(kinds), max_size=40))
+    events += data.draw(st.lists(flip, min_size=1, max_size=3))
+    seq = PulseSequence(system, events)
+    block = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
+    block /= np.linalg.norm(block, axis=0)
+    got = propagate(seq, block)
+    assert np.abs(got - oracles.simulate_sequence_kron(seq) @ block).max() <= 1e-12
+
+
 def test_propagate_applies_the_dense_unitary_to_a_block_of_vectors():
     system = _coupled_system(4, 4)
     seq = cs.compile_circuit(cs.CircuitIR(4, cs.boost_circuit(1, 2, 3)), system, z_mode="pulsed")
@@ -480,6 +523,19 @@ def test_propagate_applies_the_dense_unitary_to_a_block_of_vectors():
         propagate(seq, np.ones(16))
 
 
+def test_permutations_with_non_integer_entries_are_rejected_not_truncated():
+    system = _coupled_system(3, 3)
+    seq = cs.compile_circuit(cs.CircuitIR(3, cs.boost_circuit()), system)
+    perm = cs.circuit_permutation(cs.boost_circuit(), 3)
+    assert cs.verify_permutation(seq, perm)
+    assert cs.verify_permutation(seq, perm.tolist())
+    for bad in (perm + 0.4, perm.astype(float), np.arange(8) % 2 == 0):
+        with pytest.raises(ValueError, match="must be integers"):
+            cs.verify_permutation(seq, bad)
+        with pytest.raises(ValueError, match="must be integers"):
+            cs.permutation_unitary(bad)
+
+
 def test_verify_permutation_rejects_bad_permutations_and_non_unitary_events(monkeypatch):
     system = _coupled_system(3, 3)
     seq = cs.compile_circuit(cs.CircuitIR(3, cs.boost_circuit()), system)
@@ -487,6 +543,9 @@ def test_verify_permutation_rejects_bad_permutations_and_non_unitary_events(monk
         cs.verify_permutation(seq, np.arange(4))
     with pytest.raises(ValueError, match="bijection"):
         cs.verify_permutation(seq, np.zeros(8, dtype=int))
+    # Only pulses that are not through an odd multiple of 180 degrees take
+    # their 2x2 matrix; the boost has some (its CNOTs' 90-degree pulses).
+    assert any(isinstance(e, SelectivePulse) and e.angle_deg % 360.0 != 180.0 for e in seq.events)
     monkeypatch.setattr(cs.propagator, "_single_spin_matrix", lambda event: 1.001 * np.eye(2))
     with pytest.raises(ValueError, match="not unitary"):
         cs.verify_permutation(seq, cs.circuit_permutation(cs.boost_circuit(), 3))
