@@ -16,9 +16,7 @@ from .bounds import (
 from .compiler import (
     CircuitIR,
     compile_circuit,
-    elide_z_rotations,
     format_circuit,
-    lower_cnot,
     lower_toffoli_phase,
     parse_circuit,
 )
@@ -93,7 +91,6 @@ __all__ = [
     "conditional_polarization_after_cnot",
     "coupled_delay_s",
     "decompose",
-    "elide_z_rotations",
     "entropy_binary",
     "entropy_bound_kmax",
     "entropy_deficit",
@@ -106,7 +103,6 @@ __all__ = [
     "iz_product_diag",
     "iz_product_operator",
     "line_frequencies",
-    "lower_cnot",
     "lower_fredkin",
     "lower_toffoli_phase",
     "max_projection",

@@ -17,12 +17,20 @@ Conventions, fixed once and used everywhere:
   controlled NOT is the three-fragment phase construction, and Fredkin is
   expanded through its CNOT and doubly-controlled-NOT factorization.
 
+Lowering is one pass over the gates that appends events to one list.
+Every z rotation in virtual mode, and every Bloch-Siegert compensation in
+either mode, is carried forward as a per-spin frame angle: each later
+pulse on the spin is emitted with its phase lowered by it, and what
+remains at the end becomes one tail frame shift per spin, so frame_out()
+reports the terminal frame.
+
 Every lowered fragment equals a diagonal unitary times the gate's
 permutation matrix, so compiled circuits reproduce the logical circuit
 exactly on populations and match its magnitude pattern entrywise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .gates import PERMUTATION_KINDS, ROTATION_KINDS, Gate, lower_fredkin
@@ -101,105 +109,138 @@ def _delay_angle_deg(theta_deg: float, j_hz: float) -> float:
     return turns if j_hz < 0.0 else turns - 360.0
 
 
-def _refocused_delay(
-    system: SpinSystem, echo: list[SelectivePulse], active: tuple[int, int], duration_s: float
-) -> list[Event]:
-    """Free evolution under one coupling with every other coupling echoed away.
+class _Lowering:
+    """One lowering pass: gates in, events appended to one list.
 
-    The delay is cut into 2**k equal slices and each coupled spectator is
-    flipped by 180-degree pulses following its own nonconstant Walsh sign
-    pattern. Distinct Walsh rows are orthogonal to each other and to the
-    constant row carried by the active pair, so every coupling involving a
-    spectator averages to zero over the slices while the active coupling
-    evolves for the full duration. One spectator reduces to the familiar
-    two-pulse echo. `echo[u]` is spin u's 180-degree pulse (`_echo_pulses`).
+    `frame[s]` is spin s's outstanding z rotation in degrees, summed in
+    event order and folded into later pulse phases as described above.
     """
-    spectators = [
-        u
-        for u in range(system.n)
-        if u not in active and any(system.j_hz[u][v] != 0.0 for v in range(system.n))
-    ]
-    if not spectators:
-        return [Delay(duration_s=duration_s)]
-    rows = {u: r + 1 for r, u in enumerate(spectators)}
-    slices = 1 << len(spectators).bit_length()  # smallest power of two > len
 
-    def walsh(row: int, col: int) -> int:
-        return -1 if (row & col).bit_count() % 2 else 1
+    def __init__(
+        self, system: SpinSystem, model: DurationModel, *, pulsed: bool = False,
+        bloch_siegert_deg: float = 0.0,
+    ):
+        self.system, self.model = system, model
+        self.pulsed, self.bloch_siegert_deg = pulsed, bloch_siegert_deg
+        # Each spin's 180-degree x pulse, shared by every echo and NOT gate.
+        self.echo = [SelectivePulse(lab, 0.0, 180.0, model.pulse_s(180.0)) for lab in system.labels]
+        self.coupled = (system.j_hz != 0.0).any(axis=1).tolist()
+        self.frame = [0.0] * system.n
+        self.events: list[Event] = []
 
-    events: list[Event] = [Delay(duration_s=duration_s / slices)]
-    for boundary in range(1, slices + 1):
-        for u in spectators:
-            before = walsh(rows[u], boundary - 1)
-            after = walsh(rows[u], boundary) if boundary < slices else 1
-            if before != after:
-                events.append(echo[u])
-        if boundary < slices:
-            events.append(Delay(duration_s=duration_s / slices))
-    return events
+    def emit(self, spin: int, pulse: SelectivePulse) -> None:
+        """Append a pulse on `spin`; with a Bloch-Siegert angle, shift every other spin."""
+        if self.frame[spin] != 0.0:
+            pulse = SelectivePulse(
+                pulse.spin, pulse.phase_deg - self.frame[spin], pulse.angle_deg, pulse.duration_s
+            )
+        self.events.append(pulse)
+        if self.bloch_siegert_deg != 0.0:
+            for u in range(self.system.n):
+                if u != spin:
+                    self.frame[u] += self.bloch_siegert_deg
 
+    def pulse(self, spin: int, phase_deg: float, angle_deg: float) -> None:
+        label = self.system.labels[spin]
+        self.emit(spin, SelectivePulse(label, phase_deg, angle_deg, self.model.pulse_s(angle_deg)))
 
-def _pulse(model: DurationModel, spin: str, phase_deg: float, angle_deg: float) -> SelectivePulse:
-    return SelectivePulse(
-        spin=spin, phase_deg=phase_deg, angle_deg=angle_deg, duration_s=model.pulse_s(angle_deg)
-    )
+    def rz(self, spin: int, theta_deg: float) -> None:
+        """A frame shift, or in pulsed mode an x rotation conjugated by y rotations."""
+        if self.pulsed:
+            self.pulse(spin, 90.0, 90.0)
+            self.pulse(spin, 0.0, theta_deg)
+            self.pulse(spin, 90.0, -90.0)
+        else:
+            self.frame[spin] += theta_deg
 
+    def delay(self, active: tuple[int, int], duration_s: float) -> None:
+        """Free evolution under one coupling with every other coupling echoed away.
 
-def _echo_pulses(system: SpinSystem, model: DurationModel) -> list[SelectivePulse]:
-    """Each spin's 180-degree x pulse, by spin index, built once per lowering."""
-    return [_pulse(model, label, 0.0, 180.0) for label in system.labels]
+        The delay is cut into 2**k equal slices and each coupled spectator is
+        flipped by 180-degree pulses following its own nonconstant Walsh sign
+        pattern. Distinct Walsh rows are orthogonal to each other and to the
+        constant row carried by the active pair, so every coupling involving a
+        spectator averages to zero over the slices while the active coupling
+        evolves for the full duration. One spectator reduces to the familiar
+        two-pulse echo.
+        """
+        spectators = [u for u in range(self.system.n) if u not in active and self.coupled[u]]
+        if not spectators:
+            self.events.append(Delay(duration_s=duration_s))
+            return
+        rows = {u: r + 1 for r, u in enumerate(spectators)}
+        slices = 1 << len(spectators).bit_length()  # smallest power of two > len
+        piece = Delay(duration_s=duration_s / slices)
 
+        def walsh(row: int, col: int) -> int:
+            return -1 if (row & col).bit_count() % 2 else 1
 
-def _controlled_rz(
-    system: SpinSystem, echo: list[SelectivePulse], control: int, target: int, theta_deg: float
-) -> list[Event]:
-    j_hz = _require_coupling(system, control, target)
-    s, t = system.labels[control], system.labels[target]
-    chi = _delay_angle_deg(theta_deg, j_hz)
-    events: list[Event] = []
-    if chi != 0.0:
-        tau = (abs(chi) / 360.0) / abs(j_hz)
-        events.extend(_refocused_delay(system, echo, (control, target), tau))
-        events.append(FrameShift(spin=t, angle_deg=chi / 2.0))
-    if chi != theta_deg:
-        events.append(FrameShift(spin=s, angle_deg=(chi - theta_deg) / 2.0))
-    return events
+        self.events.append(piece)
+        for boundary in range(1, slices + 1):
+            for u in spectators:
+                before = walsh(rows[u], boundary - 1)
+                after = walsh(rows[u], boundary) if boundary < slices else 1
+                if before != after:
+                    self.emit(u, self.echo[u])
+            if boundary < slices:
+                self.events.append(piece)
 
+    def controlled_rz(self, control: int, target: int, theta_deg: float) -> None:
+        j_hz = _require_coupling(self.system, control, target)
+        chi = _delay_angle_deg(theta_deg, j_hz)
+        if chi != 0.0:
+            self.delay((control, target), (abs(chi) / 360.0) / abs(j_hz))
+            self.rz(target, chi / 2.0)
+        if chi != theta_deg:
+            self.rz(control, (chi - theta_deg) / 2.0)
 
-def _controlled_ry(
-    system: SpinSystem, model: DurationModel, echo: list[SelectivePulse], control: int,
-    target: int, theta_deg: float,
-) -> list[Event]:
-    j_hz = _require_coupling(system, control, target)
-    t = system.labels[target]
-    if abs(_delay_angle_deg(-theta_deg, j_hz)) < abs(_delay_angle_deg(theta_deg, j_hz)):
-        head, inner_theta, tail = -90.0, -theta_deg, 90.0
-    else:
-        head, inner_theta, tail = 90.0, theta_deg, -90.0
-    return [
-        _pulse(model, t, 0.0, head),
-        *_controlled_rz(system, echo, control, target, inner_theta),
-        _pulse(model, t, 0.0, tail),
-    ]
+    def controlled_ry(self, control: int, target: int, theta_deg: float) -> None:
+        j_hz = _require_coupling(self.system, control, target)
+        if abs(_delay_angle_deg(-theta_deg, j_hz)) < abs(_delay_angle_deg(theta_deg, j_hz)):
+            head, inner_theta, tail = -90.0, -theta_deg, 90.0
+        else:
+            head, inner_theta, tail = 90.0, theta_deg, -90.0
+        self.pulse(target, 0.0, head)
+        self.controlled_rz(control, target, inner_theta)
+        self.pulse(target, 0.0, tail)
 
+    def gate(self, gate: Gate) -> None:
+        kind, spins = gate.kind, gate.spins
+        if kind == "NOT":
+            self.emit(spins[0], self.echo[spins[0]])
+        elif kind == "CNOT":  # y-pulse-conjugated CRz(180) plus a control frame shift
+            control, target = spins
+            self.pulse(target, 90.0, -90.0)
+            self.controlled_rz(control, target, 180.0)
+            self.rz(control, 90.0)
+            self.pulse(target, 90.0, 90.0)
+        elif kind == "TOFFOLI":
+            c1, c2, target = spins
+            self.controlled_ry(c2, target, 90.0)
+            self.controlled_rz(c1, target, 180.0)
+            self.controlled_ry(c2, target, -90.0)
+        elif kind == "FREDKIN":
+            for part in lower_fredkin(gate):
+                self.gate(part)
+        elif kind == "RX":
+            self.pulse(spins[0], 0.0, gate.angle_deg)
+        elif kind == "RY":
+            self.pulse(spins[0], 90.0, gate.angle_deg)
+        elif kind == "RZ":
+            self.rz(spins[0], gate.angle_deg)
+        elif kind == "CRY":
+            self.controlled_ry(*spins, gate.angle_deg)
+        elif kind == "CRZ":
+            self.controlled_rz(*spins, gate.angle_deg)
+        else:
+            raise ValueError(f"no lowering for gate kind {kind!r}")
 
-def lower_cnot(
-    system: SpinSystem, model: DurationModel, control: int, target: int
-) -> list[Event]:
-    """CNOT as y-pulse-conjugated CRz(180) plus a control frame shift."""
-    return _cnot(system, model, _echo_pulses(system, model), control, target)
-
-
-def _cnot(
-    system: SpinSystem, model: DurationModel, echo: list[SelectivePulse], control: int, target: int
-) -> list[Event]:
-    s, t = system.labels[control], system.labels[target]
-    return [
-        _pulse(model, t, 90.0, -90.0),
-        *_controlled_rz(system, echo, control, target, 180.0),
-        FrameShift(spin=s, angle_deg=90.0),
-        _pulse(model, t, 90.0, 90.0),
-    ]
+    def finish(self) -> PulseSequence:
+        """The sequence so far, each spin's nonzero frame appended in label order."""
+        for lab, angle in zip(self.system.labels, self.frame):
+            if angle != 0.0:
+                self.events.append(FrameShift(spin=lab, angle_deg=angle))
+        return PulseSequence(system=self.system, events=self.events)
 
 
 def lower_toffoli_phase(
@@ -212,83 +253,9 @@ def lower_toffoli_phase(
     rotation. Its coupled-evolution budget is 1/J for a uniform coupling,
     against 7/(4J) for the textbook construction.
     """
-    return _toffoli(system, model, _echo_pulses(system, model), c1, c2, target)
-
-
-def _toffoli(
-    system: SpinSystem, model: DurationModel, echo: list[SelectivePulse], c1: int, c2: int, t: int
-) -> list[Event]:
-    return [
-        *_controlled_ry(system, model, echo, c2, t, 90.0),
-        *_controlled_rz(system, echo, c1, t, 180.0),
-        *_controlled_ry(system, model, echo, c2, t, -90.0),
-    ]
-
-
-def _rz_as_pulses(model: DurationModel, spin: str, theta_deg: float) -> list[Event]:
-    """Rz from real pulses: x rotation conjugated by y rotations."""
-    return [
-        _pulse(model, spin, 90.0, 90.0),
-        _pulse(model, spin, 0.0, theta_deg),
-        _pulse(model, spin, 90.0, -90.0),
-    ]
-
-
-def _lower_gate(
-    gate: Gate, system: SpinSystem, model: DurationModel, echo: list[SelectivePulse]
-) -> list[Event]:
-    kind = gate.kind
-    if kind == "NOT":
-        return [echo[gate.spins[0]]]
-    if kind == "CNOT":
-        return _cnot(system, model, echo, *gate.spins)
-    if kind == "TOFFOLI":
-        return _toffoli(system, model, echo, *gate.spins)
-    if kind == "FREDKIN":
-        events: list[Event] = []
-        for part in lower_fredkin(gate):
-            events.extend(_lower_gate(part, system, model, echo))
-        return events
-    if kind == "RX":
-        return [_pulse(model, system.labels[gate.spins[0]], 0.0, gate.angle_deg)]
-    if kind == "RY":
-        return [_pulse(model, system.labels[gate.spins[0]], 90.0, gate.angle_deg)]
-    if kind == "RZ":
-        return [FrameShift(spin=system.labels[gate.spins[0]], angle_deg=gate.angle_deg)]
-    if kind == "CRY":
-        return _controlled_ry(system, model, echo, *gate.spins, gate.angle_deg)
-    if kind == "CRZ":
-        return _controlled_rz(system, echo, *gate.spins, gate.angle_deg)
-    raise ValueError(f"no lowering for gate kind {kind!r}")
-
-
-def elide_z_rotations(seq: PulseSequence) -> PulseSequence:
-    """Absorb frame shifts into the phases of later pulses on the same spin.
-
-    The net outstanding shift per spin is re-emitted at the tail (still
-    zero duration), so the sequence's unitary is unchanged exactly, and
-    frame_out() on the result reports the terminal reference frame.
-    """
-    acc = {lab: 0.0 for lab in seq.system.labels}
-    events: list[Event] = []
-    for event in seq.events:
-        if isinstance(event, FrameShift):
-            acc[event.spin] += event.angle_deg
-        elif isinstance(event, SelectivePulse) and acc[event.spin] != 0.0:
-            events.append(
-                SelectivePulse(
-                    spin=event.spin,
-                    phase_deg=event.phase_deg - acc[event.spin],
-                    angle_deg=event.angle_deg,
-                    duration_s=event.duration_s,
-                )
-            )
-        else:
-            events.append(event)
-    for lab in seq.system.labels:
-        if acc[lab] != 0.0:
-            events.append(FrameShift(spin=lab, angle_deg=acc[lab]))
-    return PulseSequence(system=seq.system, events=events)
+    lowering = _Lowering(system, model)
+    lowering.gate(Gate("TOFFOLI", (c1, c2, target)))
+    return lowering.finish().events
 
 
 def compile_circuit(
@@ -297,49 +264,28 @@ def compile_circuit(
     model: DurationModel | None = None,
     *,
     z_mode: str = "virtual",
-    elide: bool = True,
     bloch_siegert_deg: float = 0.0,
 ) -> PulseSequence:
-    """Lower a circuit to a pulse sequence for the given spin system.
+    """Lower a circuit to a pulse sequence for the given spin system, in one pass.
 
-    z_mode "virtual" keeps z rotations as zero-duration frame shifts;
-    "pulsed" realizes each one as three real pulses. `bloch_siegert_deg`,
-    when nonzero, adds that frame shift to every non-selected spin after
-    each pulse, an abstract stand-in for off-resonance phase corrections.
-    With `elide` the frame shifts are folded into later pulse phases. The
-    pipeline is deterministic: equal inputs give identical sequences.
+    z_mode "virtual" folds each z rotation into the phases of the later
+    pulses on its spin and ends the sequence with at most one frame shift
+    per spin; "pulsed" realizes each one as three real pulses.
+    `bloch_siegert_deg`, when nonzero, adds that z rotation to every
+    non-selected spin after each pulse, an abstract stand-in for
+    off-resonance phase corrections; it is folded the same way in both
+    modes. Equal inputs give identical sequences.
     """
     if z_mode not in {"virtual", "pulsed"}:
         raise ValueError(f"z_mode must be virtual or pulsed, got {z_mode!r}")
+    if not math.isfinite(bloch_siegert_deg):
+        raise ValueError(f"bloch_siegert_deg must be finite, got {bloch_siegert_deg}")
     if circuit.n != system.n:
         raise ValueError(f"circuit is for {circuit.n} spins, system has {system.n}")
-    model = model or DurationModel()
-
-    echo = _echo_pulses(system, model)
-    events: list[Event] = []
+    lowering = _Lowering(
+        system, model or DurationModel(), pulsed=z_mode == "pulsed",
+        bloch_siegert_deg=bloch_siegert_deg,
+    )
     for gate in circuit.gates:
-        events.extend(_lower_gate(gate, system, model, echo))
-
-    if z_mode == "pulsed":
-        realized: list[Event] = []
-        for event in events:
-            if isinstance(event, FrameShift):
-                realized.extend(_rz_as_pulses(model, event.spin, event.angle_deg))
-            else:
-                realized.append(event)
-        events = realized
-
-    if bloch_siegert_deg != 0.0:
-        shifted: list[Event] = []
-        for event in events:
-            shifted.append(event)
-            if isinstance(event, SelectivePulse):
-                shifted.extend(
-                    FrameShift(spin=lab, angle_deg=bloch_siegert_deg)
-                    for lab in system.labels
-                    if lab != event.spin
-                )
-        events = shifted
-
-    seq = PulseSequence(system=system, events=events)
-    return elide_z_rotations(seq) if elide else seq
+        lowering.gate(gate)
+    return lowering.finish()

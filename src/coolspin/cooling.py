@@ -288,15 +288,17 @@ class CoolingPlan:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         if not isinstance(recycle, bool):
             raise ValueError(f"recycle must be true or false, got {recycle!r}")
+        if not isinstance(data["labels"], list):
+            raise ValueError(f"labels must be a JSON array of spin names, got {data['labels']!r}")
         labels = [str(s) for s in data["labels"]]
         index = {lab: i for i, lab in enumerate(labels)}
         rounds = []
         for r, rnd in enumerate(data["rounds"], start=1):
+            if any(not isinstance(t, list) or len(t) != 3 for t in rnd["triples"]):
+                raise ValueError(f"round {r}: every boost triple must name three spins")
             unknown = [lab for t in rnd["triples"] for lab in t if lab not in index]
             if unknown:
                 raise ValueError(f"round {r}: unknown spin {unknown[0]}")
-            if any(len(t) != 3 for t in rnd["triples"]):
-                raise ValueError(f"round {r}: every boost triple must name three spins")
             triples = [[index[lab] for lab in t] for t in rnd["triples"]]
             rounds.append(Round(triples=triples, pool_eps=[float(v) for v in rnd["pool_eps"]]))
         plan = cls(

@@ -100,7 +100,10 @@ class PopulationState:
     def from_dict(cls, data: dict) -> "PopulationState":
         if "n" not in data or "pops" not in data:
             raise ValueError("state object needs 'n' and 'pops' fields")
-        return cls(n=data["n"], pops=np.asarray(data["pops"], dtype=float))
+        n = data["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        return cls(n=n, pops=np.asarray(data["pops"], dtype=float))
 
 
 @dataclass

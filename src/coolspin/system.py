@@ -88,6 +88,8 @@ class SpinSystem:
         missing = {"labels", "j_hz", "shift_ppm", "epsilon0"} - set(data)
         if missing:
             raise ValueError(f"spin-system object missing fields: {sorted(missing)}")
+        if not isinstance(data["labels"], list):
+            raise ValueError(f"labels must be a JSON array of spin names, got {data['labels']!r}")
         return cls(
             labels=data["labels"],
             j_hz=data["j_hz"],

@@ -240,14 +240,22 @@ def test_compile_default_circuit_verifies(capsys, tmp_path):
     [
         ("--pulse90-s", "nan", "pulse90_s"),
         ("--pulse90-s", "inf", "pulse90_s"),
-        ("--bloch-siegert-deg", "inf", "angle_deg"),
-        ("--bloch-siegert-deg", "nan", "angle_deg"),
+        ("--bloch-siegert-deg", "inf", "bloch_siegert_deg"),
+        ("--bloch-siegert-deg", "nan", "bloch_siegert_deg"),
     ],
 )
 def test_compile_rejects_non_finite_flags(capsys, flag, value, field):
     code, out, err = run(capsys, "compile", flag, value)
     assert (code, out) == (2, "")
     assert field in err and "finite" in err
+
+
+def test_compile_rejects_a_system_whose_labels_are_a_string(capsys, tmp_path):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({**example_system().to_dict(), "labels": "abc"}))
+    code, out, err = run(capsys, "compile", "--system", str(path))
+    assert (code, out) == (2, "")
+    assert "labels must be a JSON array" in err
 
 
 def test_compile_custom_circuit_and_options(capsys, tmp_path):
@@ -358,6 +366,17 @@ def test_spectrum_corrupt_state_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "spectrum", "--state", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+def test_spectrum_rejects_a_boolean_spin_count(capsys, tmp_path):
+    # A one-spin system, so that "n": true read as 1 would match it.
+    system = tmp_path / "one.json"
+    SpinSystem(labels=["a"], j_hz=[[0.0]], shift_ppm=[0.0], epsilon0=1e-4).save(system)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"n": True, "pops": [0.5, -0.5]}))
+    code, out, err = run(capsys, "spectrum", "--system", str(system), "--state", str(state))
+    assert (code, out) == (2, "")
+    assert "n must be an integer, got True" in err
 
 
 def run_python(*argv, **env_vars):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import coolspin as cs
-from coolspin.compiler import elide_z_rotations, format_circuit, parse_circuit
+from coolspin.compiler import format_circuit, parse_circuit
 from coolspin.propagator import propagate
 from coolspin.pulses import (
     Delay,
@@ -67,6 +67,11 @@ def two_spins(j_hz, shift_ppm=0.0):
     return cs.SpinSystem(["s", "t"], [[0.0, j_hz], [j_hz, 0.0]], [shift_ppm, 1.0], 1e-4)
 
 
+def compile_nothing(**options):
+    # An empty circuit emits no event, so only an up-front check can reject an option.
+    return cs.compile_circuit(cs.CircuitIR(2, []), two_spins(5.0), **options)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -86,6 +91,8 @@ def two_spins(j_hz, shift_ppm=0.0):
         (lambda: two_spins(INF), "j_hz"),
         (lambda: two_spins(-INF), "j_hz"),
         (lambda: two_spins(5.0, shift_ppm=NAN), "shift_ppm"),
+        (lambda: compile_nothing(bloch_siegert_deg=NAN), "bloch_siegert_deg"),
+        (lambda: compile_nothing(bloch_siegert_deg=-INF), "bloch_siegert_deg"),
     ],
 )
 def test_non_finite_values_are_rejected_naming_the_field(build, message):
@@ -207,19 +214,66 @@ def test_boost_sequence_regression_numbers(system):
 
 
 def test_elision_only_moves_bookkeeping(system):
+    # Pulsed z folds nothing here, so it is the unfolded reference.
     circuit = cs.CircuitIR(3, cs.boost_circuit())
-    plain = unitary_of(circuit, system, elide=False)
-    elided = unitary_of(circuit, system, elide=True)
-    assert_equal_up_to_global_phase(elided.mat, plain.mat)
-    n_shifts = lambda seq: sum(isinstance(e, FrameShift) for e in seq.events)
-    assert n_shifts(cs.compile_circuit(circuit, system, elide=True)) <= 3
+    virtual = cs.compile_circuit(circuit, system)
+    pulsed = cs.compile_circuit(circuit, system, z_mode="pulsed")
+    assert_equal_up_to_global_phase(
+        cs.simulate_sequence(virtual).mat, cs.simulate_sequence(pulsed).mat
+    )
+    assert sum(isinstance(e, FrameShift) for e in virtual.events) <= 3
 
 
-def test_elide_z_rotations_is_idempotent(system):
-    seq = cs.compile_circuit(cs.CircuitIR(3, cs.boost_circuit()), system, elide=False)
-    once = elide_z_rotations(seq)
-    twice = elide_z_rotations(once)
-    assert once.events == twice.events
+def _all_kind_circuits(n):
+    """Lists of one to six gates of all nine kinds on n spins, rotations at any angle."""
+    arity = {**cs.gates.PERMUTATION_KINDS, **cs.gates.ROTATION_KINDS}
+    kinds = sorted(k for k, a in arity.items() if a <= n)
+    angle = st.floats(min_value=-720.0, max_value=720.0)
+
+    def build(kind, order, theta):
+        rotation = kind in cs.gates.ROTATION_KINDS
+        return cs.Gate(kind, tuple(order[: arity[kind]]), theta if rotation else None)
+
+    gate = st.builds(build, st.sampled_from(kinds), st.permutations(range(n)), angle)
+    return st.lists(gate, min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bloch_siegert_deg=st.floats(min_value=-10.0, max_value=10.0).filter(lambda x: x != 0.0),
+)
+def test_folding_z_rotations_keeps_the_unitary(n, data, seed, bloch_siegert_deg):
+    """Both z modes, and the folded Bloch-Siegert shifts, against unfolded references.
+
+    Pulsed mode without a Bloch-Siegert angle emits no frame shift, so it
+    folds nothing: the virtual sequence must give its unitary up to a
+    global phase. With an angle, the pulsed sequence must give the unitary
+    of the zero-angle one with the shifts written out after every pulse.
+    """
+    system = _coupled_system(n, seed)
+    circuit = cs.CircuitIR(n, data.draw(_all_kind_circuits(n)))
+    pulsed = cs.compile_circuit(circuit, system, z_mode="pulsed")
+    assert not any(isinstance(e, FrameShift) for e in pulsed.events)
+    virtual = cs.compile_circuit(circuit, system, z_mode="virtual")
+    assert_equal_up_to_global_phase(
+        cs.simulate_sequence(virtual).mat, cs.simulate_sequence(pulsed).mat
+    )
+
+    unfolded = []
+    for event in pulsed.events:
+        unfolded.append(event)
+        if isinstance(event, SelectivePulse):
+            unfolded += [
+                FrameShift(lab, bloch_siegert_deg) for lab in system.labels if lab != event.spin
+            ]
+    shifted = cs.compile_circuit(
+        circuit, system, z_mode="pulsed", bloch_siegert_deg=bloch_siegert_deg
+    )
+    got = cs.simulate_sequence(shifted).mat
+    assert np.abs(got - cs.simulate_sequence(PulseSequence(system, unfolded)).mat).max() <= 1e-12
 
 
 def test_pulsed_z_mode_trades_duration_for_no_frame_shifts(system):

@@ -190,6 +190,7 @@ def _plan_dict(labels, rounds):
         (["a", "b", "a"], [[["a", "b", "a"]]], "label a names more than one spin"),
         (["s0", "s1", "s2"], [[["s0", "s1"]]], "round 1: every boost triple must name three spins"),
         (["s0", "s1", "s2"], [[["s0", "s1", "s9"]]], "round 1: unknown spin s9"),
+        (["a", "b", "c"], [["abc"]], "round 1: every boost triple must name three spins"),
     ],
 )
 def test_plan_loading_rejects_inconsistent_triples(labels, rounds, message):
@@ -231,6 +232,11 @@ def test_plan_loading_rejects_a_gate_ledger_that_disagrees_with_the_rounds(field
         pytest.param({"n": 9.7}, "n must be a positive integer, got 9.7", id="fractional-n"),
         pytest.param({"n": True}, "n must be a positive integer, got True", id="boolean-n"),
         pytest.param({"recycle": "no"}, "recycle must be true or false, got 'no'", id="string-recycle"),
+        pytest.param(
+            {"labels": "abcdefghi"},
+            "labels must be a JSON array of spin names, got 'abcdefghi'",
+            id="string-labels",
+        ),
         pytest.param(
             {"predicted_best": None},
             r"plan object missing fields: \['predicted_best'\]",

@@ -104,6 +104,12 @@ def test_population_state_tolerates_the_rounding_of_a_large_zero_sum(n, seed):
         PopulationState.from_dict(data)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, 1.5, "1"])
+def test_population_state_loading_rejects_a_spin_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        PopulationState.from_dict({"n": n, "pops": [0.5, -0.5]})
+
+
 def test_population_state_round_trips_through_dict():
     state = thermal_state(2)
     again = PopulationState.from_dict(state.to_dict())
@@ -188,6 +194,12 @@ def test_spin_system_validation():
         SpinSystem(labels=["a"], j_hz=np.array([[1.0]]), shift_ppm=np.zeros(1), epsilon0=0.5)
     with pytest.raises(ValueError, match="epsilon0"):
         SpinSystem(labels=["a"], j_hz=np.zeros((1, 1)), shift_ppm=np.zeros(1), epsilon0=0.0)
+
+
+def test_spin_system_loading_does_not_split_a_string_into_spins():
+    data = {**example_system().to_dict(), "labels": "abc"}
+    with pytest.raises(ValueError, match="labels must be a JSON array"):
+        SpinSystem.from_dict(data)
 
 
 def test_spin_system_lookup_and_round_trip(tmp_path):
