@@ -114,8 +114,7 @@ def cmd_boost(args: argparse.Namespace) -> int:
 def cmd_cool(args: argparse.Namespace) -> int:
     plan = plan_rounds(args.n, args.eps0, args.target_eps, recycle=args.recycle)
     for i, rnd in enumerate(plan.rounds, start=1):
-        values = sorted({value for value, _ in rnd.blocks}, reverse=True)
-        pools = " ".join(dict.fromkeys(_fmt(v) for v in values))
+        pools = " ".join(dict.fromkeys(_fmt(value) for value, _ in rnd.blocks))
         print(f"round {i}: {rnd.boosts} boosts, input pools: {pools}")
     print(f"boost gates: {plan.boost_gate_count}")
     print(f"refocus gates: {plan.refocus_gate_count}")

@@ -14,7 +14,7 @@ indices, each a `range` or a sorted index array, and slicing a range with a
 step gives a range; so a round boosts once per pool value and costs
 O(pools), not O(spins), and a round keeps each pool's boosted spins as one
 block. The (k, 3) spin-index triples are built from the blocks only when
-something reads them: the plan file and the per-spin replays. The recorded
+something reads them: the plan file and the exact replay. The recorded
 operation count adds, on top of five gates per boost, one refocusing echo
 pair (two NOT pulses) per round for every physically present spin outside
 that round's triples: those couplings must be refocused while the active
@@ -22,11 +22,12 @@ spins evolve, and it is this per-round overhead that makes the total cost
 grow as n log n rather than linearly. Echo pairs compose to the identity,
 so they are bookkeeping only and never touch the simulated state.
 
-`simulate_plan` replays a plan with one engine under two policies: exact
-keeps the spins that boosts have correlated together until their last
-triple, approx forgets every correlation after each boost, so it boosts once
-per distinct pool value and copies the three marginals to every triple. On
-a plan the planner built, the approx policy's coldest spin is the lowest
+`simulate_plan` replays a plan under two policies, each with its own
+engine: exact walks the triples and keeps the spins that boosts have
+correlated together until their last triple; approx forgets every
+correlation after each boost, so it walks the blocks, one kernel call per
+block, and refuses a spin that does not hold its block's pool value. On a
+plan the planner built, the approx policy's coldest spin is the lowest
 spin of the coldest pool, so it needs no per-spin replay.
 """
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import CapacityError, InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
-from .states import IZ, MAX_POPULATION_SPINS, capacity_limit, check_capacity
+from .states import IZ, MAX_POPULATION_SPINS, as_float, as_floats, capacity_limit, check_capacity
 
 GATES_PER_BOOST = 5
 # Largest plan whose spin-index triples are built, for the plan file and the
@@ -152,7 +153,7 @@ class Round:
         self.triples = np.asarray(triples, dtype=np.intp)
         if self.triples.shape == (0,):
             self.triples = self.triples.reshape(0, 3)
-        self.pool_eps = np.asarray(pool_eps, dtype=float)
+        self.pool_eps = as_floats("pool_eps", pool_eps)
 
     @cached_property
     def blocks(self) -> list[tuple[float, range | np.ndarray]]:
@@ -279,6 +280,8 @@ class CoolingPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoolingPlan":
+        if not isinstance(data, dict):
+            raise ValueError(f"a plan must be a JSON object, got {type(data).__name__}")
         ledger = ("boost_gate_count", "refocus_gate_count", "total_gate_count")
         missing = {*ledger, *(f.name for f in fields(cls) if f.init)} - set(data)
         if missing:
@@ -288,9 +291,9 @@ class CoolingPlan:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         if not isinstance(recycle, bool):
             raise ValueError(f"recycle must be true or false, got {recycle!r}")
-        if not isinstance(data["labels"], list):
-            raise ValueError(f"labels must be a JSON array of spin names, got {data['labels']!r}")
-        labels = [str(s) for s in data["labels"]]
+        labels = data["labels"]
+        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+            raise ValueError(f"labels must be a JSON array of spin names, got {labels!r:.80}")
         index = {lab: i for i, lab in enumerate(labels)}
         rounds = []
         for r, rnd in enumerate(data["rounds"], start=1):
@@ -300,14 +303,14 @@ class CoolingPlan:
             if unknown:
                 raise ValueError(f"round {r}: unknown spin {unknown[0]}")
             triples = [[index[lab] for lab in t] for t in rnd["triples"]]
-            rounds.append(Round(triples=triples, pool_eps=[float(v) for v in rnd["pool_eps"]]))
+            rounds.append(Round(triples=triples, pool_eps=rnd["pool_eps"]))
         plan = cls(
             n=n,
-            eps0=float(data["eps0"]),
-            target_eps=float(data["target_eps"]),
+            eps0=as_float("eps0", data["eps0"]),
+            target_eps=as_float("target_eps", data["target_eps"]),
             recycle=recycle,
             rounds=rounds,
-            predicted_best=float(data["predicted_best"]),
+            predicted_best=as_float("predicted_best", data["predicted_best"]),
             labels=labels,
         )
         for name in ledger:
@@ -407,7 +410,7 @@ class PlanResult:
 
     @cached_property
     def eps_approx(self) -> np.ndarray | None:
-        return None if self.mode == "exact" else _replay(self.plan, joint=False)
+        return None if self.mode == "exact" else _replay_approx(self.plan)
 
     def best(self) -> tuple[int, float]:
         """Index and value of the coldest spin (exact values preferred).
@@ -421,42 +424,46 @@ class PlanResult:
         return spin, float(eps[spin])
 
 
-def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
+def _replay_approx(plan: CoolingPlan) -> np.ndarray:
+    """Per-spin polarizations under the approx policy, block by block.
+
+    Each triple of a block (value, run) boosts three independent spins that
+    must all hold `value`, so one kernel call gives the marginals of roles
+    a, b and c, `run[0::3]`, `[1::3]` and `[2::3]`. A spin that holds
+    another value (a loaded plan whose `pool_eps` disagree) is refused.
+    """
+    # Past this budget `both` would fill n floats here before the exact engine refuses.
+    _check_triple_budget(plan.n)
+    eps = np.full(plan.n, plan.eps0)
+    for rnd in plan.rounds:
+        for value, run in rnd.blocks:
+            index = slice(run.start, run.stop, run.step) if isinstance(run, range) else run
+            held = eps[index]  # a strided view for a range, a gather for an index array
+            i = int(np.argmax(held != value))
+            if held[i] != value:
+                triple = tuple(_indices(run)[i - i % 3 : i - i % 3 + 3].tolist())
+                raise ValueError(
+                    f"triple {triple} mixes polarization pools: spin {triple[i % 3]}"
+                    f" holds {float(held[i])!r}, its pool value is {value!r}"
+                )
+            held[0::3], held[1::3], held[2::3] = _boost_marginals(value)
+            eps[index] = held
+    return eps
+
+
+def _replay_exact(plan: CoolingPlan) -> np.ndarray:
     """Per-spin polarizations after the plan's triples, boosted in order.
 
     An uncorrelated spin is kept as its polarization alone; spins that a
     boost has correlated share a cluster: a spin list and a correlator
     tensor with one axis per spin. A boost merges its spins' clusters,
     applies the boost matrix to their three axes and reads their marginals.
-    With `joint`, a spin leaves its cluster after its last triple (index 0
-    on its axis), which keeps the result exact, and each merged cluster is
-    checked against the spin budget, read once per replay, before it is
-    allocated. Without it, no cluster forms: every boost sees three
-    independent spins of one pool value, so a whole round is one array step
-    that boosts each new pool value once.
+    A spin leaves its cluster after its last triple (index 0 on its axis),
+    which keeps the result exact, and each merged cluster is checked
+    against the spin budget, read once per replay, before it is allocated.
     """
     _check_triple_budget(plan.n)
     eps = np.full(plan.n, plan.eps0)
-    if not joint:
-        boosts: dict[float, tuple[float, float, float]] = {}
-        for rnd in plan.rounds:
-            v = eps[rnd.triples]
-            if not v.size:
-                continue
-            if (v == v[0, 0]).all():  # one pool value, the common case: no np.unique
-                values, inverse = [float(v[0, 0])], 0
-            else:
-                mixed = (v != v[:, :1]).any(axis=1)
-                if mixed.any():
-                    triple = tuple(rnd.triples[np.argmax(mixed)].tolist())
-                    raise ValueError(f"triple {triple} mixes polarization pools")
-                values, inverse = np.unique(v[:, 0], return_inverse=True)
-                values = values.tolist()
-            for value in values:
-                if value not in boosts:
-                    boosts[value] = _boost_marginals(value)
-            eps[rnd.triples] = np.array([boosts[value] for value in values])[inverse]
-        return eps
     triples = [tuple(t) for rnd in plan.rounds for t in rnd.triples.tolist()]
     last = {s: i for i, t in enumerate(triples) for s in t}
     clusters: dict[int, tuple[list[int], np.ndarray]] = {}
@@ -482,16 +489,17 @@ def _replay(plan: CoolingPlan, joint: bool) -> np.ndarray:
 
 
 def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
-    """Execute a plan with one engine under one of two policies.
+    """Execute a plan under one of two policies, each with its own engine.
 
     "approx" forgets correlations after each boost, so every boost sees
-    independent spins (cost independent of the state-space size); "exact"
-    keeps each cluster of correlated spins until their last triple, and the
-    population capacity guard bounds the largest such cluster; "both" runs
-    the two and reports their largest per-spin difference. A planned plan
-    answers the approx `best` from its pools, so its per-spin approx replay
-    waits until `eps_approx` is read; a loaded or hand-made plan is replayed
-    at once, which checks that every triple draws on one pool.
+    independent spins and each block costs one kernel call (cost independent
+    of the state-space size); "exact" keeps each cluster of correlated spins
+    until their last triple, and the population capacity guard bounds the
+    largest such cluster; "both" runs the two and reports their largest
+    per-spin difference. A planned plan answers the approx `best` from its
+    pools, so its per-spin approx replay waits until `eps_approx` is read; a
+    loaded or hand-made plan is replayed at once, which checks that every
+    spin of a block holds the block's pool value.
     """
     if mode not in {"exact", "approx", "both"}:
         raise ValueError(f"mode must be exact, approx, or both, got {mode!r}")
@@ -499,7 +507,7 @@ def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
     if mode == "both" or plan.best_spin is None:
         eps_approx = result.eps_approx
     if mode != "approx":
-        result.eps_exact = _replay(plan, joint=True)
+        result.eps_exact = _replay_exact(plan)
     if mode == "both":
         result.discrepancy = float(np.abs(result.eps_exact - eps_approx).max())
     return result

@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .pulses import Delay, FrameShift, PulseSequence, SelectivePulse
-from .states import UNITARITY_TOL, Unitary, check_capacity, iz_diag, spin_axis
+from .states import MAX_VERIFY_SPINS, UNITARITY_TOL, Unitary, capacity_limit, check_capacity
+from .states import iz_diag, spin_axis
 from .system import SpinSystem
 
 PATTERN_TOL = 1e-8
@@ -180,10 +181,13 @@ def verify_permutation(seq: PulseSequence, perm) -> bool:
     PASS when max |U(lam[perm] w) - lam (U w)| <= PATTERN_TOL, the default
     tolerance of `phase_pattern_equal`. Raises ValueError if any probe's
     norm changes by more than UNITARITY_TOL (relative), as a non-unitary
-    `Unitary` does, and if `perm` is not a bijection of integer entries.
+    `Unitary` does, and if `perm` is not a bijection of integer entries;
+    raises CapacityError past the verification budget, MAX_VERIFY_SPINS
+    unless `COOLSPIN_MAX_N` overrides it.
     """
     n = seq.system.n
-    check_capacity(n)
+    # The toggling frame holds n rows of 2**n floats, and a flush a second set.
+    check_capacity(n, limit=capacity_limit(MAX_VERIFY_SPINS), kind="verification")
     dim = 1 << n
     perm = _integer_permutation(perm)
     if perm.shape != (dim,):

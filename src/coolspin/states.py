@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import reduce
+from numbers import Real
 
 import numpy as np
 
@@ -54,16 +55,40 @@ def capacity_limit(default: int) -> int:
     return limit
 
 
-def check_capacity(n: int, *, dense: bool = False, limit: int | None = None) -> None:
-    """Raise CapacityError past the spin budget: `limit` if given, else read it now."""
+def check_capacity(
+    n: int, *, dense: bool = False, limit: int | None = None, kind: str | None = None
+) -> None:
+    """Raise CapacityError past the spin budget: `limit` if given, else read it now.
+
+    `kind` names the budget in the message, by default the array it guards.
+    """
     if limit is None:
         limit = capacity_limit(MAX_DENSE_SPINS if dense else MAX_POPULATION_SPINS)
     if n > limit:
-        kind = "a dense matrix" if dense else "a population vector"
+        kind = kind or ("a dense matrix" if dense else "a population vector")
         raise CapacityError(
             f"{n} spins exceeds the budget of {limit} for {kind}"
             f" (override with {CAPACITY_ENV_VAR})"
         )
+
+
+def as_floats(name: str, values) -> np.ndarray:
+    """Numbers (a scalar or nested lists) as a float array, in one pass for floats.
+
+    The inferred dtype must be numeric: strings, booleans, nulls and JSON
+    objects are refused instead of being cast.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers only, not strings, booleans, nulls or objects")
+    return array.astype(float, copy=False)
+
+
+def as_float(name: str, value) -> float:
+    """One number as a float; a boolean, a string or any other type is refused."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _validate_n(n: int) -> int:
@@ -82,7 +107,7 @@ class PopulationState:
     def __post_init__(self):
         self.n = _validate_n(self.n)
         check_capacity(self.n)
-        pops = np.asarray(self.pops, dtype=float)
+        pops = as_floats("pops", self.pops)
         if pops.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} populations, got shape {pops.shape}")
         if not np.isfinite(pops).all():
@@ -98,12 +123,14 @@ class PopulationState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PopulationState":
+        if not isinstance(data, dict):
+            raise ValueError(f"a state must be a JSON object, got {type(data).__name__}")
         if "n" not in data or "pops" not in data:
             raise ValueError("state object needs 'n' and 'pops' fields")
         n = data["n"]
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"n must be an integer, got {n!r}")
-        return cls(n=n, pops=np.asarray(data["pops"], dtype=float))
+        return cls(n=n, pops=data["pops"])
 
 
 @dataclass

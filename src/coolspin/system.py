@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .states import as_float, as_floats
+
 _SYMMETRY_TOL = 1e-12
 
 
@@ -29,14 +31,17 @@ class SpinSystem:
     epsilon0: float
 
     def __post_init__(self):
-        self.labels = [str(s) for s in self.labels]
+        self.labels = list(self.labels)
         n = len(self.labels)
         if n < 1:
             raise ValueError("a spin system needs at least one spin")
+        for label in self.labels:
+            if not isinstance(label, str):
+                raise ValueError(f"spin labels must be strings, got {label!r}")
         if len(set(self.labels)) != n:
             raise ValueError("spin labels must be unique")
-        self.j_hz = np.asarray(self.j_hz, dtype=float)
-        self.shift_ppm = np.asarray(self.shift_ppm, dtype=float)
+        self.j_hz = as_floats("j_hz", self.j_hz)
+        self.shift_ppm = as_floats("shift_ppm", self.shift_ppm)
         if self.j_hz.shape != (n, n):
             raise ValueError(f"coupling matrix must be {n}x{n}, got {self.j_hz.shape}")
         if self.shift_ppm.shape != (n,):
@@ -49,7 +54,7 @@ class SpinSystem:
             raise ValueError("coupling matrix must be symmetric")
         if not np.abs(np.diag(self.j_hz)).max() <= 0:
             raise ValueError("self-couplings must be zero")
-        self.epsilon0 = float(self.epsilon0)
+        self.epsilon0 = as_float("epsilon0", self.epsilon0)
         if not 0.0 < self.epsilon0 < 1.0:
             raise ValueError(f"epsilon0 must lie in (0, 1), got {self.epsilon0}")
 
@@ -85,6 +90,8 @@ class SpinSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpinSystem":
+        if not isinstance(data, dict):
+            raise ValueError(f"a spin system must be a JSON object, got {type(data).__name__}")
         missing = {"labels", "j_hz", "shift_ppm", "epsilon0"} - set(data)
         if missing:
             raise ValueError(f"spin-system object missing fields: {sorted(missing)}")

@@ -379,6 +379,58 @@ def test_spectrum_rejects_a_boolean_spin_count(capsys, tmp_path):
     assert "n must be an integer, got True" in err
 
 
+def _three_spins(**change):
+    system = {"labels": ["a", "b", "c"], "j_hz": [[0, 10, 0], [10, 0, 0], [0, 0, 0]]}
+    return {**system, "shift_ppm": [0, 0, 0], "epsilon0": 1e-5, **change}
+
+
+_STATE, _SYSTEM = "spectrum --state", "bound --system"
+_BOOLEANS = [[False, True, True], [True, False, True], [True, True, False]]
+
+
+@pytest.mark.parametrize(
+    ("command", "payload", "field"),
+    [
+        pytest.param(_STATE, {"n": 1, "pops": {"a": 1}}, "pops", id="pops-object"),
+        pytest.param(_STATE, {"n": 1, "pops": [True, False]}, "pops", id="pops-booleans"),
+        pytest.param(_STATE, {"n": 1, "pops": ["0.5", "-0.5"]}, "pops", id="pops-strings"),
+        pytest.param(_STATE, 5, "a state must be a JSON object", id="state-number"),
+        pytest.param(_SYSTEM, 5, "a spin system must be a JSON object", id="system-number"),
+        pytest.param(
+            _SYSTEM,
+            _three_spins(j_hz=[[0, "10", 0], [True, 0, 0], [0, 0, 0]]),
+            "j_hz",
+            id="j_hz-string-and-boolean",
+        ),
+        pytest.param(_SYSTEM, _three_spins(j_hz=_BOOLEANS), "j_hz", id="j_hz-booleans"),
+        pytest.param(_SYSTEM, _three_spins(shift_ppm=[0, None, 0]), "shift_ppm", id="shift-null"),
+        pytest.param(_SYSTEM, _three_spins(epsilon0="1e-5"), "epsilon0", id="epsilon0-string"),
+        pytest.param(_SYSTEM, _three_spins(epsilon0=True), "epsilon0", id="epsilon0-boolean"),
+        pytest.param(_SYSTEM, _three_spins(epsilon0=[1e-5]), "epsilon0", id="epsilon0-array"),
+        pytest.param(
+            "bound --spin None --system",
+            _three_spins(labels=[1, None, 2]),
+            "spin labels must be strings, got 1",
+            id="labels-not-strings",
+        ),
+        pytest.param(
+            _SYSTEM,
+            _three_spins(labels=["a", ["b"], "c"]),
+            "spin labels must be strings, got ['b']",
+            id="labels-array",
+        ),
+    ],
+)
+def test_input_files_must_hold_json_objects_numbers_and_string_labels(
+    capsys, tmp_path, command, payload, field
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and field in err
+
+
 def run_python(*argv, **env_vars):
     # Run the same package the tests import, installed or not, in a fresh interpreter.
     src = str(Path(coolspin.__file__).parents[1])

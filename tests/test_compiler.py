@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import coolspin as cs
 from coolspin.compiler import format_circuit, parse_circuit
 from coolspin.propagator import propagate
+from coolspin.states import CAPACITY_ENV_VAR
 from coolspin.pulses import (
     Delay,
     DurationModel,
@@ -588,6 +589,18 @@ def test_permutations_with_non_integer_entries_are_rejected_not_truncated():
             cs.verify_permutation(seq, bad)
         with pytest.raises(ValueError, match="must be integers"):
             cs.permutation_unitary(bad)
+
+
+def test_verify_permutation_enforces_the_verification_budget(monkeypatch):
+    # The probe check's toggling frame holds 17 rows of 2**17 floats here,
+    # 24 rows of 2**24 (3.2 GB) at the population budget.
+    monkeypatch.delenv(CAPACITY_ENV_VAR, raising=False)
+    seq = cs.compile_circuit(cs.CircuitIR(17, cs.boost_circuit()), _coupled_system(17, 17))
+    perm = cs.circuit_permutation(cs.boost_circuit(), 17)
+    with pytest.raises(cs.CapacityError, match="17 spins exceeds the budget of 16 for verification"):
+        cs.verify_permutation(seq, perm)
+    monkeypatch.setenv(CAPACITY_ENV_VAR, "17")
+    assert cs.verify_permutation(seq, perm)
 
 
 def test_verify_permutation_rejects_bad_permutations_and_non_unitary_events(monkeypatch):

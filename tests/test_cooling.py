@@ -1,6 +1,7 @@
 """Exact single-boost statistics and the multi-round scheduling engine."""
 import json
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -238,6 +239,23 @@ def test_plan_loading_rejects_a_gate_ledger_that_disagrees_with_the_rounds(field
             id="string-labels",
         ),
         pytest.param(
+            {"labels": ["s0", None, *(f"s{i}" for i in range(2, 9))]},
+            r"labels must be a JSON array of spin names, got \['s0', None, 's2'",
+            id="null-label",
+        ),
+        pytest.param({"eps0": "1e-3"}, "eps0 must be a number, got '1e-3'", id="string-eps0"),
+        pytest.param({"target_eps": True}, "target_eps must be a number, got True", id="boolean-target"),
+        pytest.param(
+            {"predicted_best": [2e-3]},
+            r"predicted_best must be a number, got \[0.002\]",
+            id="list-prediction",
+        ),
+        pytest.param(
+            {"rounds": [{"triples": [["s0", "s1", "s2"]], "pool_eps": ["0.001"]}]},
+            "pool_eps must hold numbers only",
+            id="string-pool-value",
+        ),
+        pytest.param(
             {"predicted_best": None},
             r"plan object missing fields: \['predicted_best'\]",
             id="missing-prediction",
@@ -468,6 +486,26 @@ def test_the_mixed_pool_error_names_the_first_bad_triple_of_its_round():
     rounds = [[(0, 1, 2)], [(3, 4, 5), (6, 7, 8), (0, 9, 10), (1, 11, 12)]]
     with pytest.raises(ValueError, match=r"triple \(0, 9, 10\) mixes polarization pools"):
         simulate_plan(_plan(13, 1e-3, rounds), mode="approx")
+
+
+@pytest.mark.parametrize("mode", ["approx", "both", "exact"])
+def test_a_loaded_plan_whose_pool_values_disagree_with_its_spins_is_refused(mode):
+    # Round 2 boosts the a pool and the b pool of round 1; its second triple
+    # now claims the a pool's value.
+    data = plan_rounds(9, 1e-3, 0.99 * 2.25e-3, recycle=True).to_dict()
+    want = simulate_plan(CoolingPlan.from_dict(data), mode="exact").eps_exact
+    eps_a, eps_b = data["rounds"][1]["pool_eps"]
+    data["rounds"][1]["pool_eps"] = [eps_a, eps_a]
+    plan = CoolingPlan.from_dict(data)
+    if mode == "exact":  # the cluster engine reads no pool values
+        assert simulate_plan(plan, mode=mode).eps_exact.tobytes() == want.tobytes()
+        return
+    message = (
+        f"triple (1, 4, 7) mixes polarization pools: spin 1 holds {eps_b!r},"
+        f" its pool value is {eps_a!r}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate_plan(plan, mode=mode)
 
 
 def test_a_round_holds_its_triples_and_pool_values_as_arrays():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from coolspin import (
     CapacityError,
+    CoolingPlan,
     PopulationState,
     SpinSystem,
     Unitary,
@@ -194,12 +195,27 @@ def test_spin_system_validation():
         SpinSystem(labels=["a"], j_hz=np.array([[1.0]]), shift_ppm=np.zeros(1), epsilon0=0.5)
     with pytest.raises(ValueError, match="epsilon0"):
         SpinSystem(labels=["a"], j_hz=np.zeros((1, 1)), shift_ppm=np.zeros(1), epsilon0=0.0)
+    integers = SpinSystem(labels=["a", "b"], j_hz=[[0, 10], [10, 0]], shift_ppm=[0, 1], epsilon0=0.5)
+    assert integers.j_hz.dtype == integers.shift_ppm.dtype == float
 
 
 def test_spin_system_loading_does_not_split_a_string_into_spins():
     data = {**example_system().to_dict(), "labels": "abc"}
     with pytest.raises(ValueError, match="labels must be a JSON array"):
         SpinSystem.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data", [5, [1, 2], "abc", None], ids=["number", "array", "string", "null"]
+)
+def test_loaders_refuse_a_json_value_that_is_not_an_object(data):
+    for load, name in (
+        (PopulationState.from_dict, "a state"),
+        (SpinSystem.from_dict, "a spin system"),
+        (CoolingPlan.from_dict, "a plan"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be a JSON object"):
+            load(data)
 
 
 def test_spin_system_lookup_and_round_trip(tmp_path):
