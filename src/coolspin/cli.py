@@ -5,11 +5,13 @@ entropy limits), `boost` (the three-spin transformation), `cool`
 (multi-round schedules), `compile` (pulse-sequence synthesis with
 self-verification), and `spectrum` (readout prediction as CSV).
 
-All numeric output is printed with 12 significant digits; state and plan
-dumps are JSON at full float precision so a dumped artifact re-ingested
-by a later command reproduces its reports bit for bit. Exit codes: 0
-success, 2 bad input, 3 infeasible cooling target, 4 capacity guard or an
-allocation that ran out of memory.
+All numeric output is printed with 12 significant digits; state, plan and
+sequence dumps are JSON at full float precision. Only a state file is read
+back by a command (`spectrum --state`, reproducing its reports bit for
+bit); plans and sequences reload through `CoolingPlan.from_dict` and
+`PulseSequence.from_json`. Exit codes: 0 success, 2 bad input, 3
+infeasible cooling target, 4 capacity guard or an allocation that ran out
+of memory.
 """
 from __future__ import annotations
 
@@ -248,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CapacityError, MemoryError) as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # a JSON syntax error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

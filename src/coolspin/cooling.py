@@ -34,14 +34,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import CapacityError, InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
-from .states import IZ, MAX_POPULATION_SPINS, as_float, as_floats, capacity_limit, check_capacity
+from .states import IZ, MAX_POPULATION_SPINS, as_float, as_floats, as_int, as_labels, as_list
+from .states import capacity_limit, check_capacity, json_fields
 
 GATES_PER_BOOST = 5
 # Largest plan whose spin-index triples are built, for the plan file and the
@@ -280,43 +281,30 @@ class CoolingPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoolingPlan":
-        if not isinstance(data, dict):
-            raise ValueError(f"a plan must be a JSON object, got {type(data).__name__}")
         ledger = ("boost_gate_count", "refocus_gate_count", "total_gate_count")
-        missing = {*ledger, *(f.name for f in fields(cls) if f.init)} - set(data)
-        if missing:
-            raise ValueError(f"plan object missing fields: {sorted(missing)}")
-        n, recycle = data["n"], data["recycle"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+        names = ("n", "eps0", "target_eps", "recycle", "rounds", "predicted_best", "labels", *ledger)
+        n, eps0, target, recycle, rounds, best, labels, *counts = json_fields("a plan", data, names)
         if not isinstance(recycle, bool):
             raise ValueError(f"recycle must be true or false, got {recycle!r}")
-        labels = data["labels"]
-        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-            raise ValueError(f"labels must be a JSON array of spin names, got {labels!r:.80}")
+        labels = as_labels("labels", labels)
         index = {lab: i for i, lab in enumerate(labels)}
-        rounds = []
-        for r, rnd in enumerate(data["rounds"], start=1):
-            if any(not isinstance(t, list) or len(t) != 3 for t in rnd["triples"]):
+        loaded = []
+        for r, rnd in enumerate(as_list("rounds", rounds), start=1):
+            triples, pool_eps = json_fields(f"round {r}", rnd, ("triples", "pool_eps"))
+            triples = as_list(f"round {r} triples", triples)
+            if any(not isinstance(t, list) or len(t) != 3 for t in triples):
                 raise ValueError(f"round {r}: every boost triple must name three spins")
-            unknown = [lab for t in rnd["triples"] for lab in t if lab not in index]
+            unknown = [s for t in triples for s in t if not isinstance(s, str) or s not in index]
             if unknown:
                 raise ValueError(f"round {r}: unknown spin {unknown[0]}")
-            triples = [[index[lab] for lab in t] for t in rnd["triples"]]
-            rounds.append(Round(triples=triples, pool_eps=rnd["pool_eps"]))
+            loaded.append(Round([[index[s] for s in t] for t in triples], pool_eps))
         plan = cls(
-            n=n,
-            eps0=as_float("eps0", data["eps0"]),
-            target_eps=as_float("target_eps", data["target_eps"]),
-            recycle=recycle,
-            rounds=rounds,
-            predicted_best=as_float("predicted_best", data["predicted_best"]),
-            labels=labels,
+            as_int("n", n, positive=True), as_float("eps0", eps0), as_float("target_eps", target),
+            recycle, loaded, as_float("predicted_best", best), labels,
         )
-        for name in ledger:
-            want = getattr(plan, name)
-            if data[name] != want:
-                raise ValueError(f"{name} is {data[name]!r}, but the rounds give {want}")
+        for name, count in zip(ledger, counts):
+            if as_int(name, count) != getattr(plan, name):
+                raise ValueError(f"{name} is {count!r}, but the rounds give {getattr(plan, name)}")
         return plan
 
 

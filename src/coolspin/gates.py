@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import as_int
+
 PERMUTATION_KINDS = {"NOT": 1, "CNOT": 2, "TOFFOLI": 3, "FREDKIN": 3}
 ROTATION_KINDS = {"RX": 1, "RY": 1, "RZ": 1, "CRY": 2, "CRZ": 2}
 
@@ -27,7 +29,7 @@ class Gate:
 
     def __post_init__(self):
         self.kind = str(self.kind).upper()
-        self.spins = tuple(int(s) for s in self.spins)
+        self.spins = tuple(as_int("spin index", s) for s in self.spins)
         if self.kind in PERMUTATION_KINDS:
             arity = PERMUTATION_KINDS[self.kind]
             if self.angle_deg is not None:
@@ -43,8 +45,6 @@ class Gate:
             raise ValueError(f"{self.kind} takes {arity} operand(s), got {len(self.spins)}")
         if len(set(self.spins)) != len(self.spins):
             raise ValueError(f"{self.kind} operands must be distinct spins")
-        if any(s < 0 for s in self.spins):
-            raise ValueError("spin indices must be non-negative")
 
 
 def gate_permutation(gate: Gate, n: int) -> np.ndarray:

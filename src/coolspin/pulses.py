@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from .states import as_float, as_label, as_list, json_fields
 from .system import SpinSystem
 
 
@@ -41,15 +42,6 @@ class SelectivePulse:
         if not 0.0 <= self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and nonnegative, got {self.duration_s}")
 
-    def to_dict(self) -> dict:
-        return {
-            "event": "pulse",
-            "spin": self.spin,
-            "phase_deg": self.phase_deg,
-            "angle_deg": self.angle_deg,
-            "duration_s": self.duration_s,
-        }
-
 
 @dataclass(frozen=True)
 class Delay:
@@ -58,9 +50,6 @@ class Delay:
     def __post_init__(self):
         if not 0.0 <= self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and nonnegative, got {self.duration_s}")
-
-    def to_dict(self) -> dict:
-        return {"event": "delay", "duration_s": self.duration_s}
 
 
 @dataclass(frozen=True)
@@ -73,27 +62,30 @@ class FrameShift:
     def __post_init__(self):
         _require_finite(self, "angle_deg")
 
-    def to_dict(self) -> dict:
-        return {"event": "frame_shift", "spin": self.spin, "angle_deg": self.angle_deg}
-
 
 Event = SelectivePulse | Delay | FrameShift
 
 
+# The JSON codec: an event is an object whose "event" tag names its kind and
+# whose other keys are the kind's fields, a spin label or a number each.
+_KINDS = {"pulse": SelectivePulse, "delay": Delay, "frame_shift": FrameShift}
+_TAGS = {kind: tag for tag, kind in _KINDS.items()}
+_FIELDS = {tag: tuple(f.name for f in fields(kind)) for tag, kind in _KINDS.items()}
+
+
+def event_to_dict(event: Event) -> dict:
+    # An event's instance dict holds exactly its fields: FrameShift's zero
+    # duration is a class attribute.
+    return {"event": _TAGS[type(event)], **vars(event)}
+
+
 def event_from_dict(data: dict) -> Event:
-    kind = data.get("event")
-    if kind == "pulse":
-        return SelectivePulse(
-            spin=str(data["spin"]),
-            phase_deg=float(data["phase_deg"]),
-            angle_deg=float(data["angle_deg"]),
-            duration_s=float(data["duration_s"]),
-        )
-    if kind == "delay":
-        return Delay(duration_s=float(data["duration_s"]))
-    if kind == "frame_shift":
-        return FrameShift(spin=str(data["spin"]), angle_deg=float(data["angle_deg"]))
-    raise ValueError(f"unknown event kind {kind!r}")
+    (tag,) = json_fields("an event", data, ("event",))
+    if not isinstance(tag, str) or tag not in _KINDS:
+        raise ValueError(f"unknown event kind {tag!r}")
+    names = _FIELDS[tag]
+    values = zip(names, json_fields(f"a {tag} event", data, names))
+    return _KINDS[tag](*(as_label(v) if k == "spin" else as_float(k, v) for k, v in values))
 
 
 @dataclass(frozen=True)
@@ -166,14 +158,17 @@ class PulseSequence:
     def to_json(self, indent: int | None = 2) -> str:
         payload = {
             "system": self.system.to_dict(),
-            "events": [e.to_dict() for e in self.events],
+            "events": [event_to_dict(e) for e in self.events],
             "total_duration_s": self.total_duration_s,
         }
         return json.dumps(payload, indent=indent, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "PulseSequence":
-        payload = json.loads(text)
-        system = SpinSystem.from_dict(payload["system"])
-        events = [event_from_dict(e) for e in payload["events"]]
-        return cls(system=system, events=events)
+        names = ("system", "events", "total_duration_s")
+        system, events, total = json_fields("a sequence", json.loads(text), names)
+        events = [event_from_dict(e) for e in as_list("events", events)]
+        seq = cls(system=SpinSystem.from_dict(system), events=events)
+        if as_float("total_duration_s", total) != seq.total_duration_s:
+            raise ValueError(f"total_duration_s is {total!r}, not the events' {seq.total_duration_s}")
+        return seq

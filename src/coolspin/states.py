@@ -1,4 +1,4 @@
-"""State containers for small spin-1/2 ensembles.
+"""State containers for small spin-1/2 ensembles, and the JSON readers all loaders share.
 
 `PopulationState` is the package's one state type: a traceless diagonal in
 deviation units, for states and z observables alike. `Unitary` is the dense
@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -75,26 +76,61 @@ def check_capacity(
 def as_floats(name: str, values) -> np.ndarray:
     """Numbers (a scalar or nested lists) as a float array, in one pass for floats.
 
-    The inferred dtype must be numeric: strings, booleans, nulls and JSON
-    objects are refused instead of being cast.
+    The inferred dtype must be numeric and a list may hold no boolean:
+    strings, booleans, nulls and JSON objects are refused instead of being cast.
     """
     array = np.asarray(values)
-    if array.dtype.kind not in "iuf":
+    # numpy reads a boolean among numbers as 0 or 1; only a list, not an array, can hold one.
+    leaves = values if isinstance(values, list) else ()
+    for _ in range(array.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    if array.dtype.kind not in "iuf" or bool in set(map(type, leaves)):
         raise ValueError(f"{name} must hold numbers only, not strings, booleans, nulls or objects")
     return array.astype(float, copy=False)
 
 
 def as_float(name: str, value) -> float:
-    """One number as a float; a boolean, a string or any other type is refused."""
-    if isinstance(value, bool) or not isinstance(value, Real):
+    """One number as a float (floats pass at once); a bool, a string or another type is refused."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
 
-def _validate_n(n: int) -> int:
-    if n != int(n) or n < 1:
-        raise ValueError(f"spin count must be a positive integer, got {n}")
-    return int(n)
+def as_int(name: str, value, *, positive: bool = False) -> int:
+    """One integer (Python or numpy), at least 0 (1 if `positive`); a bool or a float is refused."""
+    if not (type(value) is int or isinstance(value, np.integer)) or value < positive:
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
+    return int(value)
+
+
+def as_label(value) -> str:
+    """One spin label, which must be a string: a number or a null is not one."""
+    if not isinstance(value, str):
+        raise ValueError(f"spin labels must be strings, got {value!r}")
+    return value
+
+
+def as_list(name: str, value) -> list:
+    """A JSON array, refused if it is any other JSON value (a string is not split)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON array, got {value!r:.80}")
+    return value
+
+
+def as_labels(name: str, values) -> list[str]:
+    """A JSON array of spin labels."""
+    return [as_label(value) for value in as_list(name, values)]
+
+
+def json_fields(what: str, data, names: tuple[str, ...]) -> list:
+    """The values of `names`, in order, in the JSON object `what` ("a plan") that holds each."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    try:
+        return [data[name] for name in names]
+    except KeyError:
+        raise ValueError(f"{what} object missing fields: {sorted(set(names) - data.keys())}") from None
 
 
 @dataclass
@@ -105,11 +141,11 @@ class PopulationState:
     pops: np.ndarray
 
     def __post_init__(self):
-        self.n = _validate_n(self.n)
+        self.n = as_int("spin count", self.n, positive=True)
         check_capacity(self.n)
         pops = as_floats("pops", self.pops)
         if pops.shape != (2**self.n,):
-            raise ValueError(f"expected {2**self.n} populations, got shape {pops.shape}")
+            raise ValueError(f"pops must hold {2**self.n} populations, got shape {pops.shape}")
         if not np.isfinite(pops).all():
             raise ValueError("populations must be finite")
         # A float sum's rounding error grows with the sum of the magnitudes.
@@ -123,14 +159,8 @@ class PopulationState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PopulationState":
-        if not isinstance(data, dict):
-            raise ValueError(f"a state must be a JSON object, got {type(data).__name__}")
-        if "n" not in data or "pops" not in data:
-            raise ValueError("state object needs 'n' and 'pops' fields")
-        n = data["n"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"n must be an integer, got {n!r}")
-        return cls(n=n, pops=data["pops"])
+        n, pops = json_fields("a state", data, ("n", "pops"))
+        return cls(n=as_int("n", n, positive=True), pops=pops)
 
 
 @dataclass
@@ -141,7 +171,7 @@ class Unitary:
     mat: np.ndarray
 
     def __post_init__(self):
-        self.n = _validate_n(self.n)
+        self.n = as_int("spin count", self.n, positive=True)
         check_capacity(self.n, dense=True)
         mat = np.asarray(self.mat, dtype=complex)
         dim = 2**self.n
@@ -171,7 +201,7 @@ def iz_diag(n: int, spin: int) -> np.ndarray:
 
 def thermal_state(n: int) -> PopulationState:
     """Equilibrium deviation populations: the sum of every spin's Iz diagonal."""
-    n = _validate_n(n)
+    n = as_int("spin count", n, positive=True)
     check_capacity(n)
     return PopulationState(n=n, pops=reduce(np.add.outer, [IZ] * n).reshape(-1))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import as_float, as_floats
+from .states import as_float, as_floats, as_int, as_labels, json_fields
 
 _SYMMETRY_TOL = 1e-12
 
@@ -31,21 +31,18 @@ class SpinSystem:
     epsilon0: float
 
     def __post_init__(self):
-        self.labels = list(self.labels)
+        self.labels = as_labels("labels", self.labels)
         n = len(self.labels)
         if n < 1:
             raise ValueError("a spin system needs at least one spin")
-        for label in self.labels:
-            if not isinstance(label, str):
-                raise ValueError(f"spin labels must be strings, got {label!r}")
         if len(set(self.labels)) != n:
             raise ValueError("spin labels must be unique")
         self.j_hz = as_floats("j_hz", self.j_hz)
         self.shift_ppm = as_floats("shift_ppm", self.shift_ppm)
         if self.j_hz.shape != (n, n):
-            raise ValueError(f"coupling matrix must be {n}x{n}, got {self.j_hz.shape}")
+            raise ValueError(f"j_hz must be {n}x{n}, one coupling per pair, got {self.j_hz.shape}")
         if self.shift_ppm.shape != (n,):
-            raise ValueError(f"need one chemical shift per spin, got {self.shift_ppm.shape}")
+            raise ValueError(f"shift_ppm must hold one shift per spin, got {self.shift_ppm.shape}")
         for name in ("j_hz", "shift_ppm"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -65,12 +62,11 @@ class SpinSystem:
     def spin_index(self, spin: int | str) -> int:
         """Resolve a label or integer index to an index, with range check."""
         if isinstance(spin, str):
-            try:
-                return self.labels.index(spin)
-            except ValueError:
-                raise ValueError(f"unknown spin label {spin!r}; have {self.labels}") from None
-        idx = int(spin)
-        if not 0 <= idx < self.n:
+            if spin not in self.labels:
+                raise ValueError(f"unknown spin label {spin!r}; have {self.labels}")
+            return self.labels.index(spin)
+        idx = as_int("spin index", spin)
+        if idx >= self.n:
             raise ValueError(f"spin index {idx} out of range for {self.n} spins")
         return idx
 
@@ -90,19 +86,7 @@ class SpinSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpinSystem":
-        if not isinstance(data, dict):
-            raise ValueError(f"a spin system must be a JSON object, got {type(data).__name__}")
-        missing = {"labels", "j_hz", "shift_ppm", "epsilon0"} - set(data)
-        if missing:
-            raise ValueError(f"spin-system object missing fields: {sorted(missing)}")
-        if not isinstance(data["labels"], list):
-            raise ValueError(f"labels must be a JSON array of spin names, got {data['labels']!r}")
-        return cls(
-            labels=data["labels"],
-            j_hz=data["j_hz"],
-            shift_ppm=data["shift_ppm"],
-            epsilon0=data["epsilon0"],
-        )
+        return cls(*json_fields("a spin system", data, ("labels", "j_hz", "shift_ppm", "epsilon0")))
 
     @classmethod
     def load(cls, path: str | Path) -> "SpinSystem":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -233,17 +234,18 @@ def line_amplitudes(pops, n, j):
 def simulate_sequence_kron(seq):
     """Composite unitary of a pulse sequence as a bare 2**n x 2**n matrix.
 
-    Reads only the system's labels and couplings and each event's
-    `to_dict()`. A delay multiplies by the phases of `delay_angles`; a pulse
-    or frame shift is padded with identities by np.kron into a full matrix,
-    O(d**3) per event.
+    Reads only the sequence's JSON form (`to_json()`): the system's labels
+    and couplings and each event. A delay multiplies by the phases of
+    `delay_angles`; a pulse or frame shift is padded with identities by
+    np.kron into a full matrix, O(d**3) per event.
     """
-    labels = list(seq.system.labels)
-    j_hz = np.asarray(seq.system.j_hz).tolist()
+    payload = json.loads(seq.to_json())
+    labels = payload["system"]["labels"]
+    j_hz = payload["system"]["j_hz"]
     n = len(labels)
     phases = {}
     total = np.eye(1 << n, dtype=complex)
-    for event in (e.to_dict() for e in seq.events):
+    for event in payload["events"]:
         if event["event"] == "delay":
             t = event["duration_s"]
             if t not in phases:

@@ -376,7 +376,7 @@ def test_spectrum_rejects_a_boolean_spin_count(capsys, tmp_path):
     state.write_text(json.dumps({"n": True, "pops": [0.5, -0.5]}))
     code, out, err = run(capsys, "spectrum", "--system", str(system), "--state", str(state))
     assert (code, out) == (2, "")
-    assert "n must be an integer, got True" in err
+    assert "n must be a positive integer, got True" in err
 
 
 def _three_spins(**change):
@@ -394,6 +394,7 @@ _BOOLEANS = [[False, True, True], [True, False, True], [True, True, False]]
         pytest.param(_STATE, {"n": 1, "pops": {"a": 1}}, "pops", id="pops-object"),
         pytest.param(_STATE, {"n": 1, "pops": [True, False]}, "pops", id="pops-booleans"),
         pytest.param(_STATE, {"n": 1, "pops": ["0.5", "-0.5"]}, "pops", id="pops-strings"),
+        pytest.param(_STATE, {"n": 1, "pops": [True, -1]}, "pops", id="pops-boolean-among-numbers"),
         pytest.param(_STATE, 5, "a state must be a JSON object", id="state-number"),
         pytest.param(_SYSTEM, 5, "a spin system must be a JSON object", id="system-number"),
         pytest.param(
@@ -403,6 +404,12 @@ _BOOLEANS = [[False, True, True], [True, False, True], [True, True, False]]
             id="j_hz-string-and-boolean",
         ),
         pytest.param(_SYSTEM, _three_spins(j_hz=_BOOLEANS), "j_hz", id="j_hz-booleans"),
+        pytest.param(
+            _SYSTEM,
+            _three_spins(j_hz=[[0, True, 10], [True, 0, 10], [10, 10, 0]]),
+            "j_hz",
+            id="j_hz-boolean-among-numbers",
+        ),
         pytest.param(_SYSTEM, _three_spins(shift_ppm=[0, None, 0]), "shift_ppm", id="shift-null"),
         pytest.param(_SYSTEM, _three_spins(epsilon0="1e-5"), "epsilon0", id="epsilon0-string"),
         pytest.param(_SYSTEM, _three_spins(epsilon0=True), "epsilon0", id="epsilon0-boolean"),

@@ -19,6 +19,7 @@ from coolspin.pulses import (
     SelectivePulse,
     coupled_delay_s,
     event_from_dict,
+    event_to_dict,
     standard_toffoli_s,
 )
 
@@ -56,7 +57,7 @@ def test_event_validation_and_round_trip():
         Delay(duration_s=1e-3),
         FrameShift(spin="b", angle_deg=-90.0),
     ):
-        assert event_from_dict(event.to_dict()) == event
+        assert event_from_dict(event_to_dict(event)) == event
     with pytest.raises(ValueError, match="unknown event kind"):
         event_from_dict({"event": "teleport"})
 
@@ -85,6 +86,15 @@ def compile_nothing(**options):
         (lambda: DurationModel(pulse90_s=NAN), "pulse90_s"),
         (lambda: DurationModel(pulse90_s=INF), "pulse90_s"),
         (lambda: event_from_dict({"event": "delay", "duration_s": "nan"}), "duration_s"),
+        (lambda: event_from_dict({"event": "delay", "duration_s": True}), "duration_s"),
+        (
+            lambda: event_from_dict({"event": "frame_shift", "spin": 1, "angle_deg": 90.0}),
+            "spin labels must be strings, got 1",
+        ),
+        (
+            lambda: event_from_dict({"event": "frame_shift", "spin": "a", "angle_deg": "90"}),
+            "angle_deg must be a number, got '90'",
+        ),
         (lambda: cs.PopulationState(n=1, pops=[NAN, NAN]), "populations"),
         (lambda: cs.PopulationState(n=1, pops=[INF, 0.0]), "populations"),
         (lambda: cs.Unitary(n=1, mat=np.full((2, 2), NAN)), "not unitary"),

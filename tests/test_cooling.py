@@ -235,12 +235,12 @@ def test_plan_loading_rejects_a_gate_ledger_that_disagrees_with_the_rounds(field
         pytest.param({"recycle": "no"}, "recycle must be true or false, got 'no'", id="string-recycle"),
         pytest.param(
             {"labels": "abcdefghi"},
-            "labels must be a JSON array of spin names, got 'abcdefghi'",
+            "labels must be a JSON array, got 'abcdefghi'",
             id="string-labels",
         ),
         pytest.param(
             {"labels": ["s0", None, *(f"s{i}" for i in range(2, 9))]},
-            r"labels must be a JSON array of spin names, got \['s0', None, 's2'",
+            "spin labels must be strings, got None",
             id="null-label",
         ),
         pytest.param({"eps0": "1e-3"}, "eps0 must be a number, got '1e-3'", id="string-eps0"),
@@ -254,6 +254,18 @@ def test_plan_loading_rejects_a_gate_ledger_that_disagrees_with_the_rounds(field
             {"rounds": [{"triples": [["s0", "s1", "s2"]], "pool_eps": ["0.001"]}]},
             "pool_eps must hold numbers only",
             id="string-pool-value",
+        ),
+        pytest.param({"rounds": 5}, "rounds must be a JSON array, got 5", id="number-rounds"),
+        pytest.param({"rounds": [5]}, "round 1 must be a JSON object, got int", id="number-round"),
+        pytest.param(
+            {"rounds": [{"triples": 5, "pool_eps": [1e-3]}]},
+            "round 1 triples must be a JSON array, got 5",
+            id="number-triples",
+        ),
+        pytest.param(
+            {"rounds": [{"triples": [["s0", "s1", "s2"]]}]},
+            r"round 1 object missing fields: \['pool_eps'\]",
+            id="missing-pool-values",
         ),
         pytest.param(
             {"predicted_best": None},

@@ -37,8 +37,10 @@ def test_gate_validation():
         Gate("NOT", (0,), angle_deg=90.0)
     with pytest.raises(ValueError, match="needs an angle"):
         Gate("RY", (0,))
-    with pytest.raises(ValueError, match="non-negative"):
-        Gate("NOT", (-1,))
+    for kind, spins in (("NOT", (-1,)), ("NOT", (0.7,)), ("CNOT", (True, 0))):
+        with pytest.raises(ValueError, match="spin index must be a non-negative integer"):
+            Gate(kind, spins)
+    assert Gate("CNOT", (np.int64(1), np.uint8(0))).spins == (1, 0)
 
 
 def test_rotation_gates_have_no_permutation():

@@ -17,12 +17,13 @@ from coolspin import (
     example_system_path,
     iz_product_diag,
     permute_vector,
+    plan_rounds,
     polarization,
     readout,
     thermal_state,
 )
 from coolspin.propagator import propagate
-from coolspin.pulses import Delay, PulseSequence
+from coolspin.pulses import Delay, FrameShift, PulseSequence, SelectivePulse, event_from_dict
 from coolspin.states import (
     CAPACITY_ENV_VAR,
     MAX_DENSE_SPINS,
@@ -107,8 +108,10 @@ def test_population_state_tolerates_the_rounding_of_a_large_zero_sum(n, seed):
 
 @pytest.mark.parametrize("n", [True, 1.0, 1.5, "1"])
 def test_population_state_loading_rejects_a_spin_count_that_is_not_an_integer(n):
-    with pytest.raises(ValueError, match="n must be an integer"):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
         PopulationState.from_dict({"n": n, "pops": [0.5, -0.5]})
+    with pytest.raises(ValueError, match="spin count must be a positive integer"):
+        thermal_state(n)
 
 
 def test_population_state_round_trips_through_dict():
@@ -213,9 +216,63 @@ def test_loaders_refuse_a_json_value_that_is_not_an_object(data):
         (PopulationState.from_dict, "a state"),
         (SpinSystem.from_dict, "a spin system"),
         (CoolingPlan.from_dict, "a plan"),
+        (event_from_dict, "an event"),
+        (lambda value: PulseSequence.from_json(json.dumps(value)), "a sequence"),
     ):
         with pytest.raises(ValueError, match=f"{name} must be a JSON object"):
             load(data)
+
+
+def _fields(doc, path=()):
+    """Path of every field of a JSON document, through objects and arrays."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        if isinstance(key, str):
+            yield (*path, key)
+        yield from _fields(value, (*path, key))
+
+
+# One valid document per loader; each test example breaks one field of a copy.
+_DOCUMENTS = {
+    "state": (PopulationState.from_dict, thermal_state(2).to_dict()),
+    "system": (SpinSystem.from_dict, example_system().to_dict()),
+    "plan": (CoolingPlan.from_dict, plan_rounds(9, 1e-3, 2.2e-3, recycle=True).to_dict()),
+    "sequence": (
+        lambda doc: PulseSequence.from_json(json.dumps(doc)),
+        json.loads(
+            PulseSequence(
+                example_system(),
+                [SelectivePulse("a", 90.0, 180.0, 4e-3), Delay(1e-3), FrameShift("b", 30.0)],
+            ).to_json()
+        ),
+    ),
+}
+# A value of each JSON type but number; a field is given one of another type.
+_JSON_VALUES = st.one_of(
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_DOCUMENTS)), data=st.data())
+def test_loaders_refuse_a_field_of_another_json_type_or_a_missing_one_naming_it(name, data):
+    load, document = _DOCUMENTS[name]
+    doc = json.loads(json.dumps(document))
+    *parent, field = data.draw(st.sampled_from(list(_fields(doc))))
+    owner = doc
+    for key in parent:
+        owner = owner[key]
+    if data.draw(st.booleans()):
+        del owner[field]
+    else:
+        kind = type(owner[field])
+        owner[field] = data.draw(_JSON_VALUES.filter(lambda value: type(value) is not kind))
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        load(doc)
 
 
 def test_spin_system_lookup_and_round_trip(tmp_path):
@@ -223,7 +280,10 @@ def test_spin_system_lookup_and_round_trip(tmp_path):
     assert system.labels == ["a", "b", "c"]
     assert system.n == 3
     assert system.spin_index("b") == 1
-    assert system.spin_index(2) == 2
+    assert system.spin_index(2) == system.spin_index(np.int64(2)) == 2
+    for spin in (1.7, True, -1):
+        with pytest.raises(ValueError, match="spin index must be a non-negative integer"):
+            system.spin_index(spin)
     assert system.coupling("b", "c") == 53.8
     assert system.coupling(0, 1) == -122.1
     with pytest.raises(ValueError, match="unknown spin label"):
