@@ -3,32 +3,30 @@
 Boosts act on Z correlators <Z_S>, one per subset S of the spins: a spin
 at eps is (1, eps), independent spins multiply, and the boost is one fixed
 8x8 matrix with entries 0, +-1/2 and +-1. So `boost_exact` is exact at any
-polarization up to the rounding of eps**2 and eps**3.
+polarization up to the rounding of eps**2 and eps**3. The kernel that the
+scheduler and the approx replay share writes the matrix's three marginal
+rows out as float arithmetic in one fixed order, so its bits do not depend
+on BLAS.
 
 `plan_rounds` builds a schedule: spins sit in pools keyed by their exact
 polarization value, each round greedily forms disjoint triples inside every
 pool that still holds three spins (coldest pool first, lowest indices
 first), the first member of each triple comes out boosted, and the other
-two leave the live set unless role b is recycled. A pool holds runs of spin
-indices, each a `range` or a sorted index array, and slicing a range with a
-step gives a range; so a round boosts once per pool value and costs
-O(pools), not O(spins), and a round keeps each pool's boosted spins as one
-block. The (k, 3) spin-index triples are built from the blocks only when
-something reads them: the plan file and the exact replay. The recorded
-operation count adds, on top of five gates per boost, one refocusing echo
-pair (two NOT pulses) per round for every physically present spin outside
-that round's triples: those couplings must be refocused while the active
-spins evolve, and it is this per-round overhead that makes the total cost
-grow as n log n rather than linearly. Echo pairs compose to the identity,
-so they are bookkeeping only and never touch the simulated state.
+two leave the live set unless role b is recycled. A round boosts once per
+pool value, keeps each pool's boosted spins as one block, and builds its
+(k, 3) spin-index triples only when the plan file or the exact replay reads
+them. The recorded operation count adds, on top of five gates per boost,
+one refocusing echo pair (two NOT pulses) per round for every physically
+present spin outside that round's triples: those couplings must be
+refocused while the active spins evolve, and it is this per-round overhead
+that makes the total cost grow as n log n rather than linearly. Echo pairs
+compose to the identity, so they are bookkeeping only and never touch the
+simulated state.
 
 `simulate_plan` replays a plan under two policies, each with its own
-engine: exact walks the triples and keeps the spins that boosts have
-correlated together until their last triple; approx forgets every
-correlation after each boost, so it walks the blocks, one kernel call per
-block, and refuses a spin that does not hold its block's pool value. On a
-plan the planner built, the approx policy's coldest spin is the lowest
-spin of the coldest pool, so it needs no per-spin replay.
+engine: exact walks the triples and keeps correlated spins together until
+their last triple; approx forgets every correlation after each boost, so
+it makes one kernel call per block.
 """
 from __future__ import annotations
 
@@ -68,17 +66,19 @@ _W_2 = np.kron(_H, _H)
 _W_3 = np.kron(_W_2, _H)
 _BOOST_Z = _W_3[:, circuit_permutation(boost_circuit(), 3)] @ _W_3 / 8
 _CNOT_Z = _W_2[:, gate_permutation(Gate("CNOT", (0, 1)), 2)] @ _W_2 / 4
-# Size of each correlator's subset S: three independent spins at eps give eps**|S|.
-_SUBSET_SIZES = reduce(np.add.outer, [np.arange(2)] * 3).reshape(-1)
 # Correlator indices of spins a, b, c alone: the one-hot corners of the (2, 2, 2) view.
 _MARGINALS = np.ravel_multi_index(tuple(np.eye(3, dtype=int)), (2, 2, 2))
 
 
-def _boost_marginals(eps: float) -> tuple[float, float, float]:
-    """Polarizations of roles a, b, c after boosting three independent spins at eps."""
-    z = np.array([1.0, eps, eps * eps, eps * eps * eps])[_SUBSET_SIZES]
-    eps_a, eps_b, eps_c = (_BOOST_Z @ z)[_MARGINALS].tolist()
-    return eps_a, eps_b, eps_c
+def _boost_marginals(eps: float | np.ndarray) -> tuple:
+    """Polarizations of roles a, b, c after boosting three independent spins at eps.
+
+    Rows a, b, c of `_BOOST_Z @ z` for z_S = eps**|S|, summed as
+    ((t0 + t4) + (t2 + t6)) + ((t1 + t5) + (t3 + t7)) over t_j = _BOOST_Z[row, j] * z_j
+    with the zero terms dropped: the bits do not depend on BLAS, and eps may be an array.
+    """
+    h, h3 = 0.5 * eps, 0.5 * (eps * eps * eps)
+    return (h + h) + (h - h3), (h + h) + (h3 - h), 0.0 - eps * eps
 
 
 def boost_exact(eps: float) -> BoostReport:
@@ -141,9 +141,8 @@ class Round:
     hands over each pool's boosted spins as one block, a `range` or a sorted
     index array. `triples`, the (k, 3) integer array of spin indices, and
     `pool_eps`, the (k,) array of each triple's pool value, are built from
-    the blocks when first read. A round given as `triples` and `pool_eps`
-    (a loaded or hand-made plan) keeps them, and its blocks group
-    consecutive equal pool values.
+    the blocks when first read; a round given as them (a loaded or hand-made
+    plan) keeps them, and its blocks group consecutive equal pool values.
     """
 
     def __init__(self, triples=(), pool_eps=(), *, blocks=None):
@@ -177,9 +176,9 @@ class Round:
         counts = np.array([len(spins) // 3 for _, spins in self.blocks], dtype=np.intp)
         return np.repeat(values, counts)
 
-    @property
+    @cached_property
     def boosts(self) -> int:
-        """Number of triples, counted from the blocks."""
+        """Number of triples, counted from the blocks once."""
         return sum(len(spins) for _, spins in self.blocks) // 3
 
     def __repr__(self) -> str:
@@ -212,6 +211,9 @@ class CoolingPlan:
     best_spin: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        self.n = as_int("n", self.n, positive=True)
+        if not isinstance(self.recycle, bool):
+            raise ValueError(f"recycle must be true or false, got {self.recycle!r}")
         if self.labels and len(self.labels) != self.n:
             raise ValueError("need one label per spin")
         if not 0.0 <= self.eps0 <= 1.0:
@@ -284,8 +286,6 @@ class CoolingPlan:
         ledger = ("boost_gate_count", "refocus_gate_count", "total_gate_count")
         names = ("n", "eps0", "target_eps", "recycle", "rounds", "predicted_best", "labels", *ledger)
         n, eps0, target, recycle, rounds, best, labels, *counts = json_fields("a plan", data, names)
-        if not isinstance(recycle, bool):
-            raise ValueError(f"recycle must be true or false, got {recycle!r}")
         labels = as_labels("labels", labels)
         index = {lab: i for i, lab in enumerate(labels)}
         loaded = []
@@ -299,8 +299,8 @@ class CoolingPlan:
                 raise ValueError(f"round {r}: unknown spin {unknown[0]}")
             loaded.append(Round([[index[s] for s in t] for t in triples], pool_eps))
         plan = cls(
-            as_int("n", n, positive=True), as_float("eps0", eps0), as_float("target_eps", target),
-            recycle, loaded, as_float("predicted_best", best), labels,
+            n, as_float("eps0", eps0), as_float("target_eps", target), recycle, loaded,
+            as_float("predicted_best", best), labels,
         )
         for name, count in zip(ledger, counts):
             if as_int(name, count) != getattr(plan, name):
@@ -320,15 +320,14 @@ def plan_rounds(
 
     Pools are keyed by exact polarization value; identical histories give
     bit-identical floats, so float keys are deterministic. Triples never mix
-    pools. A pool is a list of runs of spin indices, starting as
-    `[range(n)]`; a pool's first 3k spins are the round's block for it, its
-    a-spins `spins[0:end:3]` (and, when recycling, its b-spins
-    `spins[1:end:3]`) move to the boosted pools, and `spins[end:]` stays.
-    Slicing keeps a range a range, so a round costs O(pools) and one boost
-    per pool value; only a pool fed by several runs, which takes a float tie
-    (eps0 below about 1e-9), is merged into a sorted index array. Raises the
-    infeasibility error when no pool can field a triple and the target is
-    still out of reach.
+    pools. A pool is a run of spin indices, starting as `range(n)`; its first
+    3k spins are the round's block, its a-spins `spins[0:end:3]` (and, when
+    recycling, its b-spins `spins[1:end:3]`) move to the boosted pools, and
+    `spins[end:]` stays. Slicing keeps a range a range, so a round costs
+    O(pools) and one boost per pool value; only a pool that float ties fed
+    several runs (eps0 below about 1e-9) holds a list of them, merged into a
+    sorted index array when its round comes. Raises the infeasibility error
+    when no pool can field a triple and the target is still out of reach.
     """
     if n < 3 or n != int(n):
         raise ValueError(f"need at least three spins to form a triple, got {n}")
@@ -338,33 +337,36 @@ def plan_rounds(
         raise ValueError(f"target must lie in (eps0, 1], got {target_eps}")
 
     n = int(n)
-    pools: dict[float, list[range | np.ndarray]] = {eps0: [range(n)]}
+    pools: dict[float, range | np.ndarray | list] = {eps0: range(n)}
     rounds: list[Round] = []
-
-    def frontier() -> float:
-        return max(pools) if pools else 0.0
-
-    while frontier() < target_eps:
+    while max(pools) < target_eps:  # a round that boosts leaves the pools nonempty
         blocks: list[tuple[float, range | np.ndarray]] = []
-        next_pools: dict[float, list[range | np.ndarray]] = {}
+        next_pools: dict[float, range | np.ndarray | list] = {}
+
+        def put(value: float, run: range | np.ndarray) -> None:
+            held = next_pools.setdefault(value, run)
+            if held is not run:  # a float tie: a second run joins this pool
+                next_pools[value] = (held if isinstance(held, list) else [held]) + [run]
+
         for value in sorted(pools, reverse=True):
-            spins = pools[value][0]
-            if len(pools[value]) > 1:  # a float tie fed this pool from several runs
-                spins = np.sort(np.concatenate([_indices(run) for run in pools[value]]))
-            end = len(spins) - len(spins) % 3
+            spins = pools[value]
+            if isinstance(spins, list):
+                spins = np.sort(np.concatenate([_indices(run) for run in spins]))
+            size = len(spins)
+            end = size - size % 3
             if end:
                 eps_a, eps_b, _ = _boost_marginals(value)
                 blocks.append((value, spins[:end]))
-                next_pools.setdefault(eps_a, []).append(spins[0:end:3])
+                put(eps_a, spins[0:end:3])
                 if recycle:
-                    next_pools.setdefault(eps_b, []).append(spins[1:end:3])
-            if end < len(spins):
-                next_pools.setdefault(value, []).append(spins[end:])
+                    put(eps_b, spins[1:end:3])
+            if end < size:
+                put(value, spins[end:])
         if not blocks:
             # Twelve digits, as the CLI prints, or in full where they read alike.
-            target, best = f"{target_eps:.12g}", f"{frontier():.12g}"
+            target, best = f"{target_eps:.12g}", f"{max(pools):.12g}"
             if best == target:
-                target, best = repr(float(target_eps)), repr(float(frontier()))
+                target, best = repr(float(target_eps)), repr(float(max(pools)))
             raise InfeasibleError(
                 f"target {target} is unreachable with n={n} (best reachable pool sits at {best})"
             )
@@ -377,19 +379,18 @@ def plan_rounds(
         target_eps=target_eps,
         recycle=recycle,
         rounds=rounds,
-        predicted_best=frontier(),
+        predicted_best=max(pools),
         labels=labels or [],
     )
-    plan.best_spin = min(int(run[0]) for run in pools[plan.predicted_best])
+    coldest = pools[plan.predicted_best]
+    runs = coldest if isinstance(coldest, list) else [coldest]
+    plan.best_spin = min(int(run[0]) for run in runs)
     return plan
 
 
 @dataclass
 class PlanResult:
-    """Per-spin polarizations after executing a plan.
-
-    `eps_approx` is replayed from the plan when first read (None in exact mode).
-    """
+    """Per-spin polarizations after executing a plan; `eps_approx` is replayed when first read."""
 
     mode: str
     plan: CoolingPlan = field(repr=False)
@@ -479,15 +480,13 @@ def _replay_exact(plan: CoolingPlan) -> np.ndarray:
 def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
     """Execute a plan under one of two policies, each with its own engine.
 
-    "approx" forgets correlations after each boost, so every boost sees
-    independent spins and each block costs one kernel call (cost independent
-    of the state-space size); "exact" keeps each cluster of correlated spins
-    until their last triple, and the population capacity guard bounds the
-    largest such cluster; "both" runs the two and reports their largest
-    per-spin difference. A planned plan answers the approx `best` from its
-    pools, so its per-spin approx replay waits until `eps_approx` is read; a
-    loaded or hand-made plan is replayed at once, which checks that every
-    spin of a block holds the block's pool value.
+    "approx" forgets correlations after each boost, so each block costs one
+    kernel call; "exact" keeps each cluster of correlated spins until their
+    last triple, under the population capacity guard; "both" runs the two
+    and reports their largest per-spin difference. A planned plan answers
+    the approx `best` from its pools, so its approx replay waits until
+    `eps_approx` is read; a loaded or hand-made plan is replayed at once,
+    which checks that every spin of a block holds its pool value.
     """
     if mode not in {"exact", "approx", "both"}:
         raise ValueError(f"mode must be exact, approx, or both, got {mode!r}")

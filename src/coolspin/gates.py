@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import as_int
+from .states import as_float, as_int
 
 PERMUTATION_KINDS = {"NOT": 1, "CNOT": 2, "TOFFOLI": 3, "FREDKIN": 3}
 ROTATION_KINDS = {"RX": 1, "RY": 1, "RZ": 1, "CRY": 2, "CRZ": 2}
@@ -28,7 +28,9 @@ class Gate:
     angle_deg: float | None = None
 
     def __post_init__(self):
-        self.kind = str(self.kind).upper()
+        if not isinstance(self.kind, str):
+            raise ValueError(f"a gate kind must be a string, got {self.kind!r}")
+        self.kind = self.kind.upper()
         self.spins = tuple(as_int("spin index", s) for s in self.spins)
         if self.kind in PERMUTATION_KINDS:
             arity = PERMUTATION_KINDS[self.kind]
@@ -38,7 +40,7 @@ class Gate:
             arity = ROTATION_KINDS[self.kind]
             if self.angle_deg is None:
                 raise ValueError(f"{self.kind} needs an angle in degrees")
-            self.angle_deg = float(self.angle_deg)
+            self.angle_deg = as_float(f"{self.kind} angle", self.angle_deg)
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.spins) != arity:

@@ -79,7 +79,10 @@ def as_floats(name: str, values) -> np.ndarray:
     The inferred dtype must be numeric and a list may hold no boolean:
     strings, booleans, nulls and JSON objects are refused instead of being cast.
     """
-    array = np.asarray(values)
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nested lists
+        raise ValueError(f"{name} must hold lists of equal length, not a ragged nesting") from None
     # numpy reads a boolean among numbers as 0 or 1; only a list, not an array, can hold one.
     leaves = values if isinstance(values, list) else ()
     for _ in range(array.ndim - 1):

@@ -411,6 +411,7 @@ _BOOLEANS = [[False, True, True], [True, False, True], [True, True, False]]
             id="j_hz-boolean-among-numbers",
         ),
         pytest.param(_SYSTEM, _three_spins(shift_ppm=[0, None, 0]), "shift_ppm", id="shift-null"),
+        pytest.param(_SYSTEM, _three_spins(j_hz=[[0, 1], [1]]), "j_hz", id="j_hz-ragged"),
         pytest.param(_SYSTEM, _three_spins(epsilon0="1e-5"), "epsilon0", id="epsilon0-string"),
         pytest.param(_SYSTEM, _three_spins(epsilon0=True), "epsilon0", id="epsilon0-boolean"),
         pytest.param(_SYSTEM, _three_spins(epsilon0=[1e-5]), "epsilon0", id="epsilon0-array"),

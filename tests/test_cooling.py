@@ -49,6 +49,41 @@ def test_boost_marginals_lie_within_4_ulp_of_the_rational_oracle(eps):
         assert abs(Fraction(got) - want) <= 4 * Fraction(np.spacing(abs(float(want))))
 
 
+def _fixed_order_marginals(eps):
+    """Rows a, b, c of `_BOOST_Z @ z`, summed term by term in the kernel's fixed order."""
+    powers = [1.0, eps, eps * eps, eps * eps * eps]
+    z = [powers[bin(j).count("1")] for j in range(8)]
+    rows = []
+    for row in cooling._BOOST_Z[cooling._MARGINALS].tolist():
+        t = [m * z_j for m, z_j in zip(row, z)]
+        rows.append(((t[0] + t[4]) + (t[2] + t[6])) + ((t[1] + t[5]) + (t[3] + t[7])))
+    return rows
+
+
+def _bits(values):
+    """Raw float bits, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.floats(min_value=-1.0, max_value=1.0))
+@example(eps=0.0)
+@example(eps=-0.0)
+@example(eps=1.0)
+@example(eps=-1.0)
+@example(eps=5e-324)
+@example(eps=-5e-324)
+@example(eps=2.2250738585072014e-308 * (1 - 2**-52))
+@example(eps=2.2250738585072014e-308)
+@example(eps=1.5e-154)
+def test_boost_kernel_gives_the_same_bits_on_a_float_an_array_and_the_matrix_rows(eps):
+    scalar = cooling._boost_marginals(eps)
+    assert all(type(x) is float for x in scalar)
+    array = cooling._boost_marginals(np.array([eps, eps]))
+    assert _bits(array) == [[b, b] for b in _bits(scalar)]
+    assert _bits(scalar) == _bits(_fixed_order_marginals(eps))
+
+
 def test_boost_against_independent_rational_oracle():
     for eps in (0.0, 0.25, 0.5, 0.9, 1.0):
         report = boost_exact(eps)
@@ -547,6 +582,22 @@ def test_a_hand_made_round_of_pairs_is_rejected_with_its_round_number():
         CoolingPlan(
             n=6, eps0=1e-3, target_eps=1.0, recycle=False, rounds=rounds, predicted_best=1e-3,
         )
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"n": 0}, "n must be a positive integer, got 0"),
+        ({"n": 3.0}, "n must be a positive integer, got 3.0"),
+        ({"n": True}, "n must be a positive integer, got True"),
+        ({"recycle": "yes"}, "recycle must be true or false, got 'yes'"),
+        ({"recycle": 1}, "recycle must be true or false, got 1"),
+    ],
+)
+def test_a_hand_made_plan_refuses_a_bad_spin_count_or_recycle_flag(change, message):
+    fields = dict(n=3, eps0=0.1, target_eps=0.2, recycle=False, rounds=[], predicted_best=0.2)
+    with pytest.raises(ValueError, match=message):
+        CoolingPlan(**{**fields, **change})
 
 
 def test_a_hand_made_plan_derives_its_gate_ledger_from_its_rounds():

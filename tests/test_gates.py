@@ -41,6 +41,13 @@ def test_gate_validation():
         with pytest.raises(ValueError, match="spin index must be a non-negative integer"):
             Gate(kind, spins)
     assert Gate("CNOT", (np.int64(1), np.uint8(0))).spins == (1, 0)
+    for angle in (True, "90", [90.0]):
+        with pytest.raises(ValueError, match="RY angle must be a number"):
+            Gate("RY", (0,), angle_deg=angle)
+    assert Gate("ry", (0,), angle_deg=np.float32(90)).angle_deg == 90.0
+    for kind in (5, None, b"NOT"):
+        with pytest.raises(ValueError, match="a gate kind must be a string"):
+            Gate(kind, (0,))
 
 
 def test_rotation_gates_have_no_permutation():
