@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import CapacityError, InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
-from .states import IZ, MAX_POPULATION_SPINS, as_float, as_floats, as_int, as_labels, as_list
-from .states import capacity_limit, check_capacity, json_fields
+from .states import IZ, MAX_POPULATION_SPINS, as_float, as_floats, as_int, as_ints, as_labels
+from .states import as_list, capacity_limit, check_capacity, json_fields
 
 GATES_PER_BOOST = 5
 # Largest plan whose spin-index triples are built, for the plan file and the
@@ -150,7 +150,7 @@ class Round:
         if self.planned:
             self.blocks = blocks
             return
-        self.triples = np.asarray(triples, dtype=np.intp)
+        self.triples = as_ints("boost triples", triples)
         if self.triples.shape == (0,):
             self.triples = self.triples.reshape(0, 3)
         self.pool_eps = as_floats("pool_eps", pool_eps)
@@ -216,13 +216,16 @@ class CoolingPlan:
             raise ValueError(f"recycle must be true or false, got {self.recycle!r}")
         if self.labels and len(self.labels) != self.n:
             raise ValueError("need one label per spin")
+        self.eps0 = as_float("eps0", self.eps0)
         if not 0.0 <= self.eps0 <= 1.0:
             raise ValueError(f"eps0 must lie in [0, 1], got {self.eps0}")
         if len(set(self.labels)) < len(self.labels):
             raise ValueError(f"label {_repeated(self.labels)} names more than one spin")
         for name in ("target_eps", "predicted_best"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = as_float(name, getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            setattr(self, name, value)
         # The replay boosts a round's triples together, so they must be disjoint.
         # A planned round's blocks come from disjoint pools of the spins 0..n-1,
         # so only rounds given as triples pay for these O(n) checks.
@@ -298,10 +301,7 @@ class CoolingPlan:
             if unknown:
                 raise ValueError(f"round {r}: unknown spin {unknown[0]}")
             loaded.append(Round([[index[s] for s in t] for t in triples], pool_eps))
-        plan = cls(
-            n, as_float("eps0", eps0), as_float("target_eps", target), recycle, loaded,
-            as_float("predicted_best", best), labels,
-        )
+        plan = cls(n, eps0, target, recycle, loaded, best, labels)
         for name, count in zip(ledger, counts):
             if as_int(name, count) != getattr(plan, name):
                 raise ValueError(f"{name} is {count!r}, but the rounds give {getattr(plan, name)}")

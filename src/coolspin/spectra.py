@@ -13,11 +13,27 @@ exactly 1, so all amplitudes here read directly as multiples of the
 thermal signal. Lines are listed from highest to lowest frequency offset;
 under that convention the boosted three-spin state reads 1:2:1:2 on the
 first spin, 0:1:0:1 on the second, and -1:0:0:1 on the third.
+
+`Spectrum.to_csv` writes Python's `repr` of every float, yet formats about
+half of them. A multiplet is exactly antisymmetric: the spectator
+configuration with every bit flipped sums the exactly negated terms in the
+same order, and IEEE rounding is sign-symmetric, so its offset is the
+negated float. Sorted, the bottom half is the top half negated and
+reversed, and its text is "-" plus the top half's. Zero is the exception
+(both sides come out +0.0), and a hand-built `Spectrum` need not be sorted,
+so an O(N) guard checks the property first: an even line count, a top half
+of positive floats, and a bottom half equal to it negated bit for bit.
+Otherwise each frequency is formatted on its own. Amplitudes take few
+distinct values in most states, so each distinct bit pattern (which keeps
+-0.0 apart from 0.0) is formatted once, unless more than half are distinct
+(found by one sort of the bits), where plain reprs are faster and smaller.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -48,8 +64,36 @@ class Spectrum:
         return float(self.amplitudes.mean())
 
     def to_csv(self) -> str:
-        rows = zip(self.lines.freq_hz.tolist(), self.lines.amplitude.tolist())
-        return "freq_hz,amplitude\n" + "".join([f"{f!r},{a!r}\n" for f, a in rows])
+        """A `freq_hz,amplitude` header, then one line of float reprs per line record."""
+        rows = zip(_frequency_text(self.lines.freq_hz), _amplitude_text(self.lines.amplitude))
+        return "\n".join(chain(["freq_hz,amplitude"], map(",".join, rows), [""]))
+
+
+def _frequency_text(freq: np.ndarray) -> Iterable[str]:
+    """`repr` of each frequency; a mirrored multiplet formats its top half only."""
+    half = len(freq) // 2
+    top = freq[:half]
+    if (
+        2 * half == len(freq)
+        and (top > 0).all()
+        and ((-top[::-1]).view(np.int64) == freq[half:].view(np.int64)).all()
+    ):
+        text = list(map(repr, top.tolist()))
+        return chain(text, map("-".__add__, reversed(text)))
+    return map(repr, freq.tolist())
+
+
+def _amplitude_text(amp: np.ndarray) -> Iterable[str]:
+    """`repr` of each amplitude, formatted once per distinct bit pattern when few are distinct.
+
+    With most amplitudes distinct, the memo's sort and its list of every
+    text cost more time and memory than they save, so each gets its own repr.
+    """
+    bits, index = np.unique(amp.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(amp):
+        return map(repr, amp.tolist())
+    text = list(map(repr, bits.view(float).tolist()))
+    return map(text.__getitem__, index.tolist())
 
 
 def _line_offsets(system: SpinSystem, j: int) -> np.ndarray:

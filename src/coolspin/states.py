@@ -21,6 +21,7 @@ finite polarization the package works with Z correlators instead (see
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import reduce
@@ -73,23 +74,34 @@ def check_capacity(
         )
 
 
-def as_floats(name: str, values) -> np.ndarray:
-    """Numbers (a scalar or nested lists) as a float array, in one pass for floats.
+def _numeric(name: str, values, kinds: str, what: str) -> np.ndarray:
+    """`values` (a scalar, nested lists or an array) as an array of a dtype kind in `kinds`.
 
-    The inferred dtype must be numeric and a list may hold no boolean:
-    strings, booleans, nulls and JSON objects are refused instead of being cast.
+    An empty array passes whatever dtype numpy infers for it. A list may hold
+    no boolean: strings, booleans, nulls and JSON objects are refused instead
+    of being cast, and so are floats where only integers are wanted.
     """
     try:
         array = np.asarray(values)
     except ValueError:  # numpy refuses ragged nested lists
         raise ValueError(f"{name} must hold lists of equal length, not a ragged nesting") from None
-    # numpy reads a boolean among numbers as 0 or 1; only a list, not an array, can hold one.
-    leaves = values if isinstance(values, list) else ()
+    # numpy reads a boolean among numbers as 0 or 1; only a list or tuple, not an array, holds one.
+    leaves = values if isinstance(values, (list, tuple)) else ()
     for _ in range(array.ndim - 1):
         leaves = chain.from_iterable(leaves)
-    if array.dtype.kind not in "iuf" or bool in set(map(type, leaves)):
-        raise ValueError(f"{name} must hold numbers only, not strings, booleans, nulls or objects")
-    return array.astype(float, copy=False)
+    if (array.size and array.dtype.kind not in kinds) or bool in set(map(type, leaves)):
+        raise ValueError(f"{name} must hold {what}, nulls or objects")
+    return array
+
+
+def as_floats(name: str, values) -> np.ndarray:
+    """Numbers (a scalar or nested lists) as a float array, in one pass for floats."""
+    return _numeric(name, values, "iuf", "numbers only, not strings, booleans").astype(float, copy=False)
+
+
+def as_ints(name: str, values) -> np.ndarray:
+    """Integers (nested lists or an array) as an `intp` array; a float is refused, not truncated."""
+    return _numeric(name, values, "iu", "integers only, not floats, strings, booleans").astype(np.intp, copy=False)
 
 
 def as_float(name: str, value) -> float:
@@ -149,11 +161,13 @@ class PopulationState:
         pops = as_floats("pops", self.pops)
         if pops.shape != (2**self.n,):
             raise ValueError(f"pops must hold {2**self.n} populations, got shape {pops.shape}")
-        if not np.isfinite(pops).all():
-            raise ValueError("populations must be finite")
-        # A float sum's rounding error grows with the sum of the magnitudes.
-        scale = max(1.0, float(np.abs(pops).sum()))
-        if not abs(float(pops.sum())) <= TRACE_TOL * scale:
+        # A finite sum of magnitudes bounds every sum and difference of pops
+        # that readout and polarization take, and a float sum's rounding error.
+        with np.errstate(over="ignore"):
+            scale = float(np.abs(pops).sum())
+        if not math.isfinite(scale):
+            raise ValueError("pops must be finite populations whose magnitudes have a finite sum")
+        if not abs(float(pops.sum())) <= TRACE_TOL * max(1.0, scale):
             raise ValueError("populations must sum to zero (deviation units)")
         self.pops = pops
 

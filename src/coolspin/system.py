@@ -46,9 +46,14 @@ class SpinSystem:
         for name in ("j_hz", "shift_ppm"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        scale = max(1.0, float(np.abs(self.j_hz).max()))
-        if not np.abs(self.j_hz - self.j_hz.T).max() <= _SYMMETRY_TOL * scale:
-            raise ValueError("coupling matrix must be symmetric")
+        # A spin's row sum of |J| bounds each of its line offsets. An overflow
+        # here (in the sums, or in J - J.T) is refused, not warned about.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(self.j_hz).sum(axis=1)).all():
+                raise ValueError("j_hz must have a finite sum of |J| in every row")
+            scale = max(1.0, float(np.abs(self.j_hz).max()))
+            if not np.abs(self.j_hz - self.j_hz.T).max() <= _SYMMETRY_TOL * scale:
+                raise ValueError("coupling matrix must be symmetric")
         if not np.abs(np.diag(self.j_hz)).max() <= 0:
             raise ValueError("self-couplings must be zero")
         self.epsilon0 = as_float("epsilon0", self.epsilon0)

@@ -229,6 +229,12 @@ def line_amplitudes(pops, n, j):
     ]
 
 
+def csv_reference(freq_hz, amplitude):
+    """A spectrum's CSV with one f-string per line, each float as its `repr`."""
+    rows = zip(freq_hz.tolist(), amplitude.tolist())
+    return "freq_hz,amplitude\n" + "".join([f"{f!r},{a!r}\n" for f, a in rows])
+
+
 # --- the propagator, one Kronecker-embedded pulse at a time --------------------
 
 def simulate_sequence_kron(seq):

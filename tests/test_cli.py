@@ -385,6 +385,12 @@ def _three_spins(**change):
 
 
 _STATE, _SYSTEM = "spectrum --state", "bound --system"
+_FIVE_SPINS_AT_1_5E308 = {
+    "labels": list("abcde"),
+    "j_hz": [[0.0 if i == k else 1.5e308 for k in range(5)] for i in range(5)],
+    "shift_ppm": [0.0] * 5,
+    "epsilon0": 1e-5,
+}
 _BOOLEANS = [[False, True, True], [True, False, True], [True, True, False]]
 
 
@@ -396,6 +402,20 @@ _BOOLEANS = [[False, True, True], [True, False, True], [True, True, False]]
         pytest.param(_STATE, {"n": 1, "pops": ["0.5", "-0.5"]}, "pops", id="pops-strings"),
         pytest.param(_STATE, {"n": 1, "pops": [True, -1]}, "pops", id="pops-boolean-among-numbers"),
         pytest.param(_STATE, 5, "a state must be a JSON object", id="state-number"),
+        pytest.param(
+            "spectrum --spin c --state",
+            {"n": 3, "pops": [1e308, 1e308, 1, 1, 1, 1, 1, 1]},
+            "pops",
+            id="pops-sum-overflows-the-trace-check",
+        ),
+        pytest.param(
+            "spectrum --spin c --state",
+            {"n": 3, "pops": [1e308, -1e308, 0, 0, 0, 0, 0, 0]},
+            "pops",
+            id="pops-line-overflows",
+        ),
+        pytest.param("spectrum --system", _FIVE_SPINS_AT_1_5E308, "j_hz", id="j_hz-offsets-overflow"),
+        pytest.param("compile --system", _FIVE_SPINS_AT_1_5E308, "j_hz", id="j_hz-compile-overflows"),
         pytest.param(_SYSTEM, 5, "a spin system must be a JSON object", id="system-number"),
         pytest.param(
             _SYSTEM,
@@ -429,6 +449,7 @@ _BOOLEANS = [[False, True, True], [True, False, True], [True, True, False]]
         ),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_input_files_must_hold_json_objects_numbers_and_string_labels(
     capsys, tmp_path, command, payload, field
 ):

@@ -573,6 +573,16 @@ def test_a_round_holds_its_triples_and_pool_values_as_arrays():
     assert rnd != Round(triples=[(0, 1, 2), (3, 5, 4)], pool_eps=[1e-3, 1e-3])
 
 
+@pytest.mark.parametrize(
+    "triples",
+    [[(0.7, 1.9, 2)], [(True, False, 2)], [[0, 1, "2"]], np.array([[0.0, 1.0, 2.0]])],
+    ids=["floats", "booleans-among-integers", "string", "float-array"],
+)
+def test_a_hand_made_round_refuses_spin_indices_that_are_not_integers(triples):
+    with pytest.raises(ValueError, match="boost triples must hold integers only, not floats"):
+        Round(triples=triples, pool_eps=[1e-3])
+
+
 def test_a_hand_made_round_of_pairs_is_rejected_with_its_round_number():
     rounds = [
         Round(triples=[(0, 1, 2)], pool_eps=[1e-3]),
@@ -592,6 +602,10 @@ def test_a_hand_made_round_of_pairs_is_rejected_with_its_round_number():
         ({"n": True}, "n must be a positive integer, got True"),
         ({"recycle": "yes"}, "recycle must be true or false, got 'yes'"),
         ({"recycle": 1}, "recycle must be true or false, got 1"),
+        ({"eps0": True}, "eps0 must be a number, got True"),
+        ({"eps0": "0.1"}, "eps0 must be a number, got '0.1'"),
+        ({"target_eps": "0.2"}, "target_eps must be a number, got '0.2'"),
+        ({"predicted_best": False}, "predicted_best must be a number, got False"),
     ],
 )
 def test_a_hand_made_plan_refuses_a_bad_spin_count_or_recycle_flag(change, message):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from coolspin import (
     PopulationState,
     SpinSystem,
+    Spectrum,
     apply_permutation,
     boost_circuit,
     circuit_permutation,
@@ -144,3 +145,90 @@ def test_readout_matches_the_bit_tuple_oracle_and_csv_round_trips(n, seed):
         parsed = [tuple(float(x) for x in row.split(",")) for row in rows]
         assert [f for f, _ in parsed] == spec.frequencies.tolist()
         assert [a for _, a in parsed] == spec.amplitudes.tolist()
+
+
+def _couplings(kind, n, dense, rng):
+    j_hz = {
+        "zero": lambda: np.zeros((n, n)),
+        "integer": lambda: rng.integers(-150, 151, (n, n)).astype(float),
+        "dyadic": lambda: rng.integers(-600, 601, (n, n)) / 8.0,
+        "tiny": lambda: rng.uniform(-1.0, 1.0, (n, n)) * 1e-300,
+        "random": lambda: rng.uniform(-150.0, 150.0, (n, n)),
+    }[kind]()
+    if not dense:
+        j_hz *= rng.random((n, n)) < 0.4
+    return np.triu(j_hz, 1) + np.triu(j_hz, 1).T
+
+
+def _pops(kind, n, rng):
+    if kind == "thermal":
+        return thermal_state(n).pops
+    if kind == "permuted":
+        return thermal_state(n).pops[rng.permutation(2**n)]
+    if kind == "integer":
+        pops = rng.integers(-1000, 1001, size=2**n).astype(float)
+        pops[0] -= pops.sum()
+        return pops
+    if kind == "signed-zeros":
+        pops = rng.integers(-1, 2, size=2**n).astype(float)
+        pops[0] -= pops.sum()
+        return np.where((pops == 0) & (rng.random(2**n) < 0.5), -0.0, pops)
+    pops = rng.normal(size=2**n)  # all distinct, so no amplitude repeats
+    return pops - pops.mean()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=10),
+    couplings=st.sampled_from(["zero", "integer", "dyadic", "tiny", "random"]),
+    dense=st.booleans(),
+    pops=st.sampled_from(["thermal", "permuted", "integer", "signed-zeros", "distinct"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_csv_bytes_equal_one_repr_per_float(n, couplings, dense, pops, seed):
+    rng = np.random.default_rng(seed)
+    j_hz = _couplings(couplings, n, dense, rng)
+    system = SpinSystem([f"s{k}" for k in range(n)], j_hz, np.zeros(n), 1e-5)
+    state = PopulationState(n=n, pops=_pops(pops, n, rng))
+    for spin in range(n):
+        spec = readout(state, system, spin)
+        assert spec.to_csv() == oracles.csv_reference(spec.frequencies, spec.amplitudes)
+
+
+def _zeros_with_a_negative_zero(n):
+    pops = np.zeros(2**n)
+    pops[0] = -0.0  # spin 0 up, all spectators up: that line reads -0.0 - 0.0
+    return pops
+
+
+@pytest.mark.parametrize(
+    ("n", "coupling", "pops", "want"),
+    [
+        # One line, at 0.0: no halves to mirror.
+        (1, 0.0, thermal_state(1).pops, ["0.0,1.0"]),
+        # Equal couplings put two zeros in the middle; a mirrored zero would read -0.0.
+        (3, 10.0, thermal_state(3).pops, ["10.0,1.0", "0.0,1.0", "0.0,1.0", "-10.0,1.0"]),
+        # A memo keyed by value would merge the -0.0 amplitude with 0.0.
+        (5, 0.0, _zeros_with_a_negative_zero(5), ["0.0,-0.0"] + ["0.0,0.0"] * 15),
+    ],
+    ids=["one-spin", "zero-in-the-middle", "signed-zero-amplitude"],
+)
+def test_csv_falls_back_where_a_mirror_or_a_memo_by_value_would_differ(n, coupling, pops, want):
+    system = SpinSystem(list("abcde")[:n], coupling * (1 - np.eye(n)), np.zeros(n), 1e-5)
+    spec = readout(PopulationState(n=n, pops=pops), system, 0)
+    csv = spec.to_csv()
+    assert csv == oracles.csv_reference(spec.frequencies, spec.amplitudes)
+    assert csv == "\n".join(["freq_hz,amplitude", *want, ""])
+
+
+@pytest.mark.parametrize("distinct", [1024, 1025, 2048], ids=["half", "half-plus-one", "all"])
+def test_csv_bytes_hold_on_either_side_of_the_amplitude_memo_threshold(distinct):
+    # 2048 lines: at most half distinct amplitudes take the memo, more take plain reprs.
+    rng = np.random.default_rng(distinct)
+    values = rng.normal(size=distinct)
+    amp = np.concatenate([values, values[rng.integers(0, distinct, 2048 - distinct)]])
+    freq = np.sort(rng.uniform(-100.0, 100.0, 2048))[::-1]
+    lines = np.rec.fromarrays((freq, amp, np.arange(2048)), names="freq_hz,amplitude,spectator")
+    spec = Spectrum(spin=0, lines=lines)
+    assert len(np.unique(spec.amplitudes)) == distinct
+    assert spec.to_csv() == oracles.csv_reference(spec.frequencies, spec.amplitudes)

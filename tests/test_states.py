@@ -91,6 +91,23 @@ def test_population_state_rejects_wrong_shape_and_nonzero_sum():
         PopulationState(n=1, pops=np.array([1.0, 0.5]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "pops",
+    [
+        [1e308, 1e308, 1, 1, 1, 1, 1, 1],  # not traceless, though inf <= TRACE_TOL * inf
+        [1e308, -1e308, 0, 0, 0, 0, 0, 0],  # traceless, but spin a's line reads inf
+        [float("nan"), 0, 0, 0, 0, 0, 0, 0],
+        [float("inf"), -float("inf"), 0, 0, 0, 0, 0, 0],
+    ],
+)
+def test_population_state_rejects_pops_whose_magnitudes_overflow(pops):
+    with pytest.raises(ValueError, match="pops must be finite"):
+        PopulationState(n=3, pops=pops)
+    half = [0.8e308, -0.8e308, 0, 0, 0, 0, 0, 0]  # magnitudes sum to 1.6e308, still finite
+    assert PopulationState(n=3, pops=half).pops.tolist() == half
+
+
 @pytest.mark.parametrize(("n", "seed"), [(18, 2), (20, 3)])
 def test_population_state_tolerates_the_rounding_of_a_large_zero_sum(n, seed):
     # Mean-subtracted normal draws sum to about 1e-11 in floats, not to zero,
@@ -200,6 +217,16 @@ def test_spin_system_validation():
         SpinSystem(labels=["a"], j_hz=np.zeros((1, 1)), shift_ppm=np.zeros(1), epsilon0=0.0)
     integers = SpinSystem(labels=["a", "b"], j_hz=[[0, 10], [10, 0]], shift_ppm=[0, 1], epsilon0=0.5)
     assert integers.j_hz.dtype == integers.shift_ppm.dtype == float
+
+
+@pytest.mark.filterwarnings("error")
+def test_spin_system_rejects_couplings_whose_row_sums_overflow():
+    with pytest.raises(ValueError, match="j_hz must have a finite sum of"):
+        SpinSystem(list("abcde"), np.full((5, 5), 1.5e308) * (1 - np.eye(5)), np.zeros(5), 0.5)
+    # Each row sums to 1e308, but J - J.T would overflow: refused as asymmetric, with no warning.
+    with pytest.raises(ValueError, match="symmetric"):
+        SpinSystem(["a", "b"], [[0.0, 1e308], [-1e308, 0.0]], np.zeros(2), 0.5)
+    assert SpinSystem(["a", "b"], [[0.0, 1e308], [1e308, 0.0]], np.zeros(2), 0.5).n == 2
 
 
 def test_spin_system_loading_does_not_split_a_string_into_spins():
