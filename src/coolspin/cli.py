@@ -116,7 +116,7 @@ def cmd_boost(args: argparse.Namespace) -> int:
 def cmd_cool(args: argparse.Namespace) -> int:
     plan = plan_rounds(args.n, args.eps0, args.target_eps, recycle=args.recycle)
     for i, rnd in enumerate(plan.rounds, start=1):
-        # A planned round's pool values are floats already: no `_fmt` cast per pool.
+        # A round's block values are floats already: no `_fmt` cast per pool.
         pools = " ".join(dict.fromkeys(f"{value:.12g}" for value, _ in rnd.blocks))
         print(f"round {i}: {rnd.boosts} boosts, input pools: {pools}")
     print(f"boost gates: {plan.boost_gate_count}")

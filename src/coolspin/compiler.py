@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gates import PERMUTATION_KINDS, ROTATION_KINDS, Gate, lower_fredkin
 from .pulses import Delay, DurationModel, Event, FrameShift, PulseSequence, SelectivePulse
 from .system import SpinSystem
@@ -99,6 +101,17 @@ def _require_coupling(system: SpinSystem, i: int, j: int) -> float:
             " this lowering needs a nonzero J"
         )
     return j_hz
+
+
+def _check_couplings(system: SpinSystem) -> None:
+    """Refuse a coupling whose delay or phase rate overflows a float.
+
+    A controlled rotation waits up to 1/|J|, and the propagator turns a
+    coupled pair at 2 pi J radians per second: both must be finite.
+    """
+    j_hz = np.abs(system.j_hz[system.j_hz != 0.0])
+    if j_hz.size and math.inf in (1.0 / float(j_hz.min()), 2.0 * math.pi * float(j_hz.max())):
+        raise ValueError("j_hz must hold couplings whose 1/|J| and 2 pi |J| are finite, to compile")
 
 
 def _delay_angle_deg(theta_deg: float, j_hz: float) -> float:
@@ -282,6 +295,7 @@ def compile_circuit(
         raise ValueError(f"bloch_siegert_deg must be finite, got {bloch_siegert_deg}")
     if circuit.n != system.n:
         raise ValueError(f"circuit is for {circuit.n} spins, system has {system.n}")
+    _check_couplings(system)
     lowering = _Lowering(
         system, model or DurationModel(), pulsed=z_mode == "pulsed",
         bloch_siegert_deg=bloch_siegert_deg,

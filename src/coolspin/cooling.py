@@ -134,36 +134,30 @@ def _check_triple_budget(n: int) -> None:
 
 
 class Round:
-    """Disjoint boost triples of one round, with each triple's input pool.
+    """Disjoint boost triples of one round, stored as blocks.
 
     A round is a list of blocks (pool value, spins): each three consecutive
     spins of a block form one triple boosted at that value. The planner
-    hands over each pool's boosted spins as one block, a `range` or a sorted
-    index array. `triples`, the (k, 3) integer array of spin indices, and
-    `pool_eps`, the (k,) array of each triple's pool value, are built from
-    the blocks when first read; a round given as them (a loaded or hand-made
-    plan) keeps them, and its blocks group consecutive equal pool values.
+    hands over each pool's boosted spins as one block, a `range` or, where
+    float ties merged runs, a sorted index array. `Round(triples, pool_eps)`
+    checks a (k, 3) integer array of spin indices and one finite pool value
+    per triple, and groups consecutive pool values with equal bits into
+    index-array blocks. `triples` and `pool_eps`, the (k,) array of each
+    triple's pool value, are built from the blocks when first read.
     """
 
     def __init__(self, triples=(), pool_eps=(), *, blocks=None):
-        self.planned = blocks is not None
-        if self.planned:
-            self.blocks = blocks
-            return
-        self.triples = as_ints("boost triples", triples)
-        if self.triples.shape == (0,):
-            self.triples = self.triples.reshape(0, 3)
-        self.pool_eps = as_floats("pool_eps", pool_eps)
-
-    @cached_property
-    def blocks(self) -> list[tuple[float, range | np.ndarray]]:
-        values = self.pool_eps
-        if not values.size:
-            return []
-        starts = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()]
-        stops = [*starts[1:], values.size]
-        spins = self.triples.reshape(-1)
-        return [(float(values[a]), spins[3 * a : 3 * b]) for a, b in zip(starts, stops)]
+        if blocks is None:
+            triples, pool_eps = as_ints("boost triples", triples), as_floats("pool_eps", pool_eps)
+            if triples.shape != (0,) and (triples.ndim != 2 or triples.shape[1] != 3):
+                raise ValueError("every boost triple must name three spins")
+            if pool_eps.shape != (len(triples),) or not np.isfinite(pool_eps).all():
+                raise ValueError("pool_eps must hold one finite value per triple")
+            bits, spins = pool_eps.view(np.int64), triples.reshape(-1)
+            starts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()] if bits.size else []
+            stops = [*starts[1:], len(bits)]
+            blocks = [(float(pool_eps[a]), spins[3 * a : 3 * b]) for a, b in zip(starts, stops)]
+        self.blocks: list[tuple[float, range | np.ndarray]] = blocks
 
     @cached_property
     def triples(self) -> np.ndarray:
@@ -227,20 +221,18 @@ class CoolingPlan:
                 raise ValueError(f"{name} must be finite, got {value}")
             setattr(self, name, value)
         # The replay boosts a round's triples together, so they must be disjoint.
-        # A planned round's blocks come from disjoint pools of the spins 0..n-1,
-        # so only rounds given as triples pay for these O(n) checks.
+        # A range block is a pool the planner cut from the spins 0..n-1, disjoint
+        # from the round's other pools, so only index-array blocks are checked.
         for r, rnd in enumerate(self.rounds, start=1):
-            if rnd.planned:
+            runs = [spins for _, spins in rnd.blocks if not isinstance(spins, range)]
+            if not runs:
                 continue
-            if rnd.triples.ndim != 2 or rnd.triples.shape[1] != 3:
-                raise ValueError(f"round {r}: every boost triple must name three spins")
-            used = rnd.triples.reshape(-1)
+            used = np.concatenate(runs)
             if used.size and not 0 <= used.min() <= used.max() < self.n:
                 raise ValueError(f"round {r}: a spin index lies outside 0..{self.n - 1}")
-            if used.size and np.bincount(used, minlength=self.n).max() > 1:
+            seen = np.sort(used)
+            if (seen[1:] == seen[:-1]).any():
                 raise ValueError(f"round {r}: spin {self.label(_repeated(used.tolist()))} is used twice")
-            if rnd.pool_eps.shape != (len(rnd.triples),) or not np.isfinite(rnd.pool_eps).all():
-                raise ValueError(f"round {r}: pool_eps must hold one finite value per triple")
 
     @property
     def boost_gate_count(self) -> int:
@@ -300,7 +292,11 @@ class CoolingPlan:
             unknown = [s for t in triples for s in t if not isinstance(s, str) or s not in index]
             if unknown:
                 raise ValueError(f"round {r}: unknown spin {unknown[0]}")
-            loaded.append(Round([[index[s] for s in t] for t in triples], pool_eps))
+            spins, pool_eps = [[index[s] for s in t] for t in triples], as_floats("pool_eps", pool_eps)
+            try:
+                loaded.append(Round(spins, pool_eps))
+            except ValueError as err:  # the one check left: a finite pool value per triple
+                raise ValueError(f"round {r}: {err}") from None
         plan = cls(n, eps0, target, recycle, loaded, best, labels)
         for name, count in zip(ledger, counts):
             if as_int(name, count) != getattr(plan, name):
@@ -320,14 +316,14 @@ def plan_rounds(
 
     Pools are keyed by exact polarization value; identical histories give
     bit-identical floats, so float keys are deterministic. Triples never mix
-    pools. A pool is a run of spin indices, starting as `range(n)`; its first
-    3k spins are the round's block, its a-spins `spins[0:end:3]` (and, when
-    recycling, its b-spins `spins[1:end:3]`) move to the boosted pools, and
-    `spins[end:]` stays. Slicing keeps a range a range, so a round costs
-    O(pools) and one boost per pool value; only a pool that float ties fed
-    several runs (eps0 below about 1e-9) holds a list of them, merged into a
-    sorted index array when its round comes. Raises the infeasibility error
-    when no pool can field a triple and the target is still out of reach.
+    pools. A pool is a tuple of index runs, starting as `(range(n),)`; its
+    first 3k spins are the round's block, its a-spins `spins[0:end:3]` (and,
+    when recycling, its b-spins `spins[1:end:3]`) join the boosted pools as
+    runs, and `spins[end:]` stays. Slicing keeps a range a range, so a round
+    costs O(pools) and one boost per pool value; only a pool that float ties
+    fed several runs (eps0 below about 1e-9) is merged into a sorted index
+    array when its round comes. Raises the infeasibility error when no pool
+    can field a triple and the target is still out of reach.
     """
     if n < 3 or n != int(n):
         raise ValueError(f"need at least three spins to form a triple, got {n}")
@@ -337,31 +333,26 @@ def plan_rounds(
         raise ValueError(f"target must lie in (eps0, 1], got {target_eps}")
 
     n = int(n)
-    pools: dict[float, range | np.ndarray | list] = {eps0: range(n)}
+    # Tuples, not lists: the garbage collector stops tracking a tuple of ranges,
+    # and a list per pool made the k = 17 recycled plan at n = 1e9 25% slower.
+    pools: dict[float, tuple[range | np.ndarray, ...]] = {eps0: (range(n),)}
     rounds: list[Round] = []
     while max(pools) < target_eps:  # a round that boosts leaves the pools nonempty
         blocks: list[tuple[float, range | np.ndarray]] = []
-        next_pools: dict[float, range | np.ndarray | list] = {}
-
-        def put(value: float, run: range | np.ndarray) -> None:
-            held = next_pools.setdefault(value, run)
-            if held is not run:  # a float tie: a second run joins this pool
-                next_pools[value] = (held if isinstance(held, list) else [held]) + [run]
-
+        next_pools: dict[float, tuple[range | np.ndarray, ...]] = {}
         for value in sorted(pools, reverse=True):
-            spins = pools[value]
-            if isinstance(spins, list):
-                spins = np.sort(np.concatenate([_indices(run) for run in spins]))
+            runs = pools[value]
+            spins = runs[0] if len(runs) == 1 else np.sort(np.concatenate([_indices(r) for r in runs]))
             size = len(spins)
             end = size - size % 3
             if end:
                 eps_a, eps_b, _ = _boost_marginals(value)
                 blocks.append((value, spins[:end]))
-                put(eps_a, spins[0:end:3])
+                next_pools[eps_a] = next_pools.get(eps_a, ()) + (spins[0:end:3],)
                 if recycle:
-                    put(eps_b, spins[1:end:3])
+                    next_pools[eps_b] = next_pools.get(eps_b, ()) + (spins[1:end:3],)
             if end < size:
-                put(value, spins[end:])
+                next_pools[value] = next_pools.get(value, ()) + (spins[end:],)
         if not blocks:
             # Twelve digits, as the CLI prints, or in full where they read alike.
             target, best = f"{target_eps:.12g}", f"{max(pools):.12g}"
@@ -382,9 +373,7 @@ def plan_rounds(
         predicted_best=max(pools),
         labels=labels or [],
     )
-    coldest = pools[plan.predicted_best]
-    runs = coldest if isinstance(coldest, list) else [coldest]
-    plan.best_spin = min(int(run[0]) for run in runs)
+    plan.best_spin = min(int(run[0]) for run in pools[plan.predicted_best])
     return plan
 
 
@@ -404,7 +393,7 @@ class PlanResult:
     def best(self) -> tuple[int, float]:
         """Index and value of the coldest spin (exact values preferred).
 
-        Without exact values, a planned plan answers from its coldest pool.
+        Without exact values, a plan that knows its `best_spin` answers from its coldest pool.
         """
         if self.eps_exact is None and self.plan.best_spin is not None:
             return self.plan.best_spin, self.plan.predicted_best
@@ -483,10 +472,11 @@ def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
     "approx" forgets correlations after each boost, so each block costs one
     kernel call; "exact" keeps each cluster of correlated spins until their
     last triple, under the population capacity guard; "both" runs the two
-    and reports their largest per-spin difference. A planned plan answers
-    the approx `best` from its pools, so its approx replay waits until
-    `eps_approx` is read; a loaded or hand-made plan is replayed at once,
-    which checks that every spin of a block holds its pool value.
+    and reports their largest per-spin difference. `plan_rounds` records
+    the coldest pool's lowest spin as `best_spin`, which answers the approx
+    `best`, so the approx replay waits until `eps_approx` is read; a plan
+    without it is replayed at once, which checks that every spin of a block
+    holds its pool value.
     """
     if mode not in {"exact", "approx", "both"}:
         raise ValueError(f"mode must be exact, approx, or both, got {mode!r}")

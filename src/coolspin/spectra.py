@@ -24,9 +24,8 @@ reversed, and its text is "-" plus the top half's. Zero is the exception
 so an O(N) guard checks the property first: an even line count, a top half
 of positive floats, and a bottom half equal to it negated bit for bit.
 Otherwise each frequency is formatted on its own. Amplitudes take few
-distinct values in most states, so each distinct bit pattern (which keeps
--0.0 apart from 0.0) is formatted once, unless more than half are distinct
-(found by one sort of the bits), where plain reprs are faster and smaller.
+distinct values in most states, so each distinct bit pattern (found by one
+sort of the bits, which keeps -0.0 apart from 0.0) is formatted once.
 """
 from __future__ import annotations
 
@@ -53,11 +52,11 @@ class Spectrum:
 
     @property
     def frequencies(self) -> np.ndarray:
-        return self.lines.freq_hz
+        return self.lines["freq_hz"]
 
     @property
     def amplitudes(self) -> np.ndarray:
-        return self.lines.amplitude
+        return self.lines["amplitude"]
 
     def mean_amplitude(self) -> float:
         """Equals the spin's polarization for deviation-unit states."""
@@ -65,7 +64,7 @@ class Spectrum:
 
     def to_csv(self) -> str:
         """A `freq_hz,amplitude` header, then one line of float reprs per line record."""
-        rows = zip(_frequency_text(self.lines.freq_hz), _amplitude_text(self.lines.amplitude))
+        rows = zip(_frequency_text(self.frequencies), _amplitude_text(self.amplitudes))
         return "\n".join(chain(["freq_hz,amplitude"], map(",".join, rows), [""]))
 
 
@@ -84,14 +83,8 @@ def _frequency_text(freq: np.ndarray) -> Iterable[str]:
 
 
 def _amplitude_text(amp: np.ndarray) -> Iterable[str]:
-    """`repr` of each amplitude, formatted once per distinct bit pattern when few are distinct.
-
-    With most amplitudes distinct, the memo's sort and its list of every
-    text cost more time and memory than they save, so each gets its own repr.
-    """
+    """`repr` of each amplitude, formatted once per distinct bit pattern."""
     bits, index = np.unique(amp.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > len(amp):
-        return map(repr, amp.tolist())
     text = list(map(repr, bits.view(float).tolist()))
     return map(text.__getitem__, index.tolist())
 

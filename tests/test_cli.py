@@ -394,6 +394,11 @@ _FIVE_SPINS_AT_1_5E308 = {
 _BOOLEANS = [[False, True, True], [True, False, True], [True, True, False]]
 
 
+def _three_spins_at(j_hz):
+    """Three spins with every coupling at j_hz."""
+    return _three_spins(j_hz=[[0.0 if i == k else j_hz for k in range(3)] for i in range(3)])
+
+
 @pytest.mark.parametrize(
     ("command", "payload", "field"),
     [
@@ -416,6 +421,10 @@ _BOOLEANS = [[False, True, True], [True, False, True], [True, True, False]]
         ),
         pytest.param("spectrum --system", _FIVE_SPINS_AT_1_5E308, "j_hz", id="j_hz-offsets-overflow"),
         pytest.param("compile --system", _FIVE_SPINS_AT_1_5E308, "j_hz", id="j_hz-compile-overflows"),
+        # The row sums (1e308) are finite, but 2 pi J is not.
+        pytest.param("compile --system", _three_spins_at(5e307), "j_hz", id="j_hz-phase-rate-overflows"),
+        # A subnormal coupling's delays, up to 1/|J| each, are infinite.
+        pytest.param("compile --system", _three_spins_at(1e-320), "j_hz", id="j_hz-delay-overflows"),
         pytest.param(_SYSTEM, 5, "a spin system must be a JSON object", id="system-number"),
         pytest.param(
             _SYSTEM,

@@ -1,4 +1,5 @@
 """Exact single-boost statistics and the multi-round scheduling engine."""
+import dataclasses
 import json
 import math
 import re
@@ -460,9 +461,9 @@ def test_scheduler_matches_the_one_triple_at_a_time_reference(log_n, log_eps0, d
 
 
 @st.composite
-def _planned(draw):
-    """A feasible plan at n <= 3**10, from one of three polarization regimes."""
-    log_n = draw(st.floats(min_value=1.0, max_value=10.0))
+def _planned(draw, max_log_n=10.0):
+    """A feasible plan at n <= 3**max_log_n, from one of three polarization regimes."""
+    log_n = draw(st.floats(min_value=1.0, max_value=max_log_n))
     eps0 = draw(
         st.one_of(
             st.floats(min_value=0.5, max_value=0.9999),
@@ -498,6 +499,37 @@ def test_the_pool_level_plan_matches_the_per_spin_replay(plan):
     spin = int(np.argmax(eps))
     assert result.best() == (spin, float(eps[spin])) == (spin, plan.predicted_best)
     assert result.eps_approx.tobytes() == eps.tobytes()
+
+
+@st.composite
+def _tie_prone(draw):
+    """A recycled plan at n <= 2187 and eps0 <= 1e-9, where float ties merge pools."""
+    n = draw(st.integers(min_value=27, max_value=2187))
+    eps0 = 10.0 ** draw(st.floats(min_value=-13.0, max_value=-9.0))
+    depth = draw(st.integers(min_value=2, max_value=int(math.log(n, 3) + 1e-9)))
+    return plan_rounds(n, eps0, 0.99 * 1.5**depth * eps0, recycle=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=st.one_of(_planned(max_log_n=7.0), _tie_prone()))
+@example(plan=plan_rounds(2187, 1e-10, 1.6915078125000002e-09, recycle=True))  # 15 tie-merged blocks
+@example(plan=plan_rounds(729, 1e-11, 0.99 * 1.5**5 * 1e-11, recycle=True))
+@example(plan=plan_rounds(81, 1e-5, 5e-5, recycle=True))
+def test_a_plan_loaded_from_its_dict_equals_it_and_replays_bit_for_bit(plan):
+    again = CoolingPlan.from_dict(plan.to_dict())
+    assert again == dataclasses.replace(plan, labels=again.labels)
+    assert again.labels == [plan.label(i) for i in range(plan.n)]
+    assert simulate_plan(again).eps_approx.tobytes() == simulate_plan(plan).eps_approx.tobytes()
+    # A small spin budget keeps the recycled clusters, and their sum, small.
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv(CAPACITY_ENV_VAR, "12")
+        try:
+            want = simulate_plan(plan, mode="exact").eps_exact
+        except CapacityError:
+            with pytest.raises(CapacityError):
+                simulate_plan(again, mode="exact")
+            return
+        assert simulate_plan(again, mode="exact").eps_exact.tobytes() == want.tobytes()
 
 
 def test_a_billion_spins_plan_in_under_a_second():
@@ -561,6 +593,8 @@ def test_a_round_holds_its_triples_and_pool_values_as_arrays():
     assert rnd.pool_eps.dtype == float and rnd.pool_eps.shape == (2,)
     assert Round(triples=[], pool_eps=[]).triples.shape == (0, 3)
     assert Round(triples=[], pool_eps=[]).blocks == []
+    signed = Round(triples=[(0, 1, 2), (3, 4, 5)], pool_eps=[0.0, -0.0])
+    assert len(signed.blocks) == 2 and signed.pool_eps.tobytes() == np.array([0.0, -0.0]).tobytes()
     grouped = Round(triples=[(0, 1, 2), (3, 4, 5), (6, 7, 8)], pool_eps=[1e-3, 1e-3, 2e-3])
     assert [(value, spins.tolist()) for value, spins in grouped.blocks] == [
         (1e-3, [0, 1, 2, 3, 4, 5]), (2e-3, [6, 7, 8]),
@@ -583,15 +617,35 @@ def test_a_hand_made_round_refuses_spin_indices_that_are_not_integers(triples):
         Round(triples=triples, pool_eps=[1e-3])
 
 
-def test_a_hand_made_round_of_pairs_is_rejected_with_its_round_number():
-    rounds = [
-        Round(triples=[(0, 1, 2)], pool_eps=[1e-3]),
-        Round(triples=[(0, 1), (3, 4)], pool_eps=[1e-3, 1e-3]),
-    ]
-    with pytest.raises(ValueError, match="round 2: every boost triple must name three spins"):
-        CoolingPlan(
-            n=6, eps0=1e-3, target_eps=1.0, recycle=False, rounds=rounds, predicted_best=1e-3,
-        )
+def test_a_hand_made_round_of_pairs_is_refused_when_it_is_built():
+    # A round checks its own triples, before any plan gives it a number.
+    with pytest.raises(ValueError, match="^every boost triple must name three spins$"):
+        Round(triples=[(0, 1), (3, 4)], pool_eps=[1e-3, 1e-3])
+
+
+@pytest.mark.parametrize(
+    ("rounds", "message"),
+    [
+        pytest.param(
+            [[(0, 1, 2), (3, 4, 5)], [(0, 3, 4), (5, 1, 3)]],
+            "round 2: spin s3 is used twice",
+            id="overlapping-triples",
+        ),
+        pytest.param([[(0, 1, 2)], [(3, 4, 6)]], r"round 2: a spin index lies outside 0\.\.5", id="index-past-n"),
+        pytest.param([[(0, -1, 2)]], r"round 1: a spin index lies outside 0\.\.5", id="negative-index"),
+    ],
+)
+def test_a_hand_made_plan_refuses_index_array_blocks_that_overlap_or_leave_the_spins(rounds, message):
+    with pytest.raises(ValueError, match=message):
+        _plan(6, 1e-3, rounds)
+
+
+def test_index_array_blocks_that_overlap_across_pool_values_are_refused():
+    # Two blocks of one round, at two pool values, share spin 4.
+    rnd = Round(triples=[(0, 1, 4), (4, 5, 6)], pool_eps=[1e-3, 2e-3])
+    assert [value for value, _ in rnd.blocks] == [1e-3, 2e-3]
+    with pytest.raises(ValueError, match="round 1: spin s4 is used twice"):
+        CoolingPlan(n=9, eps0=1e-3, target_eps=1.0, recycle=False, rounds=[rnd], predicted_best=1e-3)
 
 
 @pytest.mark.parametrize(

@@ -223,7 +223,8 @@ def test_csv_falls_back_where_a_mirror_or_a_memo_by_value_would_differ(n, coupli
 
 @pytest.mark.parametrize("distinct", [1024, 1025, 2048], ids=["half", "half-plus-one", "all"])
 def test_csv_bytes_hold_on_either_side_of_the_amplitude_memo_threshold(distinct):
-    # 2048 lines: at most half distinct amplitudes take the memo, more take plain reprs.
+    # 2048 lines, from half to all of their amplitudes distinct: the memo's bytes must not
+    # depend on how many of its texts are shared.
     rng = np.random.default_rng(distinct)
     values = rng.normal(size=distinct)
     amp = np.concatenate([values, values[rng.integers(0, distinct, 2048 - distinct)]])
