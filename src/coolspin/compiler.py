@@ -37,6 +37,7 @@ import numpy as np
 
 from .gates import PERMUTATION_KINDS, ROTATION_KINDS, Gate, lower_fredkin
 from .pulses import Delay, DurationModel, Event, FrameShift, PulseSequence, SelectivePulse
+from .states import as_finite
 from .system import SpinSystem
 
 
@@ -291,8 +292,7 @@ def compile_circuit(
     """
     if z_mode not in {"virtual", "pulsed"}:
         raise ValueError(f"z_mode must be virtual or pulsed, got {z_mode!r}")
-    if not math.isfinite(bloch_siegert_deg):
-        raise ValueError(f"bloch_siegert_deg must be finite, got {bloch_siegert_deg}")
+    bloch_siegert_deg = as_finite("bloch_siegert_deg", bloch_siegert_deg)
     if circuit.n != system.n:
         raise ValueError(f"circuit is for {circuit.n} spins, system has {system.n}")
     _check_couplings(system)
@@ -302,4 +302,8 @@ def compile_circuit(
     )
     for gate in circuit.gates:
         lowering.gate(gate)
-    return lowering.finish()
+    seq = lowering.finish()
+    if not math.isfinite(seq.total_duration_s):  # every event is finite, but not their sum
+        field = "pulse90_s" if math.isfinite(seq.coupling_duration_s()) else "j_hz"
+        raise ValueError(f"{field} must keep the sequence's total duration finite, to compile")
+    return seq

@@ -30,7 +30,6 @@ it makes one kernel call per block.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -39,8 +38,8 @@ import numpy as np
 
 from .errors import CapacityError, InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
-from .states import IZ, MAX_POPULATION_SPINS, as_float, as_floats, as_int, as_ints, as_labels
-from .states import as_list, capacity_limit, check_capacity, json_fields
+from .states import IZ, MAX_POPULATION_SPINS, as_finite, as_floats, as_int, as_ints, as_labels
+from .states import as_list, as_polarization, capacity_limit, check_capacity, json_fields
 
 GATES_PER_BOOST = 5
 # Largest plan whose spin-index triples are built, for the plan file and the
@@ -86,8 +85,7 @@ def boost_exact(eps: float) -> BoostReport:
 
     At eps = 0 the enhancement column reports the analytic limit 3/2.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"polarization must lie in [0, 1], got {eps}")
+    eps = as_polarization("polarization", eps)
     eps_a, eps_b, eps_c = _boost_marginals(eps)
     enhancement = eps_a / eps if eps > 0.0 else 1.5
     return BoostReport(eps_in=eps, eps_a=eps_a, eps_b=eps_b, eps_c=eps_c, enhancement=enhancement)
@@ -100,8 +98,7 @@ def conditional_polarization_after_cnot(eps: float) -> tuple[float, float]:
     matched-parity branch concentrates polarization; the other branch holds
     none. A branch of zero weight reports 0 by convention.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"polarization must lie in [0, 1], got {eps}")
+    eps = as_polarization("polarization", eps)
     spin = np.array([1.0, eps])
     _, z2, z1, z12 = _CNOT_Z @ np.multiply.outer(spin, spin).reshape(-1)
     conds = []
@@ -210,21 +207,23 @@ class CoolingPlan:
             raise ValueError(f"recycle must be true or false, got {self.recycle!r}")
         if self.labels and len(self.labels) != self.n:
             raise ValueError("need one label per spin")
-        self.eps0 = as_float("eps0", self.eps0)
-        if not 0.0 <= self.eps0 <= 1.0:
-            raise ValueError(f"eps0 must lie in [0, 1], got {self.eps0}")
+        self.eps0 = as_polarization("eps0", self.eps0)
         if len(set(self.labels)) < len(self.labels):
             raise ValueError(f"label {_repeated(self.labels)} names more than one spin")
-        for name in ("target_eps", "predicted_best"):
-            value = as_float(name, getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            setattr(self, name, value)
-        # The replay boosts a round's triples together, so they must be disjoint.
-        # A range block is a pool the planner cut from the spins 0..n-1, disjoint
-        # from the round's other pools, so only index-array blocks are checked.
+        self.target_eps = as_finite("target_eps", self.target_eps)
+        self.predicted_best = as_finite("predicted_best", self.predicted_best)
+        # The replay boosts a round's triples together, so they must be disjoint. A
+        # range block is a planner pool, cut from 0..n-1 apart from the round's other
+        # pools: it is only bounded, in O(1). Index arrays are checked for repeats.
         for r, rnd in enumerate(self.rounds, start=1):
-            runs = [spins for _, spins in rnd.blocks if not isinstance(spins, range)]
+            runs = []
+            for _, spins in rnd.blocks:
+                if len(spins) % 3:
+                    raise ValueError(f"round {r}: a block of {len(spins)} spins does not split into triples")
+                if not isinstance(spins, range):
+                    runs.append(spins)
+                elif spins and not (spins.step > 0 and spins.start >= 0 and spins[-1] < self.n):
+                    raise ValueError(f"round {r}: block {spins} must step upward inside 0..{self.n - 1}")
             if not runs:
                 continue
             used = np.concatenate(runs)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import as_float, as_int
+from .states import as_finite, as_int
 
 PERMUTATION_KINDS = {"NOT": 1, "CNOT": 2, "TOFFOLI": 3, "FREDKIN": 3}
 ROTATION_KINDS = {"RX": 1, "RY": 1, "RZ": 1, "CRY": 2, "CRZ": 2}
@@ -40,7 +40,7 @@ class Gate:
             arity = ROTATION_KINDS[self.kind]
             if self.angle_deg is None:
                 raise ValueError(f"{self.kind} needs an angle in degrees")
-            self.angle_deg = as_float(f"{self.kind} angle", self.angle_deg)
+            self.angle_deg = as_finite(f"{self.kind} angle", self.angle_deg)
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.spins) != arity:

@@ -23,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .pulses import Delay, FrameShift, PulseSequence, SelectivePulse
-from .states import MAX_VERIFY_SPINS, UNITARITY_TOL, Unitary, capacity_limit, check_capacity
-from .states import iz_diag, spin_axis
+from .states import MAX_DENSE_SPINS, MAX_VERIFY_SPINS, UNITARITY_TOL, Unitary, as_permutation
+from .states import capacity_limit, check_capacity, iz_diag, spin_axis
 from .system import SpinSystem
 
 PATTERN_TOL = 1e-8
@@ -146,16 +146,8 @@ def simulate_sequence(seq: PulseSequence) -> Unitary:
     dense oracle that `verify_permutation` avoids.
     """
     n = seq.system.n
-    check_capacity(n, dense=True)
+    check_capacity(n, limit=capacity_limit(MAX_DENSE_SPINS), kind="a dense matrix")
     return Unitary(n=n, mat=propagate(seq, np.eye(1 << n, dtype=complex)))
-
-
-def _integer_permutation(perm) -> np.ndarray:
-    """`perm` as an intp array; float and boolean entries raise instead of being cast."""
-    perm = np.asarray(perm)
-    if not np.issubdtype(perm.dtype, np.integer):
-        raise ValueError(f"permutation entries must be integers, got dtype {perm.dtype}")
-    return perm.astype(np.intp)
 
 
 def verify_permutation(seq: PulseSequence, perm) -> bool:
@@ -189,11 +181,7 @@ def verify_permutation(seq: PulseSequence, perm) -> bool:
     # The toggling frame holds n rows of 2**n floats, and a flush a second set.
     check_capacity(n, limit=capacity_limit(MAX_VERIFY_SPINS), kind="verification")
     dim = 1 << n
-    perm = _integer_permutation(perm)
-    if perm.shape != (dim,):
-        raise ValueError(f"permutation must have {dim} entries, got shape {perm.shape}")
-    if not np.array_equal(np.sort(perm), np.arange(dim)):
-        raise ValueError("mapping is not a bijection on basis states")
+    perm = as_permutation(perm, dim)
     rng = np.random.default_rng(PROBE_SEED)
     w = rng.standard_normal((dim, PROBE_COUNT)) + 1.0j * rng.standard_normal((dim, PROBE_COUNT))
     lam = np.exp(2.0j * np.pi * rng.random(dim))
@@ -208,11 +196,11 @@ def verify_permutation(seq: PulseSequence, perm) -> bool:
 
 def permutation_unitary(perm) -> Unitary:
     """The unitary sending basis state i to basis state perm[i]."""
-    perm = _integer_permutation(perm)
-    dim = perm.shape[0]
-    n = int(dim).bit_length() - 1
+    dim = np.size(perm)
+    n = dim.bit_length() - 1
     if dim != 1 << n:
         raise ValueError(f"permutation length {dim} is not a power of two")
+    perm = as_permutation(perm, dim)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[perm, np.arange(dim)] = 1.0
     return Unitary(n=n, mat=mat)

@@ -20,14 +20,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .states import as_float, as_label, as_list, json_fields
+from .states import as_finite, as_float, as_label, as_list, json_fields
 from .system import SpinSystem
-
-
-def _require_finite(obj, *names: str) -> None:
-    for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
 
 
 @dataclass(frozen=True)
@@ -38,7 +32,8 @@ class SelectivePulse:
     duration_s: float
 
     def __post_init__(self):
-        _require_finite(self, "phase_deg", "angle_deg")
+        as_finite("phase_deg", self.phase_deg)
+        as_finite("angle_deg", self.angle_deg)
         if not 0.0 <= self.duration_s < math.inf:
             raise ValueError(f"duration_s must be finite and nonnegative, got {self.duration_s}")
 
@@ -60,7 +55,7 @@ class FrameShift:
     duration_s = 0.0
 
     def __post_init__(self):
-        _require_finite(self, "angle_deg")
+        as_finite("angle_deg", self.angle_deg)
 
 
 Event = SelectivePulse | Delay | FrameShift
@@ -117,9 +112,7 @@ def coupled_delay_s(j_hz: float, turns: float) -> float:
 
 def standard_toffoli_s(j_hz: float) -> float:
     """Coupling time of the textbook doubly controlled NOT, 7/(4|J|)."""
-    if j_hz == 0.0:
-        raise ValueError("cannot evolve under a zero coupling")
-    return 7.0 / (4.0 * abs(j_hz))
+    return coupled_delay_s(j_hz, 1.75)
 
 
 @dataclass

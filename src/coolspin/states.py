@@ -1,4 +1,4 @@
-"""State containers for small spin-1/2 ensembles, and the JSON readers all loaders share.
+"""State containers for small spin-1/2 ensembles, and the input readers all modules share.
 
 `PopulationState` is the package's one state type: a traceless diagonal in
 deviation units, for states and z observables alike. `Unitary` is the dense
@@ -57,17 +57,11 @@ def capacity_limit(default: int) -> int:
     return limit
 
 
-def check_capacity(
-    n: int, *, dense: bool = False, limit: int | None = None, kind: str | None = None
-) -> None:
-    """Raise CapacityError past the spin budget: `limit` if given, else read it now.
-
-    `kind` names the budget in the message, by default the array it guards.
-    """
+def check_capacity(n: int, *, limit: int | None = None, kind: str = "a population vector") -> None:
+    """Raise CapacityError past `limit` (the population budget, read now, if None), naming `kind`."""
     if limit is None:
-        limit = capacity_limit(MAX_DENSE_SPINS if dense else MAX_POPULATION_SPINS)
+        limit = capacity_limit(MAX_POPULATION_SPINS)
     if n > limit:
-        kind = kind or ("a dense matrix" if dense else "a population vector")
         raise CapacityError(
             f"{n} spins exceeds the budget of {limit} for {kind}"
             f" (override with {CAPACITY_ENV_VAR})"
@@ -109,6 +103,35 @@ def as_float(name: str, value) -> float:
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def as_finite(name: str, value) -> float:
+    """One finite number as a float: NaN and +-inf are refused after `as_float`'s checks."""
+    value = as_float(name, value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def as_polarization(name: str, value) -> float:
+    """One number in [0, 1] as a float (NaN is refused too)."""
+    value = as_float(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def as_permutation(perm, size: int) -> np.ndarray:
+    """`perm` as a (size,) intp array mapping 0..size-1 onto itself; floats and booleans are refused."""
+    array = np.asarray(perm)
+    listed = perm if isinstance(perm, (list, tuple)) else ()  # numpy reads a bool there as 0 or 1
+    if not np.issubdtype(array.dtype, np.integer) or bool in set(map(type, listed)):
+        raise ValueError(f"permutation entries must be integers, not floats or booleans, got {perm!r:.80}")
+    if array.shape != (size,):
+        raise ValueError(f"permutation must have {size} entries, got shape {array.shape}")
+    if not np.array_equal(np.sort(array), np.arange(size)):
+        raise ValueError("mapping is not a bijection on basis states")
+    return array.astype(np.intp, copy=False)
 
 
 def as_int(name: str, value, *, positive: bool = False) -> int:
@@ -189,7 +212,7 @@ class Unitary:
 
     def __post_init__(self):
         self.n = as_int("spin count", self.n, positive=True)
-        check_capacity(self.n, dense=True)
+        check_capacity(self.n, limit=capacity_limit(MAX_DENSE_SPINS), kind="a dense matrix")
         mat = np.asarray(self.mat, dtype=complex)
         dim = 2**self.n
         if mat.shape != (dim, dim):
@@ -233,22 +256,13 @@ def polarization(state: PopulationState, spin: int) -> float:
     return 2.0 / 2**state.n * float((p[:, 0] - p[:, 1]).sum())
 
 
-def permute_vector(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
+def permute_vector(values: np.ndarray, perm) -> np.ndarray:
     """Move entry i of a bare vector to index perm[i]."""
-    values = np.asarray(values)
-    perm = np.asarray(perm)
-    if perm.shape != values.shape:
-        raise ValueError(f"permutation shape {perm.shape} does not match {values.shape}")
-    if not np.array_equal(np.sort(perm), np.arange(perm.shape[0])):
-        raise ValueError("mapping is not a bijection on basis states")
     out = np.empty_like(values)
-    out[perm] = values
+    out[as_permutation(perm, len(values))] = values
     return out
 
 
-def apply_permutation(state: PopulationState, perm: np.ndarray) -> PopulationState:
+def apply_permutation(state: PopulationState, perm) -> PopulationState:
     """Relabel basis states: entry i moves to index perm[i]."""
-    perm = np.asarray(perm)
-    if perm.shape != (2**state.n,):
-        raise ValueError(f"permutation must have {2**state.n} entries")
     return PopulationState(n=state.n, pops=permute_vector(state.pops, perm))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .states import as_polarization
+
 _PLANCK_J_S = 6.62607015e-34
 _BOLTZMANN_J_PER_K = 1.380649e-23
 # h / (2 pi) in this order rounds to the same double as CODATA's hbar.
@@ -16,8 +18,7 @@ _HBAR_J_S = _PLANCK_J_S / (2 * math.pi)
 
 def entropy_binary(eps: float) -> float:
     """Shannon entropy (bits) of one spin at polarization eps in [0, 1]."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"polarization must lie in [0, 1], got {eps}")
+    eps = as_polarization("polarization", eps)
     h = 0.0
     for p in ((1.0 + eps) / 2.0, (1.0 - eps) / 2.0):
         if p > 0.0:
@@ -32,8 +33,7 @@ def entropy_deficit(eps: float) -> float:
     below the entropy itself at realistic equilibrium polarizations, so it
     is built from log1p instead of subtracting from 1.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"polarization must lie in [0, 1], got {eps}")
+    eps = as_polarization("polarization", eps)
     if eps == 1.0:
         return 1.0
     return ((1.0 + eps) * math.log1p(eps) + (1.0 - eps) * math.log1p(-eps)) / (2.0 * math.log(2.0))

@@ -1,4 +1,5 @@
 """Command-line interface: happy paths, artifacts, and exit codes."""
+import hashlib
 import json
 import os
 import subprocess
@@ -202,6 +203,27 @@ def test_cool_plans_a_billion_spins_in_approx_mode(capsys):
     assert out.splitlines()[-1] == "simulated best (approx): spin s0 at 0.00115330037246"
 
 
+def test_cool_prints_a_recycled_billion_spin_round_byte_for_byte(capsys):
+    # The pool values come from the boost kernel, whose bits do not depend on BLAS.
+    code, out, err = run(capsys, *_COOL_1E9, "--recycle")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == (
+        "round 3: 148148148 boosts, input pools:"
+        " 6.74999999342e-05 2.25000000388e-05 2.25000000186e-05 7.50000000844e-06"
+    )
+
+
+def test_cool_writes_a_tie_merged_recycled_plan_byte_for_byte(capsys, tmp_path):
+    # At eps0 = 1e-10 float ties merge pools: this plan holds 15 tie-merged
+    # index-array blocks next to 13 range blocks, and its file pins both.
+    path = tmp_path / "plan.json"
+    argv = ("--n", "2187", "--eps0", "1e-10", "--target-eps", "1.6915078125000002e-09", "--recycle")
+    code, _, err = run(capsys, "cool", *argv, "--out", str(path))
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "60488d3dad2bbc3c0239da9b5c96e699cae2a371a48b6fc45ca8f8b6ec73f21b"
+
+
 @pytest.mark.parametrize("extra", [["--out", "plan.json"], ["--mode", "exact"], ["--mode", "both"]])
 def test_cool_refuses_to_build_a_billion_spin_triples(capsys, tmp_path, monkeypatch, extra):
     monkeypatch.chdir(tmp_path)
@@ -354,6 +376,25 @@ def test_spectrum_out_file(capsys, tmp_path):
     assert out_path.read_text().startswith("freq_hz,amplitude\n")
 
 
+def test_spectrum_writes_a_12_spin_csv_byte_for_byte(capsys, tmp_path):
+    # Float couplings give a mirrored multiplet, and the state's few distinct
+    # amplitudes include a -0.0: the hash pins both text shortcuts of to_csv
+    # to the bytes of one repr per float.
+    n = 12
+    j_hz = [[0.0 if i == k else (i * k + i + k + 1) * 13.1 / 7 - 40.3 for k in range(n)] for i in range(n)]
+    system = {"labels": [f"q{i}" for i in range(n)], "j_hz": j_hz, "shift_ppm": [0.0] * n, "epsilon0": 1e-4}
+    pops = [float(i % 5 - 2) for i in range(4096)]
+    pops[1], pops[2049] = -0.0, 0.0
+    pops[-1] -= sum(pops)
+    (tmp_path / "sys.json").write_text(json.dumps(system))
+    (tmp_path / "state.json").write_text(json.dumps({"n": n, "pops": pops}))
+    argv = ("--system", str(tmp_path / "sys.json"), "--state", str(tmp_path / "state.json"))
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "f8cc2e1c951ebee5edbefc6750b2a333e4efa9dbb5db9be091c3fe70e546a940"
+
+
 def test_spectrum_unknown_spin_exits_2(capsys):
     code, _, err = run(capsys, "spectrum", "--spin", "q")
     assert code == 2
@@ -467,6 +508,28 @@ def test_input_files_must_hold_json_objects_numbers_and_string_labels(
     code, out, err = run(capsys, *command.split(), str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        # Each delay, up to 1/|J| = 1e308, is finite, but their sum is not.
+        pytest.param("--system", _three_spins_at(1e-308), "j_hz", id="delays"),
+        pytest.param("--pulse90-s", "1e307", "pulse90_s", id="pulses"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_compile_refuses_a_sequence_whose_total_duration_overflows(capsys, tmp_path, flag, value, field):
+    if isinstance(value, dict):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(value))
+        value = path
+    code, out, err = run(capsys, "compile", flag, str(value))
+    assert (code, out) == (2, "")
+    assert err == f"error: {field} must keep the sequence's total duration finite, to compile\n"
+    code, out, _ = run(capsys, "compile", "--pulse90-s", "1e306")
+    assert code == 0
+    assert "total duration (s): 3.6e+307\n" in out
 
 
 def run_python(*argv, **env_vars):

@@ -640,6 +640,38 @@ def test_a_hand_made_plan_refuses_index_array_blocks_that_overlap_or_leave_the_s
         _plan(6, 1e-3, rounds)
 
 
+@pytest.mark.parametrize(
+    ("blocks", "message"),
+    [
+        # Accepted before range blocks were bounded: a refocus count of -6, two
+        # of its three triples boosted by the approx replay, and an IndexError
+        # from to_dict.
+        pytest.param(
+            [(1e-3, range(0, 9))], r"round 2: block range\(0, 9\) must step upward inside 0\.\.5", id="past-n"
+        ),
+        pytest.param([(1e-3, range(-3, 3))], r"round 2: block range\(-3, 3\) must step", id="negative-start"),
+        pytest.param([(1e-3, range(5, -1, -2))], r"round 2: block range\(5, -1, -2\) must step", id="downward"),
+        pytest.param(
+            [(1e-3, range(0, 4))], "round 2: a block of 4 spins does not split into triples", id="range-of-4"
+        ),
+        pytest.param(
+            [(1e-3, range(0, 3)), (2e-3, np.array([3, 4], dtype=np.intp))],
+            "round 2: a block of 2 spins does not split into triples",
+            id="index-array-of-2",
+        ),
+    ],
+)
+def test_a_hand_made_plan_refuses_range_blocks_that_leave_the_spins_or_split_a_triple(blocks, message):
+    rounds = [Round(blocks=[(1e-3, range(3, 6))]), Round(blocks=blocks)]
+    fields = dict(n=6, eps0=1e-3, target_eps=2e-3, recycle=False, predicted_best=1e-3)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        CoolingPlan(**fields, rounds=rounds)
+    # The last spin may be n - 1, and a range may step.
+    rounds = [Round(blocks=[(1e-3, range(0, 6))]), Round(blocks=[(1e-3, range(1, 6, 2))])]
+    plan = CoolingPlan(**fields, rounds=rounds)
+    assert plan.total_gate_count == 5 * 3 + 2 * (6 - 6) + 2 * (6 - 3)
+
+
 def test_index_array_blocks_that_overlap_across_pool_values_are_refused():
     # Two blocks of one round, at two pool values, share spin 4.
     rnd = Round(triples=[(0, 1, 4), (4, 5, 6)], pool_eps=[1e-3, 2e-3])

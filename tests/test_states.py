@@ -1,5 +1,6 @@
 """State containers, basis conventions, and the spin-system value object."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,19 +9,28 @@ from hypothesis import strategies as st
 
 from coolspin import (
     CapacityError,
+    CircuitIR,
     CoolingPlan,
+    Gate,
     PopulationState,
     SpinSystem,
     Unitary,
     apply_permutation,
+    boost_exact,
+    compile_circuit,
+    conditional_polarization_after_cnot,
+    entropy_binary,
+    entropy_deficit,
     example_system,
     example_system_path,
     iz_product_diag,
+    permutation_unitary,
     permute_vector,
     plan_rounds,
     polarization,
     readout,
     thermal_state,
+    verify_permutation,
 )
 from coolspin.propagator import propagate
 from coolspin.pulses import Delay, FrameShift, PulseSequence, SelectivePulse, event_from_dict
@@ -338,3 +348,67 @@ def test_a_spin_system_survives_a_json_round_trip(n, data):
     assert np.array_equal(again.j_hz, system.j_hz)
     assert np.array_equal(again.shift_ppm, system.shift_ppm)
     assert again.epsilon0 == system.epsilon0
+
+
+# Each scalar that a reader in `states` checks, by the field its message names.
+_SCALAR_FIELDS = [
+    ("phase_deg", lambda x: SelectivePulse("a", x, 90.0, 1e-3)),
+    ("angle_deg", lambda x: SelectivePulse("a", 0.0, x, 1e-3)),
+    ("angle_deg", lambda x: FrameShift("a", x)),
+    ("RX angle", lambda x: Gate("RX", (0,), x)),
+    ("CRZ angle", lambda x: Gate("CRZ", (0, 1), x)),
+    ("eps0", lambda x: CoolingPlan(3, x, 0.5, False, [], 0.5)),
+    ("target_eps", lambda x: CoolingPlan(3, 0.1, x, False, [], 0.5)),
+    ("predicted_best", lambda x: CoolingPlan(3, 0.1, 0.5, False, [], x)),
+    ("bloch_siegert_deg", lambda x: compile_circuit(CircuitIR(3, []), example_system(), bloch_siegert_deg=x)),
+    ("polarization", boost_exact),
+    ("polarization", conditional_polarization_after_cnot),
+    ("polarization", entropy_binary),
+    ("polarization", entropy_deficit),
+]
+_NOT_FINITE_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, True, False, np.True_, "0.5", "nan"])
+_OUTSIDE_THE_UNIT_INTERVAL = st.floats().filter(lambda x: not 0.0 <= x <= 1.0)
+
+
+def _uncoupled(n):
+    return SpinSystem([f"q{i}" for i in range(n)], np.zeros((n, n)), np.zeros(n), 1e-4)
+
+
+# Every user of a basis permutation, called on n spins.
+_PERMUTATION_USERS = {
+    "permute_vector": lambda n, perm: permute_vector(np.zeros(2**n), perm),
+    "apply_permutation": lambda n, perm: apply_permutation(thermal_state(n), perm),
+    "verify_permutation": lambda n, perm: verify_permutation(PulseSequence(_uncoupled(n), []), perm),
+    "permutation_unitary": lambda n, perm: permutation_unitary(perm),
+}
+_BROKEN_PERMUTATIONS = {
+    "floats": lambda perm: [float(i) for i in perm],
+    "float-array": lambda perm: np.array(perm, dtype=float),
+    "boolean-array": lambda perm: np.array(perm) % 2 == 0,
+    # numpy would read this list as the integers it stands for.
+    "a-boolean-among-integers": lambda perm: [True if i == 1 else i for i in perm],
+    "2-d": lambda perm: np.array(perm).reshape(2, -1),
+    "one-entry-too-many": lambda perm: [*perm, len(perm)],
+    "repeated": lambda perm: [perm[0], *perm[1:-1], perm[0]],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_outside_scalars_and_permutations_are_refused_by_one_reader_each(data):
+    if data.draw(st.booleans(), label="scalar"):
+        field, build = data.draw(st.sampled_from(_SCALAR_FIELDS), label="field")
+        bad = _NOT_FINITE_NUMBERS
+        if field in ("eps0", "polarization"):
+            bad = st.one_of(bad, _OUTSIDE_THE_UNIT_INTERVAL)
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            build(data.draw(bad, label="value"))
+        return
+    use = _PERMUTATION_USERS[data.draw(st.sampled_from(sorted(_PERMUTATION_USERS)), label="user")]
+    n = data.draw(st.integers(min_value=1, max_value=3), label="n")
+    perm = data.draw(st.permutations(range(2**n)), label="perm")
+    use(n, perm)
+    use(n, np.array(perm))
+    broken = _BROKEN_PERMUTATIONS[data.draw(st.sampled_from(sorted(_BROKEN_PERMUTATIONS)), label="broken")]
+    with pytest.raises(ValueError):
+        use(n, broken(perm))
