@@ -32,7 +32,6 @@ from .cooling import (
 )
 from .errors import CapacityError, CoolspinError, InfeasibleError
 from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation, lower_fredkin
-from .operators import iz_diag, iz_operator, iz_product_diag, iz_product_operator
 from .propagator import (
     permutation_unitary,
     phase_pattern_equal,
@@ -53,6 +52,10 @@ from .states import (
     PopulationState,
     Unitary,
     apply_permutation,
+    iz_diag,
+    iz_operator,
+    iz_product_diag,
+    iz_product_operator,
     permute_vector,
     polarization,
     thermal_state,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PopulationState
+from .states import PopulationState, as_finite
 from .thermo import entropy_deficit
 
 
@@ -84,6 +84,6 @@ def entropy_bound_kmax(n: float, eps0: float) -> float:
     should round down. n may be any positive count, including the very large
     ensemble sizes where the interesting regime lives.
     """
-    if n <= 0:
+    if as_finite("n", n) <= 0:
         raise ValueError(f"spin count must be positive, got {n}")
     return float(n) * entropy_deficit(eps0)

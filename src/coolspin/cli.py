@@ -27,7 +27,6 @@ from .compiler import CircuitIR, compile_circuit, parse_circuit
 from .cooling import boost_exact, plan_rounds, simulate_plan
 from .errors import CapacityError, InfeasibleError
 from .gates import PERMUTATION_KINDS, boost_circuit, circuit_permutation
-from .operators import iz_operator
 # The dense-oracle names stay imported: benchmark/tracing.py wraps them here by name.
 from .propagator import permutation_unitary, phase_pattern_equal, simulate_sequence
 from .propagator import verify_permutation
@@ -38,6 +37,7 @@ from .states import (
     PopulationState,
     apply_permutation,
     capacity_limit,
+    iz_operator,
     polarization,
     thermal_state,
 )

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import PERMUTATION_KINDS, ROTATION_KINDS, Gate, lower_fredkin
-from .pulses import Delay, DurationModel, Event, FrameShift, PulseSequence, SelectivePulse
+from .pulses import Delay, DurationModel, Event, FrameShift, PulseSequence, SelectivePulse, coupled_delay_s
 from .states import as_finite
 from .system import SpinSystem
 
@@ -203,7 +203,7 @@ class _Lowering:
         j_hz = _require_coupling(self.system, control, target)
         chi = _delay_angle_deg(theta_deg, j_hz)
         if chi != 0.0:
-            self.delay((control, target), (abs(chi) / 360.0) / abs(j_hz))
+            self.delay((control, target), coupled_delay_s(j_hz, abs(chi) / 360.0))
             self.rz(target, chi / 2.0)
         if chi != theta_deg:
             self.rz(control, (chi - theta_deg) / 2.0)
@@ -267,9 +267,7 @@ def lower_toffoli_phase(
     rotation. Its coupled-evolution budget is 1/J for a uniform coupling,
     against 7/(4J) for the textbook construction.
     """
-    lowering = _Lowering(system, model)
-    lowering.gate(Gate("TOFFOLI", (c1, c2, target)))
-    return lowering.finish().events
+    return compile_circuit(CircuitIR(system.n, [Gate("TOFFOLI", (c1, c2, target))]), system, model).events
 
 
 def compile_circuit(

@@ -37,7 +37,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import CapacityError, InfeasibleError
-from .gates import Gate, boost_circuit, circuit_permutation, gate_permutation
+from .gates import boost_circuit, circuit_permutation
 from .states import IZ, MAX_POPULATION_SPINS, as_finite, as_floats, as_int, as_ints, as_labels
 from .states import as_list, as_polarization, capacity_limit, check_capacity, json_fields
 
@@ -61,10 +61,8 @@ class BoostReport:
 
 # Sylvester-Hadamard matrices: W @ probs are the Z correlators, and W @ W = 2**n.
 _H = np.array([np.ones(2), 2 * IZ])
-_W_2 = np.kron(_H, _H)
-_W_3 = np.kron(_W_2, _H)
+_W_3 = np.kron(np.kron(_H, _H), _H)
 _BOOST_Z = _W_3[:, circuit_permutation(boost_circuit(), 3)] @ _W_3 / 8
-_CNOT_Z = _W_2[:, gate_permutation(Gate("CNOT", (0, 1)), 2)] @ _W_2 / 4
 # Correlator indices of spins a, b, c alone: the one-hot corners of the (2, 2, 2) view.
 _MARGINALS = np.ravel_multi_index(tuple(np.eye(3, dtype=int)), (2, 2, 2))
 
@@ -95,18 +93,12 @@ def conditional_polarization_after_cnot(eps: float) -> tuple[float, float]:
     """Polarization of the first spin given the second, after CNOT(1st->2nd).
 
     Returns the pair for the second spin reading 0 and 1 respectively. The
-    matched-parity branch concentrates polarization; the other branch holds
-    none. A branch of zero weight reports 0 by convention.
+    matched-parity branch concentrates polarization to 2 eps / (1 + eps**2);
+    the other branch holds none, and at eps = 1, where it has zero weight,
+    reports 0 by convention.
     """
     eps = as_polarization("polarization", eps)
-    spin = np.array([1.0, eps])
-    _, z2, z1, z12 = _CNOT_Z @ np.multiply.outer(spin, spin).reshape(-1)
-    conds = []
-    # The second spin reads 0 with weight (1 + <Z2>)/2 and 1 with (1 - <Z2>)/2.
-    for sign in 2 * IZ:
-        weight = 1.0 + sign * z2
-        conds.append(float((z1 + sign * z12) / weight) if weight > 0.0 else 0.0)
-    return conds[0], conds[1]
+    return (eps + eps) / (1.0 + eps * eps), 0.0
 
 
 def _repeated(items: list):
@@ -214,7 +206,8 @@ class CoolingPlan:
         self.predicted_best = as_finite("predicted_best", self.predicted_best)
         # The replay boosts a round's triples together, so they must be disjoint. A
         # range block is a planner pool, cut from 0..n-1 apart from the round's other
-        # pools: it is only bounded, in O(1). Index arrays are checked for repeats.
+        # pools: it is only bounded, in O(1), and a round holds n spins at most. Index
+        # arrays are checked for repeats.
         for r, rnd in enumerate(self.rounds, start=1):
             runs = []
             for _, spins in rnd.blocks:
@@ -224,6 +217,8 @@ class CoolingPlan:
                     runs.append(spins)
                 elif spins and not (spins.step > 0 and spins.start >= 0 and spins[-1] < self.n):
                     raise ValueError(f"round {r}: block {spins} must step upward inside 0..{self.n - 1}")
+            if 3 * rnd.boosts > self.n:
+                raise ValueError(f"round {r}: its blocks hold {3 * rnd.boosts} spins, more than the {self.n} there are")
             if not runs:
                 continue
             used = np.concatenate(runs)

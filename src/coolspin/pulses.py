@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-from .states import as_finite, as_float, as_label, as_list, json_fields
+from .states import as_duration, as_finite, as_float, as_label, as_list, json_fields
 from .system import SpinSystem
 
 
@@ -34,8 +34,7 @@ class SelectivePulse:
     def __post_init__(self):
         as_finite("phase_deg", self.phase_deg)
         as_finite("angle_deg", self.angle_deg)
-        if not 0.0 <= self.duration_s < math.inf:
-            raise ValueError(f"duration_s must be finite and nonnegative, got {self.duration_s}")
+        as_duration("duration_s", self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,7 @@ class Delay:
     duration_s: float
 
     def __post_init__(self):
-        if not 0.0 <= self.duration_s < math.inf:
-            raise ValueError(f"duration_s must be finite and nonnegative, got {self.duration_s}")
+        as_duration("duration_s", self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -94,18 +92,21 @@ class DurationModel:
     pulse90_s: float = 2e-3
 
     def __post_init__(self):
-        if not 0.0 < self.pulse90_s < math.inf:
+        if not 0.0 < as_float("pulse90_s", self.pulse90_s) < math.inf:
             raise ValueError(f"pulse90_s must be positive and finite, got {self.pulse90_s}")
 
     def pulse_s(self, angle_deg: float) -> float:
-        return abs(angle_deg) / 90.0 * self.pulse90_s
+        seconds = abs(angle_deg) / 90.0 * self.pulse90_s
+        if seconds == math.inf:
+            raise ValueError(f"pulse90_s must keep a {angle_deg:g}-degree pulse's duration finite, to compile")
+        return seconds
 
 
 def coupled_delay_s(j_hz: float, turns: float) -> float:
     """Free-evolution time for `turns` full cycles of a J coupling."""
-    if j_hz == 0.0:
+    if as_finite("j_hz", j_hz) == 0.0:
         raise ValueError("cannot evolve under a zero coupling")
-    if turns < 0.0:
+    if as_finite("turns", turns) < 0.0:
         raise ValueError(f"turns must be nonnegative, got {turns}")
     return turns / abs(j_hz)
 
@@ -148,13 +149,13 @@ class PulseSequence:
                 net[event.spin] += event.angle_deg
         return net
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "system": self.system.to_dict(),
             "events": [event_to_dict(e) for e in self.events],
             "total_duration_s": self.total_duration_s,
         }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "PulseSequence":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
@@ -110,6 +111,14 @@ def as_finite(name: str, value) -> float:
     value = as_float(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def as_duration(name: str, value) -> float:
+    """One finite, nonnegative number of seconds as a float, after `as_float`'s checks."""
+    value = as_float(name, value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     return value
 
 
@@ -237,6 +246,30 @@ def iz_diag(n: int, spin: int) -> np.ndarray:
     z = np.empty(2**n)
     spin_axis(z, spin)[...] = IZ[:, None]
     return z
+
+
+def iz_product_diag(n: int, spins: Iterable[int]) -> np.ndarray:
+    """Diagonal of a product of Iz factors, e.g. Iz^a Iz^c."""
+    spins = list(spins)
+    if len(spins) != len(set(spins)):
+        raise ValueError("product factors must be distinct spins")
+    if not spins:
+        raise ValueError("need at least one factor")
+    check_capacity(n)  # before the 2**n diagonal is allocated
+    out = np.ones(2**n)
+    for s in spins:
+        out = out * iz_diag(n, s)
+    return out
+
+
+def iz_operator(n: int, spin: int) -> PopulationState:
+    """One spin's Iz as a traceless diagonal: +-1/2 per basis state."""
+    return PopulationState(n=n, pops=iz_diag(n, spin))
+
+
+def iz_product_operator(n: int, spins: Iterable[int]) -> PopulationState:
+    """A product of distinct spins' Iz as a traceless diagonal."""
+    return PopulationState(n=n, pops=iz_product_diag(n, spins))
 
 
 def thermal_state(n: int) -> PopulationState:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .states import as_polarization
+from .states import as_finite, as_polarization
 
 _PLANCK_J_S = 6.62607015e-34
 _BOLTZMANN_J_PER_K = 1.380649e-23
@@ -45,8 +45,8 @@ def thermal_polarization(larmor_hz: float, temperature_k: float) -> float:
     Uses the exact SI values of h and kB. larmor_hz may be zero (unpolarized
     limit); temperature must be positive.
     """
-    if larmor_hz < 0:
+    if as_finite("larmor_hz", larmor_hz) < 0:
         raise ValueError(f"Larmor frequency must be non-negative, got {larmor_hz}")
-    if temperature_k <= 0:
+    if as_finite("temperature_k", temperature_k) <= 0:
         raise ValueError(f"temperature must be positive, got {temperature_k}")
     return _HBAR_J_S * 2.0 * math.pi * larmor_hz / (2.0 * _BOLTZMANN_J_PER_K * temperature_k)

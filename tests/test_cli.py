@@ -1,18 +1,27 @@
 """Command-line interface: happy paths, artifacts, and exit codes."""
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coolspin
 from coolspin import CoolingPlan, PulseSequence, PopulationState, SpinSystem, example_system
 from coolspin import cli
 from coolspin.cli import build_parser, main
+from coolspin.gates import PERMUTATION_KINDS, ROTATION_KINDS
 
 import oracles
 
@@ -262,6 +271,8 @@ def test_compile_default_circuit_verifies(capsys, tmp_path):
     [
         ("--pulse90-s", "nan", "pulse90_s"),
         ("--pulse90-s", "inf", "pulse90_s"),
+        # Finite, but a 180-degree pulse at this pulse90_s lasts inf seconds.
+        ("--pulse90-s", "1.7976931348623157e308", "pulse90_s"),
         ("--bloch-siegert-deg", "inf", "bloch_siegert_deg"),
         ("--bloch-siegert-deg", "nan", "bloch_siegert_deg"),
     ],
@@ -530,6 +541,141 @@ def test_compile_refuses_a_sequence_whose_total_duration_overflows(capsys, tmp_p
     code, out, _ = run(capsys, "compile", "--pulse90-s", "1e306")
     assert code == 0
     assert "total duration (s): 3.6e+307\n" in out
+
+
+# Finite numbers at the edges of the float range, magnitudes from 1e-307 to
+# 1e307, and ordinary numbers: every number a generated file or flag holds.
+_MAGNITUDES = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-307.0, 307.0))
+_EDGES = st.one_of(
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-100.0, max_value=100.0),
+    _MAGNITUDES,
+)
+# One kind of coupling per system, so that some systems hold no overflowing row.
+_COUPLINGS = [
+    st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=100.0)),
+    st.one_of(st.just(0.0), _MAGNITUDES),
+    st.one_of(st.just(0.0), _EDGES),
+]
+# Two in three polarizations lie in (0, 1); the rest may be any finite number.
+_POLARIZATIONS = st.sampled_from(
+    [
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 1.0 - 2**-53]),
+        _EDGES,
+    ]
+).flatmap(lambda strategy: strategy)
+_ANY_GATE = {**PERMUTATION_KINDS, **ROTATION_KINDS}
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|(?i:\b(?:nan|inf|infinity)\b)")
+
+
+def _assert_finite_numbers(text):
+    """Every number in the text, JSON's NaN and Infinity included, parses as finite."""
+    for token in _NUMBER.findall(text):
+        assert math.isfinite(float(token)), token
+
+
+def _draw_system(data, directory, n):
+    couplings = data.draw(st.sampled_from(_COUPLINGS), label="coupling kind")
+    j_hz = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(i + 1, n):
+            j_hz[i][k] = j_hz[k][i] = data.draw(couplings, label=f"J{i}{k}")
+    shifts = data.draw(st.lists(_EDGES, min_size=n, max_size=n), label="shift_ppm")
+    payload = {"labels": [f"s{i}" for i in range(n)], "j_hz": j_hz, "shift_ppm": shifts}
+    payload["epsilon0"] = data.draw(_POLARIZATIONS, label="epsilon0")
+    path = directory / "system.json"
+    path.write_text(json.dumps(payload))
+    return ["--system", str(path)]
+
+
+def _draw_state(data, directory, n):
+    values = data.draw(st.lists(st.one_of(_MAGNITUDES, _EDGES), min_size=1, max_size=8), label="pop values")
+    half = [values[i % len(values)] for i in range(2 ** (n - 1))]
+    pops = half + [-x for x in half]  # traceless, in deviation units
+    if data.draw(st.booleans(), label="unbalanced"):
+        pops[0] = data.draw(_EDGES, label="pops[0]")
+    random.Random(data.draw(st.integers(0, 2**32), label="order")).shuffle(pops)
+    path = directory / "state.json"
+    path.write_text(json.dumps({"n": n, "pops": pops}))
+    return ["--state", str(path)]
+
+
+def _draw_circuit(data, directory, labels):
+    n, lines = len(labels), []
+    for _ in range(data.draw(st.integers(0, 6), label="gates")):
+        kind = data.draw(st.sampled_from(sorted(k for k, arity in _ANY_GATE.items() if arity <= n)), label="kind")
+        spins = data.draw(st.permutations(range(n)), label="spins")[: _ANY_GATE[kind]]
+        angle = [repr(data.draw(_EDGES, label="angle"))] if kind in ROTATION_KINDS else []
+        lines.append(" ".join([kind, *(labels[s] for s in spins), *angle]))
+    path = directory / "circuit.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return ["--circuit", str(path)]
+
+
+def _maybe(data, label, flag, strategy):
+    """`flag=value` for a drawn value, or nothing."""
+    if not data.draw(st.booleans(), label=label):
+        return []
+    return [f"{flag}={data.draw(strategy, label=label)!r}"]
+
+
+def _draw_command(data, directory):
+    """argv for one subcommand, and the path its --out would write."""
+    command = data.draw(st.sampled_from(["bound", "boost", "cool", "compile", "spectrum"]), label="command")
+    out = directory / f"{command}.out"
+    argv = [command]
+    if command == "cool":
+        argv += [f"--n={data.draw(st.integers(1, 3**6), label='n')}"]
+        eps0 = data.draw(_POLARIZATIONS, label="eps0")
+        target = data.draw(st.one_of(st.floats(1.01, 3.0).map(lambda x: x * eps0), _POLARIZATIONS), label="target")
+        argv += [f"--eps0={eps0!r}", f"--target-eps={target!r}"]
+        argv += ["--recycle"] * data.draw(st.booleans(), label="recycle")
+        argv += [f"--mode={data.draw(st.sampled_from(['exact', 'approx', 'both']), label='mode')}"]
+        return argv + ["--out", str(out)] * data.draw(st.booleans(), label="out"), out
+    n, labels = 3, ["a", "b", "c"]  # the bundled system
+    if data.draw(st.booleans(), label="custom system"):
+        n = data.draw(st.integers(1, {"boost": 4, "compile": 6}.get(command, 10)), label="spins")
+        argv += _draw_system(data, directory, n)
+        labels = [f"s{i}" for i in range(n)]
+    if command in ("bound", "spectrum") and data.draw(st.booleans(), label="spin flag"):
+        argv += ["--spin", data.draw(st.sampled_from(labels), label="spin")]
+    if command == "bound":
+        argv += _maybe(data, "eps0", "--eps0", _POLARIZATIONS)
+        if data.draw(st.booleans(), label="n flag"):
+            argv += [data.draw(st.sampled_from(["--n=1e308", "--n=1e9", "--n=1", "--n=5"]), label="n")]
+    elif command == "boost":
+        argv += _maybe(data, "eps0", "--eps0", _POLARIZATIONS)
+    elif command == "compile":
+        argv += _draw_circuit(data, directory, labels) if data.draw(st.booleans(), label="circuit") else []
+        argv += [f"--z-mode={data.draw(st.sampled_from(['virtual', 'pulsed']), label='z mode')}"]
+        argv += _maybe(data, "bloch-siegert", "--bloch-siegert-deg", _EDGES)
+        argv += _maybe(data, "pulse90", "--pulse90-s", _EDGES)
+    elif data.draw(st.booleans(), label="state"):
+        argv += _draw_state(data, directory, data.draw(st.one_of(st.just(n), st.integers(1, 10)), label="state spins"))
+    elif data.draw(st.booleans(), label="boosted"):
+        argv += ["--boosted"]
+    if command != "bound" and data.draw(st.booleans(), label="out"):
+        argv += ["--out", str(out)]
+    return argv, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+@pytest.mark.filterwarnings("error")
+def test_every_command_exits_with_a_known_code_and_prints_only_finite_numbers(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, out = _draw_command(data, Path(tmp))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), stderr.getvalue()
+        # A "wrote" line holds the path of the artifact, which is read instead.
+        printed = [line for line in stdout.getvalue().splitlines() if not line.startswith("wrote ")]
+        _assert_finite_numbers("\n".join(printed))
+        if out.exists():
+            _assert_finite_numbers(out.read_text())
 
 
 def run_python(*argv, **env_vars):

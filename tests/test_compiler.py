@@ -338,6 +338,15 @@ def test_compile_requires_couplings():
         cs.compile_circuit(cs.CircuitIR(2, [cs.Gate("CNOT", (0, 1))]), uncoupled)
 
 
+def test_the_phase_toffoli_is_refused_by_the_compile_coupling_check():
+    # Each delay, up to 1/|J|, is infinite at a subnormal coupling.
+    j_hz = [[0.0 if i == k else 1e-320 for k in range(3)] for i in range(3)]
+    tiny = cs.SpinSystem(labels=["a", "b", "c"], j_hz=j_hz, shift_ppm=[0.0] * 3, epsilon0=1e-4)
+    message = r"^j_hz must hold couplings whose 1/\|J\| and 2 pi \|J\| are finite, to compile$"
+    with pytest.raises(ValueError, match=message):
+        cs.lower_toffoli_phase(tiny, DurationModel(), 0, 1, 2)
+
+
 def test_bloch_siegert_compensation_changes_the_ideal_propagator(system):
     circuit = cs.CircuitIR(3, cs.boost_circuit())
     plain = unitary_of(circuit, system)

@@ -659,6 +659,13 @@ def test_a_hand_made_plan_refuses_index_array_blocks_that_overlap_or_leave_the_s
             "round 2: a block of 2 spins does not split into triples",
             id="index-array-of-2",
         ),
+        # Accepted before a round's spins were counted: a refocus count of -6 and a
+        # total gate count of 9.
+        pytest.param(
+            [(1e-3, range(0, 3)), (1e-3, range(0, 6))],
+            "round 2: its blocks hold 9 spins, more than the 6 there are",
+            id="more-spins-than-n",
+        ),
     ],
 )
 def test_a_hand_made_plan_refuses_range_blocks_that_leave_the_spins_or_split_a_triple(blocks, message):

@@ -19,7 +19,9 @@ from coolspin import (
     boost_exact,
     compile_circuit,
     conditional_polarization_after_cnot,
+    coupled_delay_s,
     entropy_binary,
+    entropy_bound_kmax,
     entropy_deficit,
     example_system,
     example_system_path,
@@ -29,11 +31,12 @@ from coolspin import (
     plan_rounds,
     polarization,
     readout,
+    thermal_polarization,
     thermal_state,
     verify_permutation,
 )
 from coolspin.propagator import propagate
-from coolspin.pulses import Delay, FrameShift, PulseSequence, SelectivePulse, event_from_dict
+from coolspin.pulses import Delay, DurationModel, FrameShift, PulseSequence, SelectivePulse, event_from_dict
 from coolspin.states import (
     CAPACITY_ENV_VAR,
     MAX_DENSE_SPINS,
@@ -365,6 +368,14 @@ _SCALAR_FIELDS = [
     ("polarization", conditional_polarization_after_cnot),
     ("polarization", entropy_binary),
     ("polarization", entropy_deficit),
+    ("j_hz", lambda x: coupled_delay_s(x, 1.0)),
+    ("turns", lambda x: coupled_delay_s(10.0, x)),
+    ("larmor_hz", lambda x: thermal_polarization(x, 1.0)),
+    ("temperature_k", lambda x: thermal_polarization(1e6, x)),
+    ("n", lambda x: entropy_bound_kmax(x, 0.1)),
+    ("duration_s", lambda x: SelectivePulse("a", 0.0, 90.0, x)),
+    ("duration_s", Delay),
+    ("pulse90_s", DurationModel),
 ]
 _NOT_FINITE_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, True, False, np.True_, "0.5", "nan"])
 _OUTSIDE_THE_UNIT_INTERVAL = st.floats().filter(lambda x: not 0.0 <= x <= 1.0)
