@@ -153,6 +153,8 @@ class _Lowering:
             for u in range(self.system.n):
                 if u != spin:
                     self.frame[u] += self.bloch_siegert_deg
+            if math.inf in map(abs, self.frame):
+                raise ValueError("bloch_siegert_deg must keep every spin's z frame finite, to compile")
 
     def pulse(self, spin: int, phase_deg: float, angle_deg: float) -> None:
         label = self.system.labels[spin]
@@ -166,6 +168,9 @@ class _Lowering:
             self.pulse(spin, 90.0, -90.0)
         else:
             self.frame[spin] += theta_deg
+            if math.isinf(self.frame[spin]):
+                label = self.system.labels[spin]
+                raise ValueError(f"RZ angles must keep spin {label}'s z frame finite, to compile")
 
     def delay(self, active: tuple[int, int], duration_s: float) -> None:
         """Free evolution under one coupling with every other coupling echoed away.

@@ -4,9 +4,9 @@ Boosts act on Z correlators <Z_S>, one per subset S of the spins: a spin
 at eps is (1, eps), independent spins multiply, and the boost is one fixed
 8x8 matrix with entries 0, +-1/2 and +-1. So `boost_exact` is exact at any
 polarization up to the rounding of eps**2 and eps**3. The kernel that the
-scheduler and the approx replay share writes the matrix's three marginal
-rows out as float arithmetic in one fixed order, so its bits do not depend
-on BLAS.
+scheduler and both replays share writes the matrix's three marginal rows
+out as float arithmetic in one fixed order, so its bits do not depend on
+BLAS.
 
 `plan_rounds` builds a schedule: spins sit in pools keyed by their exact
 polarization value, each round greedily forms disjoint triples inside every
@@ -14,8 +14,8 @@ pool that still holds three spins (coldest pool first, lowest indices
 first), the first member of each triple comes out boosted, and the other
 two leave the live set unless role b is recycled. A round boosts once per
 pool value, keeps each pool's boosted spins as one block, and builds its
-(k, 3) spin-index triples only when the plan file or the exact replay reads
-them. The recorded operation count adds, on top of five gates per boost,
+(k, 3) spin-index triples only when the plan file or the cluster engine
+reads them. The recorded operation count adds, on top of five gates per boost,
 one refocusing echo pair (two NOT pulses) per round for every physically
 present spin outside that round's triples: those couplings must be
 refocused while the active spins evolve, and it is this per-round overhead
@@ -23,10 +23,10 @@ that makes the total cost grow as n log n rather than linearly. Echo pairs
 compose to the identity, so they are bookkeeping only and never touch the
 simulated state.
 
-`simulate_plan` replays a plan under two policies, each with its own
-engine: exact walks the triples and keeps correlated spins together until
-their last triple; approx forgets every correlation after each boost, so
-it makes one kernel call per block.
+`simulate_plan` replays a plan under two policies: approx forgets every
+correlation after each boost, one kernel call per block; exact applies the
+same kernel if every triple is certified independent by its spins' cones,
+and else keeps correlated spins in clusters until their last triple.
 """
 from __future__ import annotations
 
@@ -424,6 +424,36 @@ def _replay_approx(plan: CoolingPlan) -> np.ndarray:
 
 
 def _replay_exact(plan: CoolingPlan) -> np.ndarray:
+    """Per-spin polarizations by certified triples, or else by `_replay_clusters`.
+
+    A spin's cone, the original spins its bit depends on, is {s} until a boost
+    joins its triple's cones into one frozenset, dropped after its last round.
+    Bit-equal spins with disjoint cones are independent: the kernel is exact.
+    """
+    _check_triple_budget(plan.n)
+    eps, last, cones = np.full(plan.n, plan.eps0), np.zeros(plan.n, dtype=np.int32), {}
+    runs = [(r, _indices(run)) for r, rnd in enumerate(plan.rounds, start=1) for _, run in rnd.blocks]
+    for r, index in runs:
+        last[index] = r
+    for r, index in runs:
+        held = eps[index]
+        bits = held.view(np.int64).tolist()
+        if bits[0::3] != bits[1::3] or bits[0::3] != bits[2::3]:
+            return _replay_clusters(plan)
+        spins = zip(index.tolist(), (last[index] > r).tolist())
+        for triple in zip(spins, spins, spins):
+            parts = [cones.pop(s, None) or (s,) for s, _ in triple]
+            cone = frozenset().union(*parts)
+            if len(cone) < sum(map(len, parts)):
+                return _replay_clusters(plan)
+            cones.update((s, cone) for s, kept in triple if kept)
+        value = float(held[0]) if len(set(bits)) == 1 else held[0::3]  # a scalar is 20x faster
+        held[0::3], held[1::3], held[2::3] = _boost_marginals(value)
+        eps[index] = held
+    return eps
+
+
+def _replay_clusters(plan: CoolingPlan) -> np.ndarray:
     """Per-spin polarizations after the plan's triples, boosted in order.
 
     An uncorrelated spin is kept as its polarization alone; spins that a
@@ -431,23 +461,27 @@ def _replay_exact(plan: CoolingPlan) -> np.ndarray:
     tensor with one axis per spin. A boost merges its spins' clusters,
     applies the boost matrix to their three axes and reads their marginals.
     A spin leaves its cluster after its last triple (index 0 on its axis),
-    which keeps the result exact, and each merged cluster is checked
-    against the spin budget, read once per replay, before it is allocated.
+    which keeps the result exact. Before a merge is allocated, it and the
+    live clusters' sum with it, as one vector of as many entries, are checked
+    against the spin budget, read once per replay.
     """
-    _check_triple_budget(plan.n)
     eps = np.full(plan.n, plan.eps0)
     triples = [tuple(t) for rnd in plan.rounds for t in rnd.triples.tolist()]
     last = {s: i for i, t in enumerate(triples) for s in t}
     clusters: dict[int, tuple[list[int], np.ndarray]] = {}
-    limit = capacity_limit(MAX_POPULATION_SPINS)
+    limit, live = capacity_limit(MAX_POPULATION_SPINS), 0
     for i, triple in enumerate(triples):
         parts = []
         for s in triple:
-            part = clusters.get(s) or ([s], np.array([1.0, eps[s]]))
-            if all(part is not p for p in parts):
+            part = clusters.pop(s, None)
+            if part is None:
+                parts.append(([s], np.array([1.0, eps[s]])))
+            elif all(part is not p for p in parts):
                 parts.append(part)
+                live -= part[1].size
         spins = [s for part in parts for s in part[0]]
         check_capacity(len(spins), limit=limit)
+        check_capacity((live + 2 ** len(spins) - 1).bit_length(), limit=limit, kind="the live clusters together")
         merged = reduce(np.multiply.outer, [part[1] for part in parts])
         merged = np.moveaxis(merged, [spins.index(s) for s in triple], [0, 1, 2]).reshape(8, -1)
         spins = list(triple) + [s for s in spins if s not in triple]
@@ -457,15 +491,16 @@ def _replay_exact(plan: CoolingPlan) -> np.ndarray:
         if kept:
             index = tuple(slice(None) if last[s] > i else 0 for s in spins)
             clusters.update(dict.fromkeys(kept, (kept, out.reshape((2,) * len(spins))[index])))
+            live += 2 ** len(kept)
     return eps
 
 
 def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
-    """Execute a plan under one of two policies, each with its own engine.
+    """Execute a plan under one of two policies.
 
-    "approx" forgets correlations after each boost, so each block costs one
-    kernel call; "exact" keeps each cluster of correlated spins until their
-    last triple, under the population capacity guard; "both" runs the two
+    "approx" forgets correlations after each boost, one kernel call per
+    block; "exact" costs as much on a certified plan and otherwise keeps
+    clusters under the population capacity guard; "both" runs the two
     and reports their largest per-spin difference. `plan_rounds` records
     the coldest pool's lowest spin as `best_spin`, which answers the approx
     `best`, so the approx replay waits until `eps_approx` is read; a plan

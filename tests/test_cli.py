@@ -161,11 +161,14 @@ def test_cool_unreachable_target_exits_3(capsys):
 
 
 _COOL_27 = ("cool", "--n", "27", "--eps0", "1e-5", "--target-eps", "3.34e-5", "--mode", "both")
+# At eps0 = 1e-9 float ties merge recycled pools, and 2 of the 19 triples
+# boost spins whose histories overlap, so the cluster engine replays the plan.
+_COOL_27_TIES = ("cool", "--n", "27", "--eps0", "1e-9", "--target-eps", "3.34e-9", "--mode", "both")
 
 
 def test_cool_exact_mode_is_bounded_by_its_cluster_not_by_n(capsys, monkeypatch):
-    # 27 spins exceed the default budget of 24, but without recycling the
-    # exact replay never holds more than one triple's cluster.
+    # 27 spins exceed the default budget of 24, but without recycling every
+    # triple boosts three independent spins, and the exact replay builds no cluster.
     monkeypatch.delenv("COOLSPIN_MAX_N", raising=False)
     code, out, err = run(capsys, *_COOL_27)
     assert (code, err) == (0, "")
@@ -173,11 +176,20 @@ def test_cool_exact_mode_is_bounded_by_its_cluster_not_by_n(capsys, monkeypatch)
 
 
 def test_cool_exact_mode_beyond_capacity_exits_4(capsys, monkeypatch):
-    # Recycling merges a 12-spin cluster at this size.
+    # Recycling merges a 12-spin cluster on this tie-merged plan.
     monkeypatch.setenv("COOLSPIN_MAX_N", "10")
-    code, _, err = run(capsys, *_COOL_27, "--recycle")
+    code, _, err = run(capsys, *_COOL_27_TIES, "--recycle")
     assert code == 4
     assert err.startswith("capacity: 12 spins exceeds the budget of 10")
+
+
+def test_cool_exact_mode_bounds_the_sum_of_its_live_clusters(capsys, monkeypatch):
+    # The merge that trips the budget fits 6 spins, but with it the live
+    # clusters together would outgrow 2**6 entries.
+    monkeypatch.setenv("COOLSPIN_MAX_N", "6")
+    code, _, err = run(capsys, *_COOL_27_TIES, "--recycle")
+    assert code == 4
+    assert err.startswith("capacity: 7 spins exceeds the budget of 6 for the live clusters together")
 
 
 def test_cool_prints_each_rounds_pools_in_numeric_order(capsys):
@@ -275,9 +287,17 @@ def test_compile_default_circuit_verifies(capsys, tmp_path):
         ("--pulse90-s", "1.7976931348623157e308", "pulse90_s"),
         ("--bloch-siegert-deg", "inf", "bloch_siegert_deg"),
         ("--bloch-siegert-deg", "nan", "bloch_siegert_deg"),
+        # Finite, but two pulses shift the other spins' z frames to inf.
+        ("--bloch-siegert-deg", "1e308", "bloch_siegert_deg"),
+        # Each angle is finite, but spin a's z frame sums them to inf.
+        ("--circuit", "RZ a 1e308\nRZ a 1e308\n", "RZ angles must keep spin a's z frame"),
     ],
 )
-def test_compile_rejects_non_finite_flags(capsys, flag, value, field):
+def test_compile_rejects_non_finite_flags(capsys, tmp_path, flag, value, field):
+    if flag == "--circuit":
+        path = tmp_path / "circuit.txt"
+        path.write_text(value)
+        value = str(path)
     code, out, err = run(capsys, "compile", flag, value)
     assert (code, out) == (2, "")
     assert field in err and "finite" in err

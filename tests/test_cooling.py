@@ -761,12 +761,12 @@ def test_simulation_modes_agree_at_low_polarization():
 
 def test_exact_simulation_respects_population_capacity(monkeypatch):
     # The budget bounds the largest correlated cluster, not the plan's n:
-    # without recycling no cluster outgrows a triple, so 27 spins replay.
+    # without recycling every triple is certified, so 27 spins replay.
     monkeypatch.delenv(CAPACITY_ENV_VAR, raising=False)
     result = simulate_plan(plan_rounds(27, 1e-5, 3.34e-5), mode="both")
     assert result.discrepancy == 0.0
-    # Recycling role b merges clusters of up to 12 spins at this size.
-    recycled = plan_rounds(27, 1e-5, 3.34e-5, recycle=True)
+    # Where float ties merge recycled pools, clusters of up to 12 spins form.
+    recycled = plan_rounds(27, 1e-9, 3.34e-9, recycle=True)
     monkeypatch.setenv(CAPACITY_ENV_VAR, "10")
     with pytest.raises(CapacityError, match="12 spins exceeds the budget of 10"):
         simulate_plan(recycled, mode="exact")
@@ -783,8 +783,83 @@ def test_exact_replay_reads_the_spin_budget_once(monkeypatch):
 
     limit = cooling.capacity_limit
     monkeypatch.setattr(cooling, "capacity_limit", spy)
-    simulate_plan(plan_rounds(27, 1e-5, 3.34e-5, recycle=True), mode="exact")
+    simulate_plan(plan_rounds(27, 1e-9, 3.34e-9, recycle=True), mode="exact")
     assert reads == [24]
+
+
+def test_the_cluster_engine_bounds_the_sum_of_its_live_clusters(monkeypatch):
+    # Round 1 leaves three 3-spin clusters of 8 entries each, which round 2
+    # boosts again: each fits a budget of 4 spins (16 entries), but the third
+    # would bring the live clusters to 24 entries, as many as 5 spins hold.
+    rounds = [[(0, 1, 2), (3, 4, 5), (6, 7, 8)]] * 2
+    merges = []
+
+    def spy(*args):
+        merged = merge(*args)
+        merges.append(merged.ndim)
+        return merged
+
+    merge = cooling.reduce
+    monkeypatch.setattr(cooling, "reduce", spy)
+    monkeypatch.setenv(CAPACITY_ENV_VAR, "4")
+    with pytest.raises(CapacityError, match="5 spins exceeds the budget of 4 for the live clusters together"):
+        simulate_plan(_plan(9, 0.3, rounds), mode="exact")
+    assert merges == [3, 3]  # the third triple's cluster is never allocated
+    monkeypatch.setenv(CAPACITY_ENV_VAR, "5")
+    got = simulate_plan(_plan(9, 0.3, rounds), mode="exact").eps_exact
+    want = oracles.replay_exact(9, 0.3, [t for rnd in rounds for t in rnd])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def _spy_on_the_cluster_engine(env) -> list:
+    """Patch `_replay_clusters` to record each plan it replays."""
+    calls, engine = [], cooling._replay_clusters
+    env.setattr(cooling, "_replay_clusters", lambda plan: calls.append(plan) or engine(plan))
+    return calls
+
+
+@st.composite
+def _recycled_plans(draw):
+    """A recycled planner plan at n <= 81 and eps0 in [1e-13, 0.3]."""
+    n = draw(st.integers(min_value=3, max_value=81))
+    eps0 = 10.0 ** draw(st.floats(min_value=-13.0, max_value=math.log10(0.3)))
+    target = eps0
+    for _ in range(draw(st.integers(min_value=1, max_value=int(math.log(n, 3) + 1e-9)))):
+        target = boost_exact(target).eps_a
+    return plan_rounds(n, eps0, 0.99 * target, recycle=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan=st.one_of(_random_plans(), _recycled_plans()))
+@example(plan=plan_rounds(27, 1e-5, 3.34e-5, recycle=True))
+@example(plan=_plan(9, 1.0, [[(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(0, 3, 6)]]))
+def test_a_certified_replay_equals_the_cluster_engine(plan):
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv(CAPACITY_ENV_VAR, "24")
+        calls = _spy_on_the_cluster_engine(env)
+        try:
+            got = simulate_plan(plan, mode="exact").eps_exact
+        except CapacityError:  # only the cluster engine has a spin budget
+            assert calls
+            return
+        # A plan without tie-merged blocks boosts disjoint histories only.
+        if all(isinstance(run, range) for rnd in plan.rounds for _, run in rnd.blocks):
+            assert calls == []
+        if not calls:  # every triple was certified
+            want = cooling._replay_clusters(plan)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_only_a_plan_whose_cones_overlap_reaches_the_cluster_engine(monkeypatch):
+    calls = _spy_on_the_cluster_engine(monkeypatch)
+    tie_free = plan_rounds(27, 1e-5, 3.34e-5, recycle=True)
+    assert simulate_plan(tie_free, mode="both").discrepancy == 0.0
+    assert calls == []
+    # At 1e-9 float ties merge recycled pools, and 2 of its 19 triples boost
+    # spins that share an original spin.
+    tied = plan_rounds(27, 1e-9, 3.34e-9, recycle=True)
+    simulate_plan(tied, mode="exact")
+    assert calls == [tied]
 
 
 @pytest.mark.parametrize("mode", ["exact", "both"])
