@@ -204,18 +204,21 @@ class CoolingPlan:
             raise ValueError(f"label {_repeated(self.labels)} names more than one spin")
         self.target_eps = as_finite("target_eps", self.target_eps)
         self.predicted_best = as_finite("predicted_best", self.predicted_best)
-        # The replay boosts a round's triples together, so they must be disjoint. A
-        # range block is a planner pool, cut from 0..n-1 apart from the round's other
-        # pools: it is only bounded, in O(1), and a round holds n spins at most. Index
-        # arrays are checked for repeats.
+        # The replay boosts a round's triples together, so they must be disjoint, and
+        # each block must hold one or more whole triples: an empty block counts as one
+        # spin, so the test for whole triples refuses it too. A range block is a planner
+        # pool, cut from 0..n-1 apart from the round's other pools: it is only bounded,
+        # in O(1), and a round holds n spins at most. Index arrays are checked for repeats.
         for r, rnd in enumerate(self.rounds, start=1):
             runs = []
             for _, spins in rnd.blocks:
-                if len(spins) % 3:
-                    raise ValueError(f"round {r}: a block of {len(spins)} spins does not split into triples")
+                size = len(spins)
+                if (size or 1) % 3:
+                    what = f"a block of {size} spins does not split into triples" if size else "a block holds no spins"
+                    raise ValueError(f"round {r}: {what}")
                 if not isinstance(spins, range):
                     runs.append(spins)
-                elif spins and not (spins.step > 0 and spins.start >= 0 and spins[-1] < self.n):
+                elif not (spins.step > 0 and spins.start >= 0 and spins[-1] < self.n):
                     raise ValueError(f"round {r}: block {spins} must step upward inside 0..{self.n - 1}")
             if 3 * rnd.boosts > self.n:
                 raise ValueError(f"round {r}: its blocks hold {3 * rnd.boosts} spins, more than the {self.n} there are")

@@ -10,9 +10,10 @@ configuration.
 
 States in thermal deviation units make every thermal line come out at
 exactly 1, so all amplitudes here read directly as multiples of the
-thermal signal. Lines are listed from highest to lowest frequency offset;
-under that convention the boosted three-spin state reads 1:2:1:2 on the
-first spin, 0:1:0:1 on the second, and -1:0:0:1 on the third.
+thermal signal. Lines are listed from highest to lowest frequency offset,
+lines of equal offset in spectator index order; under that convention the
+boosted three-spin state reads 1:2:1:2 on the first spin, 0:1:0:1 on the
+second, and -1:0:0:1 on the third.
 
 `Spectrum.to_csv` writes Python's `repr` of every float, yet formats about
 half of them. A multiplet is exactly antisymmetric: the spectator
@@ -25,14 +26,16 @@ so an O(N) guard checks the property first: an even line count, a top half
 of positive floats, and a bottom half equal to it negated bit for bit.
 Otherwise each frequency is formatted on its own. Amplitudes take few
 distinct values in most states, so each distinct bit pattern (found by one
-sort of the bits, which keeps -0.0 apart from 0.0) is formatted once.
+sort of the bits, which keeps -0.0 apart from 0.0) is formatted once, as a
+whole `,amplitude` cell with its newline. No row is built as a string: a
+row is its parts (the frequency text, a separate "-" for a mirror row, and
+its amplitude cell), 4096 rows are joined into one chunk, the middle of a
+mirror is a chunk seam, and the chunks are joined once.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 
 import numpy as np
 
@@ -41,6 +44,8 @@ from .system import SpinSystem
 
 # One record per line; spectator is the other spins' bits, spin order, MSB first.
 _LINE_DTYPE = np.dtype([("freq_hz", float), ("amplitude", float), ("spectator", np.int64)])
+# Rows joined per CSV chunk; the chunks are joined once at the end.
+_CSV_ROWS = 4096
 
 
 @dataclass
@@ -64,29 +69,33 @@ class Spectrum:
 
     def to_csv(self) -> str:
         """A `freq_hz,amplitude` header, then one line of float reprs per line record."""
-        rows = zip(_frequency_text(self.frequencies), _amplitude_text(self.amplitudes))
-        return "\n".join(chain(["freq_hz,amplitude"], map(",".join, rows), [""]))
+        freq = self.frequencies
+        bits, index = np.unique(self.amplitudes.view(np.int64), return_inverse=True)
+        cells = np.array([f",{a!r}\n" for a in bits.view(float).tolist()], dtype=object)
+        half = len(freq) // 2 if _mirrored(freq) else len(freq)
+        text = list(map(repr, freq[:half].tolist()))
+        mirror = text[::-1] if half < len(freq) else []
+        chunks = ["freq_hz,amplitude\n"]
+        for offset, sign, texts in ((0, (), text), (half, ("-",), mirror)):
+            width = len(sign) + 2
+            for start in range(0, len(texts), _CSV_ROWS):
+                stop = min(start + _CSV_ROWS, len(texts))
+                parts = [*sign, None, None] * (stop - start)
+                parts[width - 2 :: width] = texts[start:stop]
+                parts[width - 1 :: width] = cells[index[offset + start : offset + stop]].tolist()
+                chunks.append("".join(parts))
+        return "".join(chunks)
 
 
-def _frequency_text(freq: np.ndarray) -> Iterable[str]:
-    """`repr` of each frequency; a mirrored multiplet formats its top half only."""
+def _mirrored(freq: np.ndarray) -> bool:
+    """Whether the bottom half is the top half, all positive, negated bit for bit and reversed."""
     half = len(freq) // 2
     top = freq[:half]
-    if (
+    return (
         2 * half == len(freq)
         and (top > 0).all()
         and ((-top[::-1]).view(np.int64) == freq[half:].view(np.int64)).all()
-    ):
-        text = list(map(repr, top.tolist()))
-        return chain(text, map("-".__add__, reversed(text)))
-    return map(repr, freq.tolist())
-
-
-def _amplitude_text(amp: np.ndarray) -> Iterable[str]:
-    """`repr` of each amplitude, formatted once per distinct bit pattern."""
-    bits, index = np.unique(amp.view(np.int64), return_inverse=True)
-    text = list(map(repr, bits.view(float).tolist()))
-    return map(text.__getitem__, index.tolist())
+    )
 
 
 def _line_offsets(system: SpinSystem, j: int) -> np.ndarray:

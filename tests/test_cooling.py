@@ -659,6 +659,16 @@ def test_a_hand_made_plan_refuses_index_array_blocks_that_overlap_or_leave_the_s
             "round 2: a block of 2 spins does not split into triples",
             id="index-array-of-2",
         ),
+        # Accepted before empty blocks were refused: the approx replay raised numpy's
+        # bare "attempt to get argmax of an empty sequence".
+        pytest.param(
+            [(1e-3, range(0, 0)), (1e-3, range(0, 3))], "round 2: a block holds no spins", id="empty-range"
+        ),
+        pytest.param(
+            [(1e-3, range(0, 3)), (2e-3, np.array([], dtype=np.intp))],
+            "round 2: a block holds no spins",
+            id="empty-index-array",
+        ),
         # Accepted before a round's spins were counted: a refocus count of -6 and a
         # total gate count of 9.
         pytest.param(

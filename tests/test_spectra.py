@@ -18,6 +18,7 @@ from coolspin import (
     readout,
     thermal_state,
 )
+from coolspin import spectra
 
 import oracles
 
@@ -193,6 +194,10 @@ def test_csv_bytes_equal_one_repr_per_float(n, couplings, dense, pops, seed):
     for spin in range(n):
         spec = readout(state, system, spin)
         assert spec.to_csv() == oracles.csv_reference(spec.frequencies, spec.amplitudes)
+        # The zero, integer and dyadic couplings tie offsets: tied lines must stay in
+        # spectator index order, which only a stable sort promises.
+        offsets = np.array(oracles.line_offsets(j_hz.tolist(), spin))
+        assert spec.lines.spectator.tolist() == np.argsort(-offsets, kind="stable").tolist()
 
 
 def _zeros_with_a_negative_zero(n):
@@ -232,4 +237,37 @@ def test_csv_bytes_hold_on_either_side_of_the_amplitude_memo_threshold(distinct)
     lines = np.rec.fromarrays((freq, amp, np.arange(2048)), names="freq_hz,amplitude,spectator")
     spec = Spectrum(spin=0, lines=lines)
     assert len(np.unique(spec.amplitudes)) == distinct
+    assert spec.to_csv() == oracles.csv_reference(spec.frequencies, spec.amplitudes)
+
+
+def _hand_built(count, mirrored, rng):
+    """A spectrum of `count` lines, mirrored about a middle that an odd count fills with 0.0."""
+    if mirrored:
+        top = np.sort(rng.uniform(0.5, 100.0, count // 2))[::-1]
+        freq = np.concatenate([top, np.zeros(count % 2), -top[::-1]])
+    else:
+        freq = rng.uniform(-100.0, 100.0, count)
+    amp = rng.choice([-1.0, -0.0, 0.0, 2.5, 1 / 3], count)
+    lines = np.rec.fromarrays((freq, amp, np.arange(count)), names="freq_hz,amplitude,spectator")
+    return Spectrum(spin=0, lines=lines)
+
+
+@pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "plain"])
+@pytest.mark.parametrize("count", [0, 1, 2, 4095, 4096, 4097, 8190, 8192, 8194, 12288])
+def test_csv_bytes_hold_across_chunk_seams(count, mirrored):
+    # to_csv joins rows in chunks of 4096, and the middle of a mirror is a seam:
+    # these counts put rows on either side of one, or end a half just short of it.
+    spec = _hand_built(count, mirrored, np.random.default_rng(count))
+    assert spectra._mirrored(spec.frequencies) == (count % 2 == 0 and (mirrored or count == 0))
+    assert spec.to_csv() == oracles.csv_reference(spec.frequencies, spec.amplitudes)
+
+
+@pytest.mark.parametrize("pops", ["thermal", "permuted"])
+@pytest.mark.parametrize("n", [13, 14, 15])
+def test_csv_bytes_of_multiplets_that_span_chunks(n, pops):
+    rng = np.random.default_rng(n)
+    j_hz = _couplings("random", n, True, rng)
+    system = SpinSystem([f"s{k}" for k in range(n)], j_hz, np.zeros(n), 1e-5)
+    spec = readout(PopulationState(n=n, pops=_pops(pops, n, rng)), system, 0)
+    assert spectra._mirrored(spec.frequencies)
     assert spec.to_csv() == oracles.csv_reference(spec.frequencies, spec.amplitudes)
