@@ -30,6 +30,7 @@ exactly on populations and match its magnitude pattern entrywise.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,6 +124,20 @@ def _delay_angle_deg(theta_deg: float, j_hz: float) -> float:
     return turns if j_hz < 0.0 else turns - 360.0
 
 
+@functools.cache
+def _echo_schedule(count: int) -> tuple[tuple[int, ...], ...]:
+    """The spectators that flip at the end of each slice of a delay echoed for `count` of them.
+
+    The delay is cut into 2**k slices, the smallest power of two above
+    `count`. Spectator r follows Walsh row r + 1, whose sign over slice c is
+    (-1)**popcount((r + 1) & c), and flips wherever that sign changes, last
+    back to +1 after the final slice.
+    """
+    slices = 1 << count.bit_length()
+    rows = [[-1 if ((r + 1) & col).bit_count() % 2 else 1 for col in range(slices)] + [1] for r in range(count)]
+    return tuple(tuple(r for r in range(count) if rows[r][col] != rows[r][col + 1]) for col in range(slices))
+
+
 class _Lowering:
     """One lowering pass: gates in, events appended to one list.
 
@@ -177,32 +192,22 @@ class _Lowering:
 
         The delay is cut into 2**k equal slices and each coupled spectator is
         flipped by 180-degree pulses following its own nonconstant Walsh sign
-        pattern. Distinct Walsh rows are orthogonal to each other and to the
-        constant row carried by the active pair, so every coupling involving a
-        spectator averages to zero over the slices while the active coupling
-        evolves for the full duration. One spectator reduces to the familiar
-        two-pulse echo.
+        pattern (`_echo_schedule`, cached per spectator count). Distinct Walsh
+        rows are orthogonal to each other and to the constant row carried by
+        the active pair, so every coupling involving a spectator averages to
+        zero over the slices while the active coupling evolves for the full
+        duration. One spectator reduces to the familiar two-pulse echo.
         """
         spectators = [u for u in range(self.system.n) if u not in active and self.coupled[u]]
         if not spectators:
             self.events.append(Delay(duration_s=duration_s))
             return
-        rows = {u: r + 1 for r, u in enumerate(spectators)}
-        slices = 1 << len(spectators).bit_length()  # smallest power of two > len
-        piece = Delay(duration_s=duration_s / slices)
-
-        def walsh(row: int, col: int) -> int:
-            return -1 if (row & col).bit_count() % 2 else 1
-
-        self.events.append(piece)
-        for boundary in range(1, slices + 1):
-            for u in spectators:
-                before = walsh(rows[u], boundary - 1)
-                after = walsh(rows[u], boundary) if boundary < slices else 1
-                if before != after:
-                    self.emit(u, self.echo[u])
-            if boundary < slices:
-                self.events.append(piece)
+        schedule = _echo_schedule(len(spectators))
+        piece = Delay(duration_s=duration_s / len(schedule))
+        for flips in schedule:
+            self.events.append(piece)
+            for r in flips:
+                self.emit(spectators[r], self.echo[spectators[r]])
 
     def controlled_rz(self, control: int, target: int, theta_deg: float) -> None:
         j_hz = _require_coupling(self.system, control, target)

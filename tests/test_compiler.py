@@ -1,6 +1,7 @@
 """Circuit text format, pulse-level lowering, and the sequence propagator."""
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import coolspin as cs
-from coolspin.compiler import format_circuit, parse_circuit
+from coolspin.compiler import _echo_schedule, format_circuit, parse_circuit
 from coolspin.propagator import propagate
 from coolspin.states import CAPACITY_ENV_VAR
 from coolspin.pulses import (
@@ -311,6 +312,36 @@ def test_refocusing_cancels_spectator_couplings(system):
     assert all(p.angle_deg == 180.0 for p in pulses_on_a)
 
 
+@pytest.mark.parametrize("count", range(1, 17))
+def test_the_echo_schedule_flips_each_spectator_along_its_walsh_row(count):
+    """Spectator r follows Walsh row r + 1 over the 2**k slices and ends at +1.
+
+    The flips at the end of slice c are exactly the spectators whose sign
+    (-1)**popcount((r + 1) & c) changes into slice c + 1, or, after the
+    last slice, is not back at +1. Read back from the flips, every row sums
+    to zero over the slices (it is orthogonal to the active pair's constant
+    row) and every two rows are orthogonal.
+    """
+    schedule = _echo_schedule(count)
+    slices = len(schedule)
+    assert slices == 1 << count.bit_length()
+
+    def walsh(row, col):
+        return -1 if bin(row & col).count("1") % 2 else 1
+
+    sign, rows = [1] * count, np.empty((count, slices), dtype=int)
+    for col, flips in enumerate(schedule):
+        after = [walsh(r + 1, col + 1) if col + 1 < slices else 1 for r in range(count)]
+        assert list(flips) == [r for r in range(count) if walsh(r + 1, col) != after[r]]
+        rows[:, col] = sign
+        for r in flips:
+            sign[r] = -sign[r]
+    assert sign == [1] * count
+    assert rows.tolist() == [[walsh(r + 1, col) for col in range(slices)] for r in range(count)]
+    assert not rows.sum(axis=1).any()
+    assert np.array_equal(rows @ rows.T, slices * np.eye(count, dtype=int))
+
+
 def test_no_spectators_means_no_echo():
     two = cs.SpinSystem(
         labels=["s", "t"],
@@ -544,6 +575,38 @@ def test_probe_and_dense_verdicts_agree_on_small_pulse_errors(error_deg, verdict
     assert cs.verify_permutation(seq, perm) == dense == verdict
 
 
+@st.composite
+def _adjacent_rotations(draw, labels, phase):
+    """Two or three pulses on one spin that do not commute, with gaps between them.
+
+    The pulses alternate between two phases 1 to 179 degrees apart, through
+    angles that are not multiples of 180, as a pulsed RZ's 90/theta/-90
+    does. A gap is nothing, a zero frame shift on the spin or a zero delay,
+    which leave the run between two pulses empty, so the engine fuses them
+    into one 2x2 matrix; a 180-degree pulse on any spin, whose flip is only
+    counted and whose phase, unless zero, keeps them apart; or a frame
+    shift on the spin or a delay, which keep them apart.
+    """
+    spin = draw(st.sampled_from(labels))
+    angle = st.one_of(st.sampled_from([90.0, -90.0]), st.floats(min_value=1.0, max_value=179.0))
+    phases = [draw(phase)]
+    phases.append(phases[0] + draw(st.one_of(st.just(90.0), st.floats(min_value=1.0, max_value=179.0))))
+    gap = st.one_of(
+        st.just([]),
+        st.just([FrameShift(spin, 0.0)]),
+        st.just([Delay(0.0)]),
+        st.builds(lambda s, p: [SelectivePulse(s, p, 180.0, 4e-3)], st.sampled_from(labels), phase),
+        st.builds(lambda a: [FrameShift(spin, a)], phase),
+        st.builds(lambda t: [Delay(t)], st.floats(min_value=0.0, max_value=5e-2)),
+    )
+    events = []
+    for k in range(draw(st.integers(min_value=2, max_value=3))):
+        if k:
+            events += draw(gap)
+        events.append(SelectivePulse(spin, phases[k % 2], draw(angle) * draw(st.sampled_from([1.0, -1.0])), 2e-3))
+    return events
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=6),
@@ -556,10 +619,12 @@ def test_propagate_collapses_echo_runs_as_the_kron_oracle_does(n, data, seed, ot
 
     Most events flip a spin (angles +-180 and +-540 at random phases, and
     often at phase 0 or 90 as compiled echoes are), so runs are long and
-    most spins end a run flipped. Without `other_pulses`
-    the whole sequence is one run; with them, a few pulses of arbitrary
-    angle split it. A tail of one to three flips ends the sequence, so the
-    last run often leaves a spin flipped an odd number of times.
+    most spins end a run flipped. Without `other_pulses` the whole sequence
+    is one run; with them, a few pulses of arbitrary angle split it, and so
+    do groups of two or three on one spin that the engine fuses or keeps
+    apart (`_adjacent_rotations`): at least one group, often on a spin left
+    flipped. A tail of one to three flips ends the sequence, so the last
+    run often leaves a spin flipped an odd number of times.
     """
     rng = np.random.default_rng(seed)
     j_hz = np.triu(rng.uniform(-150.0, 150.0, (n, n)) * (rng.random((n, n)) < 0.7), 1)
@@ -578,7 +643,12 @@ def test_propagate_collapses_echo_runs_as_the_kron_oracle_does(n, data, seed, ot
     ]
     if other_pulses:
         kinds.append(st.builds(SelectivePulse, spin, phase, phase, st.just(2e-3)))
-    events = data.draw(st.lists(st.one_of(kinds), max_size=40))
+    groups = [kind.map(lambda event: [event]) for kind in kinds]
+    if other_pulses:
+        groups.append(_adjacent_rotations(system.labels, phase))
+    events = [event for group in data.draw(st.lists(st.one_of(groups), max_size=40)) for event in group]
+    if other_pulses:
+        events += data.draw(_adjacent_rotations(system.labels, phase))
     events += data.draw(st.lists(flip, min_size=1, max_size=3))
     seq = PulseSequence(system, events)
     block = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
@@ -595,6 +665,12 @@ def test_propagate_applies_the_dense_unitary_to_a_block_of_vectors():
     assert np.abs(got - oracles.simulate_sequence_kron(seq) @ block).max() <= 1e-12
     with pytest.raises(ValueError, match=r"\(16, k\) block"):
         propagate(seq, np.ones(16))
+    # A pulsed RZ is three pulses on its spin with nothing between them: one
+    # 2x2 matrix, and a closing run.
+    rz = cs.compile_circuit(cs.CircuitIR(4, [cs.Gate("RZ", (2,), 30.0)]), system, z_mode="pulsed")
+    assert len(rz.events) == 3
+    steps, _, _ = cs.propagator._bookkeeping(rz, cs.propagator._layout(4)[0])
+    assert [spin for _, spin, _ in steps] == [2, None]
 
 
 def test_permutations_with_non_integer_entries_are_rejected_not_truncated():
@@ -611,8 +687,8 @@ def test_permutations_with_non_integer_entries_are_rejected_not_truncated():
 
 
 def test_verify_permutation_enforces_the_verification_budget(monkeypatch):
-    # The probe check's toggling frame holds 17 rows of 2**17 floats here,
-    # 24 rows of 2**24 (3.2 GB) at the population budget.
+    # The probe check holds a few (2**17, 4) complex blocks here, and would
+    # hold a few of 2**24 rows (256 MiB each) at the population budget.
     monkeypatch.delenv(CAPACITY_ENV_VAR, raising=False)
     seq = cs.compile_circuit(cs.CircuitIR(17, cs.boost_circuit()), _coupled_system(17, 17))
     perm = cs.circuit_permutation(cs.boost_circuit(), 17)
@@ -620,6 +696,27 @@ def test_verify_permutation_enforces_the_verification_budget(monkeypatch):
         cs.verify_permutation(seq, perm)
     monkeypatch.setenv(CAPACITY_ENV_VAR, "17")
     assert cs.verify_permutation(seq, perm)
+
+
+def test_verify_permutation_peaks_at_a_few_blocks_of_probes_at_14_spins():
+    """No n x 2**n array: the traced peak stays under 4.5 MiB on a fully coupled 14-spin boost.
+
+    A (2**14, 4) block of probes is 1 MiB, and the probes, their propagated
+    copy and one step's result are three of them. An n x 2**n float array
+    is 1.75 MiB here, so one more of them crosses the bound.
+    """
+    system = _coupled_system(14, 14)
+    gates = cs.boost_circuit(0, 1, 2)
+    perm = cs.circuit_permutation(gates, 14)
+    for z_mode in ("virtual", "pulsed"):
+        seq = cs.compile_circuit(cs.CircuitIR(14, gates), system, z_mode=z_mode)
+        tracemalloc.start()
+        try:
+            assert cs.verify_permutation(seq, perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20, (z_mode, peak)
 
 
 def test_verify_permutation_rejects_bad_permutations_and_non_unitary_events(monkeypatch):
