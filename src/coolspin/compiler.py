@@ -277,7 +277,7 @@ def lower_toffoli_phase(
     rotation. Its coupled-evolution budget is 1/J for a uniform coupling,
     against 7/(4J) for the textbook construction.
     """
-    return compile_circuit(CircuitIR(system.n, [Gate("TOFFOLI", (c1, c2, target))]), system, model).events
+    return list(compile_circuit(CircuitIR(system.n, [Gate("TOFFOLI", (c1, c2, target))]), system, model).events)
 
 
 def compile_circuit(

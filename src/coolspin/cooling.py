@@ -4,9 +4,8 @@ Boosts act on Z correlators <Z_S>, one per subset S of the spins: a spin
 at eps is (1, eps), independent spins multiply, and the boost is one fixed
 8x8 matrix with entries 0, +-1/2 and +-1. So `boost_exact` is exact at any
 polarization up to the rounding of eps**2 and eps**3. The kernel that the
-scheduler and both replays share writes the matrix's three marginal rows
-out as float arithmetic in one fixed order, so its bits do not depend on
-BLAS.
+scheduler and the replay share writes the matrix's three marginal rows out
+as float arithmetic in one fixed order, so its bits do not depend on BLAS.
 
 `plan_rounds` builds a schedule: spins sit in pools keyed by their exact
 polarization value, each round greedily forms disjoint triples inside every
@@ -24,9 +23,11 @@ compose to the identity, so they are bookkeeping only and never touch the
 simulated state.
 
 `simulate_plan` replays a plan under two policies: approx forgets every
-correlation after each boost, one kernel call per block; exact applies the
-same kernel if every triple is certified independent by its spins' cones,
-and else keeps correlated spins in clusters until their last triple.
+correlation after each boost, one kernel call per block;
+exact applies the same kernel if every triple is certified independent by
+its spins' cones, and else keeps correlated spins in clusters until their
+last triple. A planner plan without float ties needs neither: the planner
+certifies it, and `simulate_plan` answers it from the pools.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import CapacityError, InfeasibleError
 from .gates import boost_circuit, circuit_permutation
-from .states import IZ, MAX_POPULATION_SPINS, as_finite, as_floats, as_int, as_ints, as_labels
+from .states import IZ, MAX_POPULATION_SPINS, as_finite, as_float, as_floats, as_int, as_ints, as_labels
 from .states import as_list, as_polarization, capacity_limit, check_capacity, json_fields
 
 GATES_PER_BOOST = 5
@@ -63,6 +64,9 @@ class BoostReport:
 _H = np.array([np.ones(2), 2 * IZ])
 _W_3 = np.kron(np.kron(_H, _H), _H)
 _BOOST_Z = _W_3[:, circuit_permutation(boost_circuit(), 3)] @ _W_3 / 8
+# Twice the matrix has integer entries: the cluster engine applies it and halves
+# each row's sum once, so like the kernel it rounds 3/2 of a subnormal once.
+_BOOST_2Z = 2 * _BOOST_Z
 # Correlator indices of spins a, b, c alone: the one-hot corners of the (2, 2, 2) view.
 _MARGINALS = np.ravel_multi_index(tuple(np.eye(3, dtype=int)), (2, 2, 2))
 
@@ -73,9 +77,11 @@ def _boost_marginals(eps: float | np.ndarray) -> tuple:
     Rows a, b, c of `_BOOST_Z @ z` for z_S = eps**|S|, summed as
     ((t0 + t4) + (t2 + t6)) + ((t1 + t5) + (t3 + t7)) over t_j = _BOOST_Z[row, j] * z_j
     with the zero terms dropped: the bits do not depend on BLAS, and eps may be an array.
+    Row a reads h + h as eps and h as eps - h: the same bits where halving eps is exact,
+    and 3/2 eps rounded once, not 3h, on an odd subnormal (5e-324 gave 0).
     """
     h, h3 = 0.5 * eps, 0.5 * (eps * eps * eps)
-    return (h + h) + (h - h3), (h + h) + (h3 - h), 0.0 - eps * eps
+    return eps + ((eps - h) - h3), (h + h) + (h3 - h), 0.0 - eps * eps
 
 
 def boost_exact(eps: float) -> BoostReport:
@@ -125,9 +131,9 @@ def _check_triple_budget(n: int) -> None:
 class Round:
     """Disjoint boost triples of one round, stored as blocks.
 
-    A round is a list of blocks (pool value, spins): each three consecutive
-    spins of a block form one triple boosted at that value. The planner
-    hands over each pool's boosted spins as one block, a `range` or, where
+    A round is a sequence of blocks (pool value, spins): each three consecutive
+    spins of a block form one triple boosted at that value. The planner hands
+    over a tuple of blocks, each pool's boosted spins as one `range` or, where
     float ties merged runs, a sorted index array. `Round(triples, pool_eps)`
     checks a (k, 3) integer array of spin indices and one finite pool value
     per triple, and groups consecutive pool values with equal bits into
@@ -192,6 +198,8 @@ class CoolingPlan:
     labels: list[str] = field(default_factory=list)
     # Lowest spin of the coldest pool, set by the planner: the approx replay's best.
     best_spin: int | None = field(default=None, init=False, compare=False, repr=False)
+    # What the planner certified tie-free, set by it alone: see `_certified`.
+    _certificate: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.n = as_int("n", self.n, positive=True)
@@ -206,26 +214,22 @@ class CoolingPlan:
         self.predicted_best = as_finite("predicted_best", self.predicted_best)
         # The replay boosts a round's triples together, so they must be disjoint, and
         # each block must hold one or more whole triples: an empty block counts as one
-        # spin, so the test for whole triples refuses it too. A range block is a planner
-        # pool, cut from 0..n-1 apart from the round's other pools: it is only bounded,
-        # in O(1), and a round holds n spins at most. Index arrays are checked for repeats.
+        # spin, so the test for whole triples refuses it too. A range, a slice to the replay,
+        # steps upward. A round of n spins at most is expanded, ranges too, into one sort.
         for r, rnd in enumerate(self.rounds, start=1):
-            runs = []
             for _, spins in rnd.blocks:
                 size = len(spins)
                 if (size or 1) % 3:
                     what = f"a block of {size} spins does not split into triples" if size else "a block holds no spins"
                     raise ValueError(f"round {r}: {what}")
-                if not isinstance(spins, range):
-                    runs.append(spins)
-                elif not (spins.step > 0 and spins.start >= 0 and spins[-1] < self.n):
-                    raise ValueError(f"round {r}: block {spins} must step upward inside 0..{self.n - 1}")
+                if isinstance(spins, range) and spins.step < 0:
+                    raise ValueError(f"round {r}: block {spins} must step upward")
             if 3 * rnd.boosts > self.n:
                 raise ValueError(f"round {r}: its blocks hold {3 * rnd.boosts} spins, more than the {self.n} there are")
-            if not runs:
+            if not rnd.blocks:
                 continue
-            used = np.concatenate(runs)
-            if used.size and not 0 <= used.min() <= used.max() < self.n:
+            used = np.concatenate([_indices(spins) for _, spins in rnd.blocks])
+            if not 0 <= used.min() <= used.max() < self.n:
                 raise ValueError(f"round {r}: a spin index lies outside 0..{self.n - 1}")
             seen = np.sort(used)
             if (seen[1:] == seen[:-1]).any():
@@ -321,9 +325,15 @@ def plan_rounds(
     fed several runs (eps0 below about 1e-9) is merged into a sorted index
     array when its round comes. Raises the infeasibility error when no pool
     can field a triple and the target is still out of reach.
+
+    A plan where no run ever joined an existing pool key is certified: by
+    induction each pool is one pool's leftovers or one role of disjoint triples
+    from one pool, so every triple boosts three spins with disjoint histories
+    (Schulman & Vazirani, STOC 1999). Only here do blocks skip the plan's checks.
     """
     if n < 3 or n != int(n):
         raise ValueError(f"need at least three spins to form a triple, got {n}")
+    eps0, target_eps = as_float("eps0", eps0), as_float("target_eps", target_eps)
     if not 0.0 < eps0 < 1.0:
         raise ValueError(f"eps0 must lie in (0, 1), got {eps0}")
     if not eps0 < target_eps <= 1.0:
@@ -334,6 +344,7 @@ def plan_rounds(
     # and a list per pool made the k = 17 recycled plan at n = 1e9 25% slower.
     pools: dict[float, tuple[range | np.ndarray, ...]] = {eps0: (range(n),)}
     rounds: list[Round] = []
+    tie_free = True  # until a run joins a pool key that another run holds
     while max(pools) < target_eps:  # a round that boosts leaves the pools nonempty
         blocks: list[tuple[float, range | np.ndarray]] = []
         next_pools: dict[float, tuple[range | np.ndarray, ...]] = {}
@@ -358,43 +369,46 @@ def plan_rounds(
             raise InfeasibleError(
                 f"target {target} is unreachable with n={n} (best reachable pool sits at {best})"
             )
-        rounds.append(Round(blocks=blocks))
+        rounds.append(Round(blocks=tuple(blocks)))
+        tie_free = tie_free and len(next_pools) == sum(map(len, next_pools.values()))
         pools = next_pools
 
-    plan = CoolingPlan(
-        n=n,
-        eps0=eps0,
-        target_eps=target_eps,
-        recycle=recycle,
-        rounds=rounds,
-        predicted_best=max(pools),
-        labels=labels or [],
-    )
-    plan.best_spin = min(int(run[0]) for run in pools[plan.predicted_best])
+    plan = CoolingPlan(n, eps0, target_eps, recycle, [], max(pools), labels or [])
+    plan.rounds, plan.best_spin = rounds, min(int(run[0]) for run in pools[plan.predicted_best])
+    plan._certificate = ((n, plan.eps0, recycle), tuple(rnd.blocks for rnd in rounds)) if tie_free else None
     return plan
+
+
+def _certified(plan: CoolingPlan) -> bool:
+    """Whether the plan holds what the planner certified: n, eps0, recycle and each round's blocks (by identity)."""
+    fields, blocks = plan._certificate or (None, ())
+    return fields == (plan.n, plan.eps0, plan.recycle) and len(blocks) == len(plan.rounds) and all(
+        made is rnd.blocks for made, rnd in zip(blocks, plan.rounds)
+    )
 
 
 @dataclass
 class PlanResult:
-    """Per-spin polarizations after executing a plan; `eps_approx` is replayed when first read."""
+    """Per-spin polarizations after executing a plan; each policy's are replayed when first read."""
 
     mode: str
     plan: CoolingPlan = field(repr=False)
-    eps_exact: np.ndarray | None = None
     discrepancy: float | None = None
 
     @cached_property
     def eps_approx(self) -> np.ndarray | None:
         return None if self.mode == "exact" else _replay_approx(self.plan)
 
-    def best(self) -> tuple[int, float]:
-        """Index and value of the coldest spin (exact values preferred).
+    @cached_property
+    def eps_exact(self) -> np.ndarray | None:
+        return None if self.mode == "approx" else _replay_exact(self.plan)
 
-        Without exact values, a plan that knows its `best_spin` answers from its coldest pool.
-        """
-        if self.eps_exact is None and self.plan.best_spin is not None:
-            return self.plan.best_spin, self.plan.predicted_best
-        eps = self.eps_exact if self.eps_exact is not None else self.eps_approx
+    def best(self) -> tuple[int, float]:
+        """The coldest spin and its value: a planner plan's coldest pool in approx mode and while certified."""
+        plan = self.plan
+        if plan.best_spin is not None and (self.mode == "approx" or _certified(plan)):
+            return plan.best_spin, plan.predicted_best
+        eps = self.eps_approx if self.mode == "approx" else self.eps_exact
         spin = int(np.argmax(eps))
         return spin, float(eps[spin])
 
@@ -432,7 +446,11 @@ def _replay_exact(plan: CoolingPlan) -> np.ndarray:
     A spin's cone, the original spins its bit depends on, is {s} until a boost
     joins its triple's cones into one frozenset, dropped after its last round.
     Bit-equal spins with disjoint cones are independent: the kernel is exact.
+    A certified planner plan's cones are disjoint by construction, so it is
+    walked as approx walks it, with the same bits.
     """
+    if _certified(plan):
+        return _replay_approx(plan)
     _check_triple_budget(plan.n)
     eps, last, cones = np.full(plan.n, plan.eps0), np.zeros(plan.n, dtype=np.int32), {}
     runs = [(r, _indices(run)) for r, rnd in enumerate(plan.rounds, start=1) for _, run in rnd.blocks]
@@ -488,7 +506,8 @@ def _replay_clusters(plan: CoolingPlan) -> np.ndarray:
         merged = reduce(np.multiply.outer, [part[1] for part in parts])
         merged = np.moveaxis(merged, [spins.index(s) for s in triple], [0, 1, 2]).reshape(8, -1)
         spins = list(triple) + [s for s in spins if s not in triple]
-        out = _BOOST_Z @ merged
+        out = _BOOST_2Z @ merged
+        out *= 0.5
         eps[list(triple)] = out[_MARGINALS, 0]
         kept = [s for s in spins if last[s] > i]
         if kept:
@@ -502,21 +521,23 @@ def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
     """Execute a plan under one of two policies.
 
     "approx" forgets correlations after each boost, one kernel call per
-    block; "exact" costs as much on a certified plan and otherwise keeps
-    clusters under the population capacity guard; "both" runs the two
-    and reports their largest per-spin difference. `plan_rounds` records
-    the coldest pool's lowest spin as `best_spin`, which answers the approx
-    `best`, so the approx replay waits until `eps_approx` is read; a plan
-    without it is replayed at once, which checks that every spin of a block
-    holds its pool value.
+    block; "exact" costs as much where cones certify every triple and else
+    keeps clusters under the population capacity guard; "both" runs the two
+    and reports their largest per-spin difference. The planner's coldest pool
+    (`best_spin`) answers approx `best`, and every mode on a plan it certified
+    tie-free (see `plan_rounds`), with a difference of 0. A replay those
+    answers spare waits until `eps_approx` or `eps_exact` is read; the others
+    run here, so a pool-value or capacity error is raised by this call.
     """
     if mode not in {"exact", "approx", "both"}:
         raise ValueError(f"mode must be exact, approx, or both, got {mode!r}")
+    if _certified(plan):  # exact is approx, bit for bit: nothing to replay now
+        return PlanResult(mode=mode, plan=plan, discrepancy=0.0 if mode == "both" else None)
     result = PlanResult(mode=mode, plan=plan)
-    if mode == "both" or plan.best_spin is None:
+    if mode == "both" or plan.best_spin is None:  # replayed now, which checks the pool values
         eps_approx = result.eps_approx
     if mode != "approx":
-        result.eps_exact = _replay_exact(plan)
+        eps_exact = result.eps_exact
     if mode == "both":
-        result.discrepancy = float(np.abs(result.eps_exact - eps_approx).max())
+        result.discrepancy = float(np.abs(eps_exact - eps_approx).max())
     return result

@@ -116,30 +116,42 @@ def standard_toffoli_s(j_hz: float) -> float:
     return coupled_delay_s(j_hz, 1.75)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PulseSequence:
-    """An ordered event list bound to the spin system it addresses."""
+    """An ordered event tuple bound to the spin system it addresses.
+
+    One walk of the events, when the sequence is built, checks their spins
+    and sums the pulse count, the total duration and the coupling (delay)
+    time, each duration a `sum` in event order; the readers below return
+    them. The sequence is frozen and its events a tuple, so they stay true.
+    """
 
     system: SpinSystem
-    events: list[Event]
+    events: tuple[Event, ...]
 
     def __post_init__(self):
-        known = set(self.system.labels)
-        for event in self.events:
-            spin = getattr(event, "spin", None)
-            if spin is not None and spin not in known:
-                raise ValueError(f"event addresses unknown spin {spin!r}")
+        events, known, pulses, durations, delays = tuple(self.events), set(self.system.labels), 0, [], []
+        for event in events:
+            durations.append(event.duration_s)
+            if isinstance(event, Delay):
+                delays.append(event.duration_s)
+            elif event.spin not in known:
+                raise ValueError(f"event addresses unknown spin {event.spin!r}")
+            else:
+                pulses += isinstance(event, SelectivePulse)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "_sums", (pulses, sum(durations), sum(delays)))
 
     @property
     def total_duration_s(self) -> float:
-        return sum(e.duration_s for e in self.events)
+        return self._sums[1]
 
     def coupling_duration_s(self) -> float:
         """Total delay time, the pulse-length-independent part of the cost."""
-        return sum(e.duration_s for e in self.events if isinstance(e, Delay))
+        return self._sums[2]
 
     def pulse_count(self) -> int:
-        return sum(isinstance(e, SelectivePulse) for e in self.events)
+        return self._sums[0]
 
     def frame_out(self) -> dict[str, float]:
         """Net accumulated frame shift per spin, in degrees."""

@@ -398,3 +398,29 @@ if __name__ == "__main__":
     print("two_round_cascade_n9(1e-3):", repr(two_round_cascade_n9(1e-3)))
     e1 = 1e-3 * (3 - 1e-6) / 2
     print("closed-form iterate:", repr(e1 * (3 - e1 * e1) / 2))
+
+
+def pool_runs_merge(n, eps0, target_eps, boost, recycle=False):
+    """Whether the greedy scheduler ever sends spins from two sources to one pool key.
+
+    Pools are counted, not listed: a pool of k spins sends k // 3 a-spins (and
+    as many b-spins when recycling) to the keys `boost(value)` gives, and its
+    k % 3 leftovers on at its own key. Two sources reach one key only through a
+    float tie. Returns None when the target is out of reach.
+    """
+    pools, merged = {eps0: n}, False
+    while max(pools) < target_eps:
+        sent = []
+        for value, count in pools.items():
+            if count >= 3:
+                report = boost(value)
+                sent += [(report.eps_a, count // 3)] + [(report.eps_b, count // 3)] * recycle
+            if count % 3:
+                sent.append((value, count % 3))
+        if all(count < 3 for count in pools.values()):
+            return None
+        pools = {}
+        for key, count in sent:
+            merged |= key in pools
+            pools[key] = pools.get(key, 0) + count
+    return merged

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import coolspin
 from coolspin import CoolingPlan, PulseSequence, PopulationState, SpinSystem, example_system
-from coolspin import cli
+from coolspin import cli, cooling
 from coolspin.cli import build_parser, main
 from coolspin.gates import PERMUTATION_KINDS, ROTATION_KINDS
 
@@ -248,10 +248,42 @@ def test_cool_writes_a_tie_merged_recycled_plan_byte_for_byte(capsys, tmp_path):
 @pytest.mark.parametrize("extra", [["--out", "plan.json"], ["--mode", "exact"], ["--mode", "both"]])
 def test_cool_refuses_to_build_a_billion_spin_triples(capsys, tmp_path, monkeypatch, extra):
     monkeypatch.chdir(tmp_path)
-    code, _, err = run(capsys, *_COOL_1E9, *extra)
+    code, out, err = run(capsys, *_COOL_1E9, *extra)
+    if extra[0] == "--out":  # the plan file names every triple
+        assert code == 4
+        assert err.startswith("capacity: 1000000000 spins exceeds MAX_TRIPLE_SPINS = 14348907")
+        assert not (tmp_path / "plan.json").exists()
+        return
+    # The planner certified the plan tie-free: exact is approx, answered from the pools.
+    assert (code, err) == (0, "")
+    mode = extra[1]
+    assert f"simulated best ({mode}): spin s0 at 0.00115330037246" in out.splitlines()
+    assert ("exact vs approx max difference: 0" in out.splitlines()) is (mode == "both")
+
+
+def test_cool_answers_a_certified_recycled_plan_exactly_without_a_replay(capsys, monkeypatch):
+    walks = []
+    for walk in ("_replay_approx", "_replay_exact", "_replay_clusters"):
+        monkeypatch.setattr(cooling, walk, walks.append)
+    code, out, err = run(
+        capsys, "cool", "--n", "59049", "--eps0", "1e-5", "--target-eps", "5.7e-4", "--recycle", "--mode", "exact"
+    )
+    assert (code, err, walks) == (0, "", [])
+    assert out.splitlines()[-1] == "simulated best (exact): spin s0 at 0.000576650339507"
+
+
+def test_cool_keeps_a_subnormal_polarization(capsys):
+    # The kernel used to round 3/2 of the smallest subnormal to 0: exit 3, "sits at 0".
+    code, out, err = run(capsys, "cool", "--n", "27", "--eps0", "5e-324", "--target-eps", "1e-323")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "simulated best (approx): spin s0 at 9.88131291682e-324"
+
+
+def test_cool_still_refuses_a_tie_merged_plan_past_the_cluster_budget(capsys):
+    argv = ("--n", "243", "--eps0", "1e-11", "--target-eps", "7.59375e-11", "--recycle", "--mode", "exact")
+    code, _, err = run(capsys, "cool", *argv)
     assert code == 4
-    assert err.startswith("capacity: 1000000000 spins exceeds MAX_TRIPLE_SPINS = 14348907")
-    assert not (tmp_path / "plan.json").exists()
+    assert err.startswith("capacity: 25 spins exceeds the budget of 24")
 
 
 def test_cool_running_out_of_memory_exits_4(capsys, monkeypatch):

@@ -150,6 +150,19 @@ def test_pulse_sequence_validates_labels_and_serializes(system):
     assert json.loads(text)["events"][0]["event"] == "pulse"
 
 
+def test_a_sequence_cannot_be_edited_under_its_sums(system):
+    seq = PulseSequence(system, [Delay(duration_s=1e-3)])
+    with pytest.raises(AttributeError):
+        seq.events.append(Delay(duration_s=1.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seq.events = [Delay(duration_s=1.0)]
+    # An edit builds a new sequence, whose sums are its own and survive JSON.
+    edited = PulseSequence(system, [*seq.events, Delay(duration_s=1.0), SelectivePulse("a", 0.0, 90.0, 2e-3)])
+    again = PulseSequence.from_json(edited.to_json())
+    assert again.events == edited.events and again.to_json() == edited.to_json()
+    assert (again.pulse_count(), again.total_duration_s, again.coupling_duration_s()) == (1, 1e-3 + 1.0 + 2e-3, 1e-3 + 1.0)
+
+
 # --- circuit text format -------------------------------------------------------
 
 
@@ -234,6 +247,46 @@ def test_elision_only_moves_bookkeeping(system):
         cs.simulate_sequence(virtual).mat, cs.simulate_sequence(pulsed).mat
     )
     assert sum(isinstance(e, FrameShift) for e in virtual.events) <= 3
+
+
+class _Walks(list):
+    """An event list that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    z_mode=st.sampled_from(["virtual", "pulsed"]),
+    bloch_siegert_deg=st.sampled_from([0.0, 3.0]),
+)
+def test_a_sequence_sums_itself_in_one_walk(n, data, seed, z_mode, bloch_siegert_deg):
+    circuit = cs.CircuitIR(n, data.draw(_all_kind_circuits(n)))
+    seq = cs.compile_circuit(circuit, _coupled_system(n, seed), z_mode=z_mode, bloch_siegert_deg=bloch_siegert_deg)
+    pulses = [e for e in seq.events if isinstance(e, SelectivePulse)]
+    # One walk when built gives the sums, with the bits of summing each alone.
+    events = _Walks(seq.events)
+    again = PulseSequence(seq.system, events)
+    delays = [e.duration_s for e in seq.events if isinstance(e, Delay)]
+    want = (len(pulses), sum(e.duration_s for e in seq.events), sum(delays))
+    got = (again.pulse_count(), again.total_duration_s, again.coupling_duration_s())
+    assert got[0] == want[0] and np.array(got[1:]).tobytes() == np.array(want[1:]).tobytes()
+    assert events.walks == 1 and (seq.pulse_count(), seq.total_duration_s, seq.coupling_duration_s()) == got
+
+
+def test_a_signed_zero_rotation_keeps_its_sign(system):
+    circuit = parse_circuit("RX a 0\nRX a -0\nRX a 0\n", system)
+    seq = cs.compile_circuit(circuit, system)
+    angles = [e.angle_deg for e in seq.events]
+    assert np.array(angles).tobytes() == np.array([0.0, -0.0, 0.0]).tobytes()
+    assert '"angle_deg": -0.0' in seq.to_json()
 
 
 def _all_kind_circuits(n):

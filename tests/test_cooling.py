@@ -77,12 +77,27 @@ def _bits(values):
 @example(eps=2.2250738585072014e-308 * (1 - 2**-52))
 @example(eps=2.2250738585072014e-308)
 @example(eps=1.5e-154)
+@example(eps=3 * 5e-324)
+@example(eps=-7 * 5e-324)
+@example(eps=(2**20 + 1) * 5e-324)
 def test_boost_kernel_gives_the_same_bits_on_a_float_an_array_and_the_matrix_rows(eps):
     scalar = cooling._boost_marginals(eps)
     assert all(type(x) is float for x in scalar)
     array = cooling._boost_marginals(np.array([eps, eps]))
     assert _bits(array) == [[b, b] for b in _bits(scalar)]
-    assert _bits(scalar) == _bits(_fixed_order_marginals(eps))
+    if (0.5 * eps) * 2.0 == eps:  # halving eps is exact: the matrix rows' bits
+        assert _bits(scalar) == _bits(_fixed_order_marginals(eps))
+    else:  # a subnormal with an odd last bit: a is 3/2 eps rounded once, b and c keep their bits
+        assert _bits(scalar) == _bits([1.5 * eps, *_fixed_order_marginals(eps)[1:]])
+        assert scalar[0] != 0.0 and scalar[1] == 0.5 * eps
+
+
+def test_the_boost_keeps_a_subnormal_polarization():
+    # 3/2 of the smallest subnormal rounds to two of them; the matrix rows' order gave 0.
+    report = boost_exact(5e-324)
+    assert (report.eps_a, report.eps_b, report.eps_c, report.enhancement) == (1e-323, 0.0, 0.0, 2.0)
+    plan = plan_rounds(27, 5e-324, 1e-323)
+    assert (len(plan.rounds), plan.predicted_best) == (1, 1e-323)
 
 
 def test_boost_against_independent_rational_oracle():
@@ -601,7 +616,7 @@ def test_a_round_holds_its_triples_and_pool_values_as_arrays():
     ]
     planned = plan_rounds(9, 1e-3, 0.99 * 2.25e-3).rounds
     eps_a = boost_exact(1e-3).eps_a
-    assert [rnd.blocks for rnd in planned] == [[(1e-3, range(9))], [(eps_a, range(0, 9, 3))]]
+    assert [rnd.blocks for rnd in planned] == [((1e-3, range(9)),), ((eps_a, range(0, 9, 3)),)]
     assert planned[1].triples.dtype == np.intp and planned[1].triples.tolist() == [[0, 3, 6]]
     assert plan_rounds(9, 1e-3, 2.2e-3) == plan_rounds(9, 1e-3, 2.2e-3)
     assert rnd != Round(triples=[(0, 1, 2), (3, 5, 4)], pool_eps=[1e-3, 1e-3])
@@ -646,11 +661,9 @@ def test_a_hand_made_plan_refuses_index_array_blocks_that_overlap_or_leave_the_s
         # Accepted before range blocks were bounded: a refocus count of -6, two
         # of its three triples boosted by the approx replay, and an IndexError
         # from to_dict.
-        pytest.param(
-            [(1e-3, range(0, 9))], r"round 2: block range\(0, 9\) must step upward inside 0\.\.5", id="past-n"
-        ),
-        pytest.param([(1e-3, range(-3, 3))], r"round 2: block range\(-3, 3\) must step", id="negative-start"),
-        pytest.param([(1e-3, range(5, -1, -2))], r"round 2: block range\(5, -1, -2\) must step", id="downward"),
+        pytest.param([(1e-3, range(0, 9))], "round 2: its blocks hold 9 spins, more than the 6 there are", id="past-n"),
+        pytest.param([(1e-3, range(-3, 3))], r"round 2: a spin index lies outside 0\.\.5", id="negative-start"),
+        pytest.param([(1e-3, range(5, -1, -2))], r"round 2: block range\(5, -1, -2\) must step upward$", id="downward"),
         pytest.param(
             [(1e-3, range(0, 4))], "round 2: a block of 4 spins does not split into triples", id="range-of-4"
         ),
@@ -676,6 +689,17 @@ def test_a_hand_made_plan_refuses_index_array_blocks_that_overlap_or_leave_the_s
             "round 2: its blocks hold 9 spins, more than the 6 there are",
             id="more-spins-than-n",
         ),
+        # Accepted before range blocks were expanded into the repeat sort: 6 spins fit
+        # in 6, but s1 and s2 sit in both blocks, and to_dict wrote them twice.
+        pytest.param(
+            [(1e-3, range(0, 3)), (1e-3, range(1, 4))], "round 2: spin s1 is used twice$", id="overlapping-ranges"
+        ),
+        pytest.param(
+            [(1e-3, range(0, 3)), (2e-3, range(0, 3))], "round 2: spin s0 is used twice$", id="one-range-twice"
+        ),
+        pytest.param(
+            [(1e-3, range(0, 6, 2)), (1e-3, np.array([1, 3, 4]))], "round 2: spin s4 is used twice$", id="range-and-array"
+        ),
     ],
 )
 def test_a_hand_made_plan_refuses_range_blocks_that_leave_the_spins_or_split_a_triple(blocks, message):
@@ -687,6 +711,17 @@ def test_a_hand_made_plan_refuses_range_blocks_that_leave_the_spins_or_split_a_t
     rounds = [Round(blocks=[(1e-3, range(0, 6))]), Round(blocks=[(1e-3, range(1, 6, 2))])]
     plan = CoolingPlan(**fields, rounds=rounds)
     assert plan.total_gate_count == 5 * 3 + 2 * (6 - 6) + 2 * (6 - 3)
+    # Strided ranges may interleave without sharing a spin.
+    rounds = [Round(blocks=[(1e-3, range(0, 6, 2)), (1e-3, range(1, 6, 2))])]
+    assert CoolingPlan(**fields, rounds=rounds).total_gate_count == 5 * 2
+
+
+def test_a_hand_made_plan_with_interleaved_range_blocks_is_refused_naming_a_spin():
+    # Before, this plan was accepted: the exact replay returned numbers for it, the
+    # approx replay refused it as mixing pools, and its file could not be loaded.
+    rounds = [Round(blocks=[(1e-3, range(0, 3)), (1e-3, range(1, 4))])]
+    with pytest.raises(ValueError, match="^round 1: spin s1 is used twice$"):
+        CoolingPlan(n=9, eps0=1e-3, target_eps=2e-3, recycle=False, rounds=rounds, predicted_best=1e-3)
 
 
 def test_index_array_blocks_that_overlap_across_pool_values_are_refused():
@@ -843,6 +878,7 @@ def _recycled_plans(draw):
 @given(plan=st.one_of(_random_plans(), _recycled_plans()))
 @example(plan=plan_rounds(27, 1e-5, 3.34e-5, recycle=True))
 @example(plan=_plan(9, 1.0, [[(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(0, 3, 6)]]))
+@example(plan=_plan(3, 5e-324, [[(0, 1, 2)]]))
 def test_a_certified_replay_equals_the_cluster_engine(plan):
     with pytest.MonkeyPatch.context() as env:
         env.setenv(CAPACITY_ENV_VAR, "24")
@@ -872,10 +908,82 @@ def test_only_a_plan_whose_cones_overlap_reaches_the_cluster_engine(monkeypatch)
     assert calls == [tied]
 
 
+@settings(max_examples=120, deadline=None)
+@given(plan=st.one_of(_planned(max_log_n=7.0), _tie_prone(), _recycled_plans()))  # eps0 down to 1e-13
+@example(plan=plan_rounds(9, 1e-3, 0.99 * 2.25e-3, recycle=True))
+@example(plan=plan_rounds(27, 1e-13, 3.3e-13, recycle=True))
+@example(plan=plan_rounds(27, 1e-9, 3.34e-9, recycle=True))  # tie-merged
+@example(plan=plan_rounds(81, 0.99, 1.0, recycle=True))
+def test_the_planner_certifies_exactly_its_tie_free_plans(plan):
+    merged = oracles.pool_runs_merge(plan.n, plan.eps0, plan.target_eps, boost_exact, plan.recycle)
+    assert cooling._certified(plan) is not merged
+    if merged:
+        return
+    with pytest.MonkeyPatch.context() as env:
+        calls = _spy_on_the_cluster_engine(env)
+        result = simulate_plan(plan, mode="both")
+        assert "eps_exact" not in vars(result) and "eps_approx" not in vars(result)  # nothing replayed
+        assert result.discrepancy == 0.0 and result.best() == (plan.best_spin, plan.predicted_best)
+        # A copy that passes the public constructor carries no certificate: the cone walk.
+        copy = dataclasses.replace(plan)
+        assert not cooling._certified(copy)
+        cone_walk = simulate_plan(copy, mode="exact").eps_exact
+        assert calls == []
+    assert result.eps_exact.tobytes() == cone_walk.tobytes() == result.eps_approx.tobytes()
+    spin = int(np.argmax(cone_walk))
+    assert result.best() == (spin, float(cone_walk[spin]))
+    if plan.n <= 12:
+        want = oracles.replay_exact(plan.n, plan.eps0, [t for rnd in plan.rounds for t in rnd.triples])
+        np.testing.assert_allclose(result.eps_exact, want, rtol=0.0, atol=1e-14)
+
+
+def _spy_on_the_walk(env) -> list:
+    """Patch the approx and exact replays to record the policy of each walk."""
+    calls = []
+    for policy in ("approx", "exact"):
+        walk = getattr(cooling, f"_replay_{policy}")
+        env.setattr(cooling, f"_replay_{policy}", lambda plan, policy=policy, walk=walk: calls.append(policy) or walk(plan))
+    return calls
+
+
+@pytest.mark.parametrize("edit", ["eps0", "append-round", "replace-blocks"])
+def test_an_edit_to_a_certified_plan_voids_its_certificate(monkeypatch, edit):
+    plan = plan_rounds(9, 1e-3, 0.99 * 2.25e-3, recycle=True)
+    walks, clusters = _spy_on_the_walk(monkeypatch), _spy_on_the_cluster_engine(monkeypatch)
+    assert cooling._certified(plan)
+    assert simulate_plan(plan, mode="both").discrepancy == 0.0 and walks == []
+    if edit == "eps0":
+        plan.eps0 = 0.2
+    elif edit == "append-round":  # spins 0, 1 and 2 share an original spin
+        plan.rounds.append(Round(triples=[(0, 1, 2)], pool_eps=[1e-3]))
+    else:  # the same blocks in a new object
+        plan.rounds[1].blocks = list(plan.rounds[1].blocks)
+    assert not cooling._certified(plan)
+    result = simulate_plan(plan, mode="exact")
+    assert walks == ["exact"]
+    assert clusters == ([plan] if edit == "append-round" else [])
+    want = oracles.replay_exact(9, plan.eps0, [t for rnd in plan.rounds for t in rnd.triples])
+    np.testing.assert_allclose(result.eps_exact, want, rtol=0.0, atol=1e-14)
+    spin = int(np.argmax(result.eps_exact))
+    assert result.best() == (spin, float(result.eps_exact[spin]))
+
+
+def test_only_the_planner_grants_a_certificate():
+    plan = plan_rounds(9, 1e-3, 0.99 * 2.25e-3)
+    fields = dict(n=9, eps0=1e-3, target_eps=plan.target_eps, recycle=False, predicted_best=plan.predicted_best)
+    with pytest.raises(TypeError):
+        CoolingPlan(**fields, rounds=plan.rounds, _certificate=plan._certificate)
+    for copy in (CoolingPlan(**fields, rounds=plan.rounds), CoolingPlan.from_dict(plan.to_dict())):
+        assert copy.rounds == plan.rounds and not cooling._certified(copy)
+
+
 @pytest.mark.parametrize("mode", ["exact", "both"])
 def test_triples_are_not_built_beyond_their_budget(mode):
+    # The certified plan answers without its triples; its file and its per-spin values need them.
     plan = plan_rounds(cooling.MAX_TRIPLE_SPINS + 1, 3e-5, 4.4e-5)
-    for build in (plan.to_dict, lambda: simulate_plan(plan, mode=mode)):
+    result = simulate_plan(plan, mode=mode)
+    assert result.best() == (0, plan.predicted_best)
+    for build in (plan.to_dict, lambda: result.eps_exact):
         with pytest.raises(CapacityError, match="exceeds MAX_TRIPLE_SPINS = 14348907"):
             build()
 
