@@ -314,4 +314,11 @@ def compile_circuit(
     if not math.isfinite(seq.total_duration_s):  # every event is finite, but not their sum
         field = "pulse90_s" if math.isfinite(seq.coupling_duration_s()) else "j_hz"
         raise ValueError(f"{field} must keep the sequence's total duration finite, to compile")
+    # The propagator turns each pair by 2 pi J over the summed delays: the
+    # angle of any basis state is at most that time the sum of every |J|.
+    delays_s = seq.coupling_duration_s()
+    with np.errstate(over="ignore"):
+        rate = 2.0 * math.pi * float(np.abs(np.triu(system.j_hz, 1)).sum())
+    if delays_s and not math.isfinite(delays_s * rate):
+        raise ValueError("j_hz must keep every coupling's phase over the sequence's delays finite, to compile")
     return seq

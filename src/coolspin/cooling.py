@@ -27,7 +27,7 @@ correlation after each boost, one kernel call per block;
 exact applies the same kernel if every triple is certified independent by
 its spins' cones, and else keeps correlated spins in clusters until their
 last triple. A planner plan without float ties needs neither: the planner
-certifies it, and `simulate_plan` answers it from the pools.
+certifies it, plans are frozen values, and `simulate_plan` answers from the pools.
 """
 from __future__ import annotations
 
@@ -119,6 +119,12 @@ def _indices(run: range | np.ndarray) -> np.ndarray:
     return run
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only; no one else may hold it writeable."""
+    array.flags.writeable = False
+    return array
+
+
 def _check_triple_budget(n: int) -> None:
     """Refuse to build the spin triples of a plan larger than MAX_TRIPLE_SPINS."""
     if n > MAX_TRIPLE_SPINS:
@@ -128,18 +134,20 @@ def _check_triple_budget(n: int) -> None:
         )
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class Round:
-    """Disjoint boost triples of one round, stored as blocks.
+    """Disjoint boost triples of one round, stored as blocks; frozen, so its caches never go stale.
 
-    A round is a sequence of blocks (pool value, spins): each three consecutive
-    spins of a block form one triple boosted at that value. The planner hands
-    over a tuple of blocks, each pool's boosted spins as one `range` or, where
-    float ties merged runs, a sorted index array. `Round(triples, pool_eps)`
-    checks a (k, 3) integer array of spin indices and one finite pool value
-    per triple, and groups consecutive pool values with equal bits into
-    index-array blocks. `triples` and `pool_eps`, the (k,) array of each
-    triple's pool value, are built from the blocks when first read.
+    A round is a tuple of blocks (pool value, spins): each three consecutive
+    spins of a block form one triple boosted at that value. The planner's
+    spins are a `range` per pool or, where float ties merged runs, a sorted
+    index array; a round keeps a read-only copy of any other index array.
+    `Round(triples, pool_eps)` checks (k, 3) integer spin indices and one finite
+    pool value per triple, and groups neighbours with equal bits into blocks.
+    `triples` and `pool_eps` are built, read-only, from the blocks when first read.
     """
+
+    blocks: tuple[tuple[float, range | np.ndarray], ...]
 
     def __init__(self, triples=(), pool_eps=(), *, blocks=None):
         if blocks is None:
@@ -152,26 +160,24 @@ class Round:
             starts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()] if bits.size else []
             stops = [*starts[1:], len(bits)]
             blocks = [(float(pool_eps[a]), spins[3 * a : 3 * b]) for a, b in zip(starts, stops)]
-        self.blocks: list[tuple[float, range | np.ndarray]] = blocks
+        # Frozen fields are set through the instance dict; each index array is copied, read-only.
+        vars(self)["blocks"] = tuple((v, r if isinstance(r, range) else _read_only(np.array(r))) for v, r in blocks)
 
     @cached_property
     def triples(self) -> np.ndarray:
         runs = [_indices(spins) for _, spins in self.blocks]
-        return np.concatenate([np.empty(0, np.intp), *runs]).reshape(-1, 3)
+        return _read_only(np.concatenate([np.empty(0, np.intp), *runs])).reshape(-1, 3)
 
     @cached_property
     def pool_eps(self) -> np.ndarray:
         values = np.array([value for value, _ in self.blocks], dtype=float)
         counts = np.array([len(spins) // 3 for _, spins in self.blocks], dtype=np.intp)
-        return np.repeat(values, counts)
+        return _read_only(np.repeat(values, counts))
 
     @cached_property
     def boosts(self) -> int:
         """Number of triples, counted from the blocks once."""
         return sum(len(spins) for _, spins in self.blocks) // 3
-
-    def __repr__(self) -> str:
-        return f"Round(blocks={self.blocks!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Round):
@@ -181,43 +187,43 @@ class Round:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoolingPlan:
-    """A full schedule; its operation-count ledger follows from the rounds.
+    """A full schedule, frozen; its operation-count ledger follows from the rounds.
 
-    An empty `labels` list stands for the default names s0..s{n-1}, which
-    are only built when a label is asked for or the plan is written out.
+    Rounds and labels are tuples; empty `labels` stand for s0..s{n-1}, built when asked for.
+    `dataclasses.replace` and `from_dict` derive plans without the planner's two fields below.
     """
 
     n: int
     eps0: float
     target_eps: float
     recycle: bool
-    rounds: list[Round]
+    rounds: tuple[Round, ...]
     predicted_best: float
-    labels: list[str] = field(default_factory=list)
-    # Lowest spin of the coldest pool, set by the planner: the approx replay's best.
+    labels: tuple[str, ...] = ()
+    # Set by the planner alone: the coldest pool's lowest spin, and its certificate (see `plan_rounds`).
     best_spin: int | None = field(default=None, init=False, compare=False, repr=False)
-    # What the planner certified tie-free, set by it alone: see `_certified`.
-    _certificate: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _certified: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.n = as_int("n", self.n, positive=True)
+        n, labels, rounds = as_int("n", self.n, positive=True), tuple(self.labels), tuple(self.rounds)
         if not isinstance(self.recycle, bool):
             raise ValueError(f"recycle must be true or false, got {self.recycle!r}")
-        if self.labels and len(self.labels) != self.n:
+        if labels and len(labels) != n:
             raise ValueError("need one label per spin")
-        self.eps0 = as_polarization("eps0", self.eps0)
-        if len(set(self.labels)) < len(self.labels):
-            raise ValueError(f"label {_repeated(self.labels)} names more than one spin")
-        self.target_eps = as_finite("target_eps", self.target_eps)
-        self.predicted_best = as_finite("predicted_best", self.predicted_best)
+        eps0 = as_polarization("eps0", self.eps0)
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"label {_repeated(labels)} names more than one spin")
+        target, best = as_finite("target_eps", self.target_eps), as_finite("predicted_best", self.predicted_best)
+        vars(self).update(n=n, eps0=eps0, target_eps=target, predicted_best=best, labels=labels, rounds=rounds)
         # The replay boosts a round's triples together, so they must be disjoint, and
         # each block must hold one or more whole triples: an empty block counts as one
         # spin, so the test for whole triples refuses it too. A range, a slice to the replay,
         # steps upward. A round of n spins at most is expanded, ranges too, into one sort.
         for r, rnd in enumerate(self.rounds, start=1):
-            for _, spins in rnd.blocks:
+            for value, spins in rnd.blocks:
+                as_finite(f"round {r}: pool value", value)
                 size = len(spins)
                 if (size or 1) % 3:
                     what = f"a block of {size} spins does not split into triples" if size else "a block holds no spins"
@@ -340,6 +346,7 @@ def plan_rounds(
         raise ValueError(f"target must lie in (eps0, 1], got {target_eps}")
 
     n = int(n)
+    plan = CoolingPlan(n, eps0, target_eps, recycle, (), eps0, labels or ())  # checked first; rounds, best set last
     # Tuples, not lists: the garbage collector stops tracking a tuple of ranges,
     # and a list per pool made the k = 17 recycled plan at n = 1e9 25% slower.
     pools: dict[float, tuple[range | np.ndarray, ...]] = {eps0: (range(n),)}
@@ -350,7 +357,7 @@ def plan_rounds(
         next_pools: dict[float, tuple[range | np.ndarray, ...]] = {}
         for value in sorted(pools, reverse=True):
             runs = pools[value]
-            spins = runs[0] if len(runs) == 1 else np.sort(np.concatenate([_indices(r) for r in runs]))
+            spins = runs[0] if len(runs) == 1 else _read_only(np.sort(np.concatenate([_indices(r) for r in runs])))
             size = len(spins)
             end = size - size % 3
             if end:
@@ -369,31 +376,22 @@ def plan_rounds(
             raise InfeasibleError(
                 f"target {target} is unreachable with n={n} (best reachable pool sits at {best})"
             )
-        rounds.append(Round(blocks=tuple(blocks)))
+        rounds.append(Round.__new__(Round))  # no copies: the planner's arrays are its own, and read-only
+        vars(rounds[-1])["blocks"] = tuple(blocks)
         tie_free = tie_free and len(next_pools) == sum(map(len, next_pools.values()))
         pools = next_pools
 
-    plan = CoolingPlan(n, eps0, target_eps, recycle, [], max(pools), labels or [])
-    plan.rounds, plan.best_spin = rounds, min(int(run[0]) for run in pools[plan.predicted_best])
-    plan._certificate = ((n, plan.eps0, recycle), tuple(rnd.blocks for rnd in rounds)) if tie_free else None
+    best_spin = min(int(run[0]) for run in pools[max(pools)])
+    vars(plan).update(rounds=tuple(rounds), predicted_best=max(pools), best_spin=best_spin, _certified=tie_free)
     return plan
 
 
-def _certified(plan: CoolingPlan) -> bool:
-    """Whether the plan holds what the planner certified: n, eps0, recycle and each round's blocks (by identity)."""
-    fields, blocks = plan._certificate or (None, ())
-    return fields == (plan.n, plan.eps0, plan.recycle) and len(blocks) == len(plan.rounds) and all(
-        made is rnd.blocks for made, rnd in zip(blocks, plan.rounds)
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class PlanResult:
-    """Per-spin polarizations after executing a plan; each policy's are replayed when first read."""
+    """A plan's per-spin polarizations and, in "both" mode, their largest difference, each computed when read."""
 
     mode: str
     plan: CoolingPlan = field(repr=False)
-    discrepancy: float | None = None
 
     @cached_property
     def eps_approx(self) -> np.ndarray | None:
@@ -403,10 +401,16 @@ class PlanResult:
     def eps_exact(self) -> np.ndarray | None:
         return None if self.mode == "approx" else _replay_exact(self.plan)
 
+    @cached_property
+    def discrepancy(self) -> float | None:
+        if self.mode != "both":
+            return None
+        return 0.0 if self.plan._certified else float(np.abs(self.eps_approx - self.eps_exact).max())
+
     def best(self) -> tuple[int, float]:
-        """The coldest spin and its value: a planner plan's coldest pool in approx mode and while certified."""
+        """The coldest spin and its value: a planner plan's coldest pool in approx mode, and in any if certified."""
         plan = self.plan
-        if plan.best_spin is not None and (self.mode == "approx" or _certified(plan)):
+        if plan._certified or (self.mode == "approx" and plan.best_spin is not None):
             return plan.best_spin, plan.predicted_best
         eps = self.eps_approx if self.mode == "approx" else self.eps_exact
         spin = int(np.argmax(eps))
@@ -449,7 +453,7 @@ def _replay_exact(plan: CoolingPlan) -> np.ndarray:
     A certified planner plan's cones are disjoint by construction, so it is
     walked as approx walks it, with the same bits.
     """
-    if _certified(plan):
+    if plan._certified:
         return _replay_approx(plan)
     _check_triple_budget(plan.n)
     eps, last, cones = np.full(plan.n, plan.eps0), np.zeros(plan.n, dtype=np.int32), {}
@@ -531,13 +535,10 @@ def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
     """
     if mode not in {"exact", "approx", "both"}:
         raise ValueError(f"mode must be exact, approx, or both, got {mode!r}")
-    if _certified(plan):  # exact is approx, bit for bit: nothing to replay now
-        return PlanResult(mode=mode, plan=plan, discrepancy=0.0 if mode == "both" else None)
-    result = PlanResult(mode=mode, plan=plan)
-    if mode == "both" or plan.best_spin is None:  # replayed now, which checks the pool values
-        eps_approx = result.eps_approx
-    if mode != "approx":
-        eps_exact = result.eps_exact
-    if mode == "both":
-        result.discrepancy = float(np.abs(eps_exact - eps_approx).max())
+    result = PlanResult(mode, plan)
+    if not plan._certified:  # replayed now, so that this call raises a pool-value or capacity error
+        if mode == "both" or plan.best_spin is None:  # a planner plan's pools hold their values
+            result.eps_approx
+        if mode != "approx":
+            result.eps_exact
     return result

@@ -1,5 +1,9 @@
 """Shared pytest plumbing: a one-line-per-criterion acceptance summary."""
 import re
+import sys
+import warnings
+
+import pytest
 
 CRITERIA = {
     1: "polarization-transfer bound",
@@ -14,6 +18,22 @@ CRITERIA = {
 
 _NODE_RE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 _outcomes: dict[int, str] = {}
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    # On a failed example, hypothesis's report imports its patch writer, and
+    # with it libcst, whose import raises a DeprecationWarning. Under the
+    # suite's error filters that stops pytest with INTERNALERROR before the
+    # failure is shown, so the writer is imported here first, warning ignored.
+    if call.excinfo is not None and "hypothesis.extra._patching" not in sys.modules:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                import hypothesis.extra._patching  # noqa: F401
+            except ImportError:  # libcst is optional; hypothesis then writes no patch
+                pass
+    yield
 
 
 def pytest_runtest_logreport(report):

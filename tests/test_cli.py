@@ -595,6 +595,26 @@ def test_compile_refuses_a_sequence_whose_total_duration_overflows(capsys, tmp_p
     assert "total duration (s): 3.6e+307\n" in out
 
 
+@pytest.mark.filterwarnings("error")
+def test_compile_refuses_a_sequence_whose_coupling_phase_overflows(capsys, tmp_path):
+    # Every 1/|J| and 2 pi |J| is finite, but the delays set by the tiny
+    # J01 (about 1.8e233 s) turn the pair (s1, s5) by more than a float holds.
+    j_hz = [[0.0] * 6 for _ in range(6)]
+    pairs = [(0, 1, 5.572575265414456e-234), (1, 2, 1.0), (1, 5, 1.0374539036469075e91), (3, 5, 1.0), (4, 5, 1.0)]
+    for a, b, value in pairs:
+        j_hz[a][b] = j_hz[b][a] = value
+    path = tmp_path / "sys.json"
+    labels = [f"s{i}" for i in range(6)]
+    path.write_text(json.dumps({"labels": labels, "j_hz": j_hz, "shift_ppm": [1e308] * 6, "epsilon0": 0.5}))
+    code, out, err = run(capsys, "compile", "--system", str(path), "--z-mode", "virtual")
+    assert (code, out) == (2, "")
+    assert err == "error: j_hz must keep every coupling's phase over the sequence's delays finite, to compile\n"
+    j_hz[1][5] = j_hz[5][1] = 1.0
+    path.write_text(json.dumps({"labels": labels, "j_hz": j_hz, "shift_ppm": [1e308] * 6, "epsilon0": 0.5}))
+    code, out, _ = run(capsys, "compile", "--system", str(path), "--z-mode", "virtual")
+    assert code == 0
+
+
 # Finite numbers at the edges of the float range, magnitudes from 1e-307 to
 # 1e307, and ordinary numbers: every number a generated file or flag holds.
 _MAGNITUDES = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-307.0, 307.0))

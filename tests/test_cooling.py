@@ -214,7 +214,7 @@ def test_recycling_reuses_partially_cooled_spins():
 def test_plan_round_trips_through_dict():
     plan = plan_rounds(9, 1e-3, 2.2e-3, labels=list("abcdefghi"))
     again = CoolingPlan.from_dict(plan.to_dict())
-    assert again.labels == list("abcdefghi")
+    assert again.labels == tuple("abcdefghi")
     assert again.n == plan.n
     assert [_triples(r) for r in again.rounds] == [_triples(r) for r in plan.rounds]
     assert again.total_gate_count == plan.total_gate_count
@@ -533,7 +533,7 @@ def _tie_prone(draw):
 def test_a_plan_loaded_from_its_dict_equals_it_and_replays_bit_for_bit(plan):
     again = CoolingPlan.from_dict(plan.to_dict())
     assert again == dataclasses.replace(plan, labels=again.labels)
-    assert again.labels == [plan.label(i) for i in range(plan.n)]
+    assert again.labels == tuple(plan.label(i) for i in range(plan.n))
     assert simulate_plan(again).eps_approx.tobytes() == simulate_plan(plan).eps_approx.tobytes()
     # A small spin budget keeps the recycled clusters, and their sum, small.
     with pytest.MonkeyPatch.context() as env:
@@ -607,7 +607,7 @@ def test_a_round_holds_its_triples_and_pool_values_as_arrays():
     assert rnd.triples.dtype == np.intp and rnd.triples.shape == (2, 3)
     assert rnd.pool_eps.dtype == float and rnd.pool_eps.shape == (2,)
     assert Round(triples=[], pool_eps=[]).triples.shape == (0, 3)
-    assert Round(triples=[], pool_eps=[]).blocks == []
+    assert Round(triples=[], pool_eps=[]).blocks == ()
     signed = Round(triples=[(0, 1, 2), (3, 4, 5)], pool_eps=[0.0, -0.0])
     assert len(signed.blocks) == 2 and signed.pool_eps.tobytes() == np.array([0.0, -0.0]).tobytes()
     grouped = Round(triples=[(0, 1, 2), (3, 4, 5), (6, 7, 8)], pool_eps=[1e-3, 1e-3, 2e-3])
@@ -700,6 +700,12 @@ def test_a_hand_made_plan_refuses_index_array_blocks_that_overlap_or_leave_the_s
         pytest.param(
             [(1e-3, range(0, 6, 2)), (1e-3, np.array([1, 3, 4]))], "round 2: spin s4 is used twice$", id="range-and-array"
         ),
+        # Accepted before block values were read: to_dict wrote NaN, which from_dict refused,
+        # and a string made to_dict raise numpy's "could not convert string to float".
+        pytest.param([(float("nan"), range(0, 3))], "round 2: pool value must be finite, got nan$", id="nan-value"),
+        pytest.param([(float("inf"), range(0, 3))], "round 2: pool value must be finite, got inf$", id="inf-value"),
+        pytest.param([(True, range(0, 3))], "round 2: pool value must be a number, got True$", id="boolean-value"),
+        pytest.param([("x", range(0, 3))], "round 2: pool value must be a number, got 'x'$", id="string-value"),
     ],
 )
 def test_a_hand_made_plan_refuses_range_blocks_that_leave_the_spins_or_split_a_triple(blocks, message):
@@ -752,6 +758,21 @@ def test_a_hand_made_plan_refuses_a_bad_spin_count_or_recycle_flag(change, messa
         CoolingPlan(**{**fields, **change})
 
 
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [({"recycle": 1}, "recycle must be true or false, got 1"), ({"labels": ["a", "b"]}, "need one label per spin")],
+    ids=["recycle", "labels"],
+)
+def test_the_planner_refuses_a_bad_recycle_flag_or_labels_before_it_boosts(monkeypatch, change, message):
+    # Both were refused only after the plan was built: 0.5 s at a billion spins.
+    boosts = []
+    kernel = cooling._boost_marginals
+    monkeypatch.setattr(cooling, "_boost_marginals", lambda eps: boosts.append(eps) or kernel(eps))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        plan_rounds(10**9, 3e-5, 0.99 * 1.5**17 * 3e-5, **change)
+    assert boosts == []
+
+
 def test_a_hand_made_plan_derives_its_gate_ledger_from_its_rounds():
     plan = _plan(9, 1e-3, [[(0, 1, 2), (3, 4, 5)], [(0, 3, 6)]])
     assert plan.boost_gate_count == 3 * GATES_PER_BOOST
@@ -761,7 +782,7 @@ def test_a_hand_made_plan_derives_its_gate_ledger_from_its_rounds():
 
 def test_a_default_plan_names_its_spins_only_on_demand():
     plan = plan_rounds(27, 1e-3, 2.2e-3)
-    assert plan.labels == []
+    assert plan.labels == ()
     assert plan.label(26) == "s26"
     assert plan.to_dict()["labels"] == [f"s{i}" for i in range(27)]
     named = plan_rounds(9, 1e-3, 2.2e-3, labels=list("abcdefghi"))
@@ -916,7 +937,7 @@ def test_only_a_plan_whose_cones_overlap_reaches_the_cluster_engine(monkeypatch)
 @example(plan=plan_rounds(81, 0.99, 1.0, recycle=True))
 def test_the_planner_certifies_exactly_its_tie_free_plans(plan):
     merged = oracles.pool_runs_merge(plan.n, plan.eps0, plan.target_eps, boost_exact, plan.recycle)
-    assert cooling._certified(plan) is not merged
+    assert plan._certified is not merged
     if merged:
         return
     with pytest.MonkeyPatch.context() as env:
@@ -926,7 +947,7 @@ def test_the_planner_certifies_exactly_its_tie_free_plans(plan):
         assert result.discrepancy == 0.0 and result.best() == (plan.best_spin, plan.predicted_best)
         # A copy that passes the public constructor carries no certificate: the cone walk.
         copy = dataclasses.replace(plan)
-        assert not cooling._certified(copy)
+        assert not copy._certified
         cone_walk = simulate_plan(copy, mode="exact").eps_exact
         assert calls == []
     assert result.eps_exact.tobytes() == cone_walk.tobytes() == result.eps_approx.tobytes()
@@ -946,35 +967,74 @@ def _spy_on_the_walk(env) -> list:
     return calls
 
 
-@pytest.mark.parametrize("edit", ["eps0", "append-round", "replace-blocks"])
+@pytest.mark.parametrize("edit", ["eps0", "append-round", "replace-blocks", "first-round"])
 def test_an_edit_to_a_certified_plan_voids_its_certificate(monkeypatch, edit):
     plan = plan_rounds(9, 1e-3, 0.99 * 2.25e-3, recycle=True)
     walks, clusters = _spy_on_the_walk(monkeypatch), _spy_on_the_cluster_engine(monkeypatch)
-    assert cooling._certified(plan)
+    assert plan._certified
     assert simulate_plan(plan, mode="both").discrepancy == 0.0 and walks == []
-    if edit == "eps0":
-        plan.eps0 = 0.2
-    elif edit == "append-round":  # spins 0, 1 and 2 share an original spin
-        plan.rounds.append(Round(triples=[(0, 1, 2)], pool_eps=[1e-3]))
-    else:  # the same blocks in a new object
-        plan.rounds[1].blocks = list(plan.rounds[1].blocks)
-    assert not cooling._certified(plan)
-    result = simulate_plan(plan, mode="exact")
+    # A plan is frozen, so an edit is a copy through the public constructor.
+    rounds = {
+        # Spins 0, 1 and 2 share an original spin.
+        "append-round": (*plan.rounds, Round(triples=[(0, 1, 2)], pool_eps=[1e-3])),
+        "replace-blocks": (plan.rounds[0], Round(blocks=plan.rounds[1].blocks)),  # the same blocks in a new round
+        "first-round": plan.rounds[:1],
+    }
+    copy = dataclasses.replace(plan, eps0=0.2) if edit == "eps0" else dataclasses.replace(plan, rounds=rounds[edit])
+    assert not copy._certified and copy.best_spin is None
+    result = simulate_plan(copy, mode="exact")
     assert walks == ["exact"]
-    assert clusters == ([plan] if edit == "append-round" else [])
-    want = oracles.replay_exact(9, plan.eps0, [t for rnd in plan.rounds for t in rnd.triples])
+    assert clusters == ([copy] if edit == "append-round" else [])
+    want = oracles.replay_exact(9, copy.eps0, [t for rnd in copy.rounds for t in rnd.triples])
     np.testing.assert_allclose(result.eps_exact, want, rtol=0.0, atol=1e-14)
     spin = int(np.argmax(result.eps_exact))
     assert result.best() == (spin, float(result.eps_exact[spin]))
+    if edit in ("replace-blocks", "first-round"):  # the other two mix pools, which approx refuses
+        approx = simulate_plan(copy, mode="approx")
+        spin = int(np.argmax(approx.eps_approx))
+        assert approx.best() == (spin, float(approx.eps_approx[spin]))
+        # Before plans were frozen, `plan.rounds = plan.rounds[:1]` kept the planner's best, 0.00225.
+        assert (approx.best()[1] < plan.predicted_best) is (edit == "first-round")
+
+
+def test_a_plan_its_rounds_and_its_result_cannot_be_edited_in_place():
+    plan = plan_rounds(27, 1e-9, 3.34e-9, recycle=True)  # float ties merged runs into index arrays
+    result, rnd = simulate_plan(plan, mode="both"), plan.rounds[0]
+    edits = {
+        "plan.eps0": lambda: setattr(plan, "eps0", 0.2),
+        "plan.rounds": lambda: setattr(plan, "rounds", plan.rounds[:1]),
+        "plan.best_spin": lambda: setattr(plan, "best_spin", 1),
+        "plan._certified": lambda: setattr(plan, "_certified", True),
+        "plan.rounds.append": lambda: plan.rounds.append(rnd),
+        "plan.labels": lambda: setattr(plan, "labels", ["a"] * 27),
+        "rnd.blocks": lambda: setattr(rnd, "blocks", ((1e-9, range(0, 6)),)),
+        "rnd.boosts": lambda: setattr(rnd, "boosts", 2),
+        "result.plan": lambda: setattr(result, "plan", plan),
+        "result.discrepancy": lambda: setattr(result, "discrepancy", 1.0),
+    }
+    for name, edit in edits.items():
+        with pytest.raises(AttributeError):
+            edit()
+            pytest.fail(f"{name} was edited")
+    merged = [run for r in plan.rounds for _, run in r.blocks if isinstance(run, np.ndarray)]
+    assert merged
+    for array in (*merged, rnd.triples, rnd.pool_eps):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # A hand-made round keeps copies: a later write to the caller's arrays does not reach it.
+    triples, spins = np.array([[0, 1, 2]]), np.array([3, 4, 5])
+    made, given = Round(triples, [1e-3]), Round(blocks=[(1e-3, spins)])
+    triples[0, 0], spins[0] = 7, 7
+    assert made.triples.tolist() == [[0, 1, 2]] and given.triples.tolist() == [[3, 4, 5]]
 
 
 def test_only_the_planner_grants_a_certificate():
     plan = plan_rounds(9, 1e-3, 0.99 * 2.25e-3)
     fields = dict(n=9, eps0=1e-3, target_eps=plan.target_eps, recycle=False, predicted_best=plan.predicted_best)
     with pytest.raises(TypeError):
-        CoolingPlan(**fields, rounds=plan.rounds, _certificate=plan._certificate)
+        CoolingPlan(**fields, rounds=plan.rounds, _certified=True)
     for copy in (CoolingPlan(**fields, rounds=plan.rounds), CoolingPlan.from_dict(plan.to_dict())):
-        assert copy.rounds == plan.rounds and not cooling._certified(copy)
+        assert copy.rounds == plan.rounds and not copy._certified
 
 
 @pytest.mark.parametrize("mode", ["exact", "both"])
