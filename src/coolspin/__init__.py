@@ -12,6 +12,7 @@ from .bounds import (
     decompose,
     entropy_bound_kmax,
     max_projection,
+    thermal_bound,
 )
 from .compiler import (
     CircuitIR,
@@ -120,6 +121,7 @@ __all__ = [
     "simulate_plan",
     "simulate_sequence",
     "standard_toffoli_s",
+    "thermal_bound",
     "thermal_polarization",
     "thermal_state",
     "verify_permutation",

@@ -5,16 +5,19 @@ so their eigenvalues are their entries and every trace product is a dot
 product of two 2**n vectors. The reachable coefficient of a target is fixed
 by those two spectra alone: sort both the same way and take the overlap. Any
 unitary that permutes populations can do no better, and a relabeling
-achieves it. The entropy bound caps how many fully polarized spins any
-closed procedure can extract from n equilibrium spins.
+achieves it. For the thermal state and one spin's Iz that overlap has a
+closed form, so `thermal_bound` needs no vector at all. The entropy bound
+caps how many fully polarized spins any closed procedure can extract from
+n equilibrium spins.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PopulationState, as_finite
+from .states import PopulationState, as_finite, as_int
 from .thermo import entropy_deficit
 
 
@@ -62,6 +65,20 @@ def max_projection(rho_i: PopulationState, a_target: PopulationState) -> Project
     a_initial = float(rho_i.pops @ a_target.pops) / denom
     enhancement = a_max / a_initial if a_initial != 0.0 else float("inf")
     return ProjectionResult(a_initial=a_initial, a_max=a_max, enhancement=enhancement)
+
+
+def thermal_bound(n: int) -> ProjectionResult:
+    """`max_projection` of the n-spin thermal state onto any one spin's Iz, in closed form.
+
+    The thermal spectrum puts (n - 2k)/2 on comb(n, k) basis states, and the
+    sorted target gives +1/2 to the upper half of them, so a_max is
+    n comb(n-1, floor((n-1)/2)) / 2**(n-1) (Sørensen, Prog. NMR Spectrosc.
+    21, 503 (1989)): exact integers and one correctly rounded division, at
+    any n. The thermal state's own coefficient is exactly 1.
+    """
+    n = as_int("spin count", n, positive=True)
+    a_max = n * math.comb(n - 1, (n - 1) // 2) / 2 ** (n - 1)
+    return ProjectionResult(a_initial=1.0, a_max=a_max, enhancement=a_max)
 
 
 def decompose(rho_f: PopulationState, a_target: PopulationState) -> Decomposition:

@@ -22,7 +22,9 @@ import sys
 import math
 from pathlib import Path
 
-from .bounds import entropy_bound_kmax, max_projection
+# No command calls max_projection or iz_operator; both stay imported because
+# benchmark/tracing.py wraps them here by name.
+from .bounds import entropy_bound_kmax, max_projection, thermal_bound
 from .compiler import CircuitIR, compile_circuit, parse_circuit
 from .cooling import boost_exact, plan_rounds, simulate_plan
 from .errors import CapacityError, InfeasibleError
@@ -33,6 +35,7 @@ from .propagator import verify_permutation
 from .pulses import DurationModel
 from .spectra import readout
 from .states import (
+    MAX_POPULATION_SPINS,
     MAX_VERIFY_SPINS,
     PopulationState,
     apply_permutation,
@@ -75,8 +78,7 @@ def _spin_count(text: str) -> int:
 def cmd_bound(args: argparse.Namespace) -> int:
     system = _system(args)
     spin = _spin(args, system)
-    state = thermal_state(system.n)
-    result = max_projection(state, iz_operator(system.n, spin))
+    result = thermal_bound(system.n)
     eps0 = system.epsilon0 if args.eps0 is None else args.eps0
     n_for_kmax = system.n if args.n is None else args.n
     kmax = entropy_bound_kmax(n_for_kmax, eps0)
@@ -244,6 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad input and 0 after --help
         return exc.code
     try:
+        capacity_limit(MAX_POPULATION_SPINS)  # a malformed COOLSPIN_MAX_N is bad input to every command
         return args.handler(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -2,9 +2,9 @@
 
 Gate operands list controls first and the target last. The permutation
 representation maps basis index i to perm[i] under the package-wide basis
-convention (see `states`): the indices, viewed as a (2,)*n tensor with one
-axis per spin, are flipped along the target's axis (or swapped between the
-two swap axes) wherever every control is 1.
+convention (see `states`): with each operand's bit from `spin_bit`, an
+index whose control bits are all set has its target bit flipped, or, for
+FREDKIN, its two swap bits exchanged (both flipped where they differ).
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import as_finite, as_int
+from .states import as_finite, as_int, spin_bit
 
 PERMUTATION_KINDS = {"NOT": 1, "CNOT": 2, "TOFFOLI": 3, "FREDKIN": 3}
 ROTATION_KINDS = {"RX": 1, "RY": 1, "RZ": 1, "CRY": 2, "CRZ": 2}
@@ -49,30 +49,32 @@ class Gate:
             raise ValueError(f"{self.kind} operands must be distinct spins")
 
 
-def gate_permutation(gate: Gate, n: int) -> np.ndarray:
-    """Basis permutation of a reversible gate on n spins: i -> perm[i]."""
+def _gate_images(gate: Gate, n: int, idx: np.ndarray) -> np.ndarray:
+    """Images of the basis indices `idx` under a reversible gate on n spins."""
     if gate.kind not in PERMUTATION_KINDS:
         raise ValueError(f"{gate.kind} is not a basis permutation")
     if max(gate.spins) >= n:
         raise ValueError(f"gate {gate.kind}{gate.spins} does not fit in {n} spins")
-    idx = np.arange(2**n, dtype=np.int64).reshape((2,) * n)
+    bits = [spin_bit(n, s) for s in gate.spins]
     if gate.kind == "FREDKIN":
-        c, q1, q2 = gate.spins
-        controls, moved = (c,), np.swapaxes(idx, q1, q2)
+        control, b1, b2 = bits
+        flip, hit = b1 | b2, ((idx & b1) == 0) != ((idx & b2) == 0)
     else:
-        *controls, target = gate.spins
-        moved = np.flip(idx, target)
-    where = tuple(1 if s in controls else slice(None) for s in range(n))
-    perm = idx.copy()
-    perm[where] = moved[where]
-    return perm.reshape(-1)
+        *controls, flip = bits
+        control, hit = sum(controls), True
+    return np.where(hit & ((idx & control) == control), idx ^ flip, idx)
+
+
+def gate_permutation(gate: Gate, n: int) -> np.ndarray:
+    """Basis permutation of a reversible gate on n spins: i -> perm[i]."""
+    return _gate_images(gate, n, np.arange(2**n, dtype=np.int64))
 
 
 def circuit_permutation(gates: list[Gate], n: int) -> np.ndarray:
     """Composite permutation of a gate list applied first-to-last."""
     total = np.arange(2**n, dtype=np.int64)
     for gate in gates:
-        total = gate_permutation(gate, n)[total]
+        total = _gate_images(gate, n, total)
     return total
 
 

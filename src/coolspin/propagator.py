@@ -34,7 +34,7 @@ import numpy as np
 
 from .pulses import Delay, FrameShift, PulseSequence, SelectivePulse
 from .states import MAX_DENSE_SPINS, MAX_VERIFY_SPINS, UNITARITY_TOL, Unitary, as_permutation
-from .states import capacity_limit, check_capacity, iz_diag, spin_axis
+from .states import capacity_limit, check_capacity, iz_diag, spin_axis, spin_bit
 
 PATTERN_TOL = 1e-8
 PROBE_SEED = 0
@@ -126,9 +126,8 @@ def _bookkeeping(seq: PulseSequence, bits: list[int]) -> tuple[list[list], int, 
 
 @functools.cache
 def _layout(n: int) -> tuple[list[int], list[np.ndarray]]:
-    """Each spin's basis bit (its index flipped alone), and the Iz columns of the high and low halves."""
-    basis = np.arange(1 << n)
-    bits = [int(spin_axis(basis, spin)[0, 1, 0]) for spin in range(n)]
+    """Each spin's basis bit (`spin_bit`), and the Iz columns of the high and low halves."""
+    bits = [spin_bit(n, spin) for spin in range(n)]
     halves = [np.array([iz_diag(m, spin) for spin in range(m)]).reshape(m, 1 << m).T for m in (n // 2, n - n // 2)]
     return bits, halves
 

@@ -8,9 +8,10 @@ Basis convention, used everywhere in this package: a 2**n vector is the
 C-order flattening of a (2,)*n tensor whose axis s is spin s, with index 0
 on an axis meaning the spin points up. So spin 0 is the most significant
 bit of a basis index, and index 0 is all-spins-up. This module is the only
-one that knows it, through two objects: `IZ`, one spin's Iz with up first,
-and `spin_axis`, the view of a 2**n vector (or a block of them) whose
-middle axis is one spin. The boost's 8-entry correlator basis in `cooling`
+one that knows it, through three objects: `IZ`, one spin's Iz with up
+first, `spin_axis`, the view of a 2**n vector (or a block of them) whose
+middle axis is one spin, and `spin_bit`, the bit a spin sets in a basis
+index when it points down. The boost's 8-entry correlator basis in `cooling`
 follows the same rule.
 
 Populations are kept in deviation units: the traceless part of the density
@@ -238,6 +239,13 @@ def spin_axis(values: np.ndarray, spin: int) -> np.ndarray:
     if not 0 <= spin < n:
         raise ValueError(f"spin {spin} out of range for {n} spins")
     return values.reshape(1 << spin, 2, -1)
+
+
+def spin_bit(n: int, spin: int) -> int:
+    """The basis-index bit that is set where `spin` of n points down."""
+    if not 0 <= spin < n:
+        raise ValueError(f"spin {spin} out of range for {n} spins")
+    return 1 << (n - 1 - spin)
 
 
 def iz_diag(n: int, spin: int) -> np.ndarray:

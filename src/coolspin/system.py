@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .states import as_float, as_floats, as_int, as_labels, json_fields
 
 _SYMMETRY_TOL = 1e-12
+_EXAMPLE_PATH = Path(__file__).with_name("data") / "c2f3br.json"
 
 
 @dataclass
@@ -104,10 +104,10 @@ class SpinSystem:
 
 def example_system() -> SpinSystem:
     """The bundled three-fluorine system of bromotrifluoroethylene."""
-    with resources.files("coolspin").joinpath("data/c2f3br.json").open(encoding="utf-8") as fh:
+    with open(_EXAMPLE_PATH, encoding="utf-8") as fh:
         return SpinSystem.from_dict(json.load(fh))
 
 
 def example_system_path() -> Path:
     """Filesystem path of the bundled example, for CLI-style consumption."""
-    return Path(str(resources.files("coolspin").joinpath("data/c2f3br.json")))
+    return _EXAMPLE_PATH

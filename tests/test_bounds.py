@@ -15,6 +15,7 @@ from coolspin import (
     iz_product_diag,
     iz_product_operator,
     max_projection,
+    thermal_bound,
     thermal_state,
 )
 
@@ -56,6 +57,27 @@ def test_thermal_three_spin_bound_is_three_halves():
     assert result.a_initial == pytest.approx(1.0, abs=1e-12)
     assert result.a_max == pytest.approx(1.5, abs=1e-12)
     assert result.enhancement == pytest.approx(1.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [*range(1, 30), 1000])
+def test_thermal_bound_closed_form_equals_the_rational_oracle(n):
+    result = thermal_bound(n)
+    assert result.a_max == oracles.thermal_projection_bound(n)
+    assert (result.a_initial, result.enhancement) == (1.0, result.a_max)
+
+
+def test_thermal_bound_equals_the_sorted_overlap_for_every_spin():
+    # The closed form must print what the 2**n path printed, so all three fields match bit for bit.
+    for n in range(1, 21):
+        thermal = thermal_state(n)
+        for spin in range(n):
+            assert thermal_bound(n) == max_projection(thermal, iz_operator(n, spin)), (n, spin)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.0, True, "3"])
+def test_thermal_bound_refuses_a_spin_count_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match="spin count must be a positive integer"):
+        thermal_bound(n)
 
 
 def test_bound_accepts_population_targets():

@@ -81,10 +81,31 @@ def test_bound_runs_past_the_dense_cap(capsys, tmp_path, n):
     assert f"enhancement: {a_max}\n" in out
 
 
-def test_bound_beyond_the_population_budget_exits_4(capsys, tmp_path):
-    code, out, err = run(capsys, "bound", "--system", _coupled_system(tmp_path, 25))
-    assert (code, out) == (4, "")
-    assert "population vector" in err
+def test_bound_needs_no_population_budget(capsys, tmp_path):
+    # The closed form builds no 2**n vector: 1000 spins print the rational oracle's digits.
+    code, out, err = run(capsys, "bound", "--system", _coupled_system(tmp_path, 1000), "--spin", "q999")
+    assert (code, err) == (0, "")
+    a_max = f"{oracles.thermal_projection_bound(1000):.12g}"
+    assert out.startswith(f"spin: q999\na_initial: 1\na_max: {a_max}\nenhancement: {a_max}\n")
+
+
+_EVERY_SUBCOMMAND = {
+    "bound": ("bound",),
+    "boost": ("boost",),
+    "cool": ("cool", "--n", "9", "--eps0", "1e-3", "--target-eps", "2.2e-3", "--mode", "approx"),
+    "compile": ("compile",),
+    "spectrum": ("spectrum",),
+}
+
+
+@pytest.mark.parametrize("argv", list(_EVERY_SUBCOMMAND.values()), ids=list(_EVERY_SUBCOMMAND))
+def test_every_subcommand_refuses_a_malformed_spin_budget_up_front(capsys, monkeypatch, argv):
+    assert run(capsys, *argv)[0] == 0
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("COOLSPIN_MAX_N", raw)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: COOLSPIN_MAX_N must be a positive integer")
 
 
 def test_help_returns_zero_instead_of_exiting(capsys):

@@ -1,4 +1,6 @@
 """Reversible gates as basis permutations."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from coolspin import (
     gate_permutation,
     lower_fredkin,
 )
+from coolspin.gates import PERMUTATION_KINDS
 
 import oracles
 
@@ -87,8 +90,6 @@ _BIT_ORACLES = {
     data=st.data(),
 )
 def test_every_gate_is_a_self_inverse_bijection(n, kind, data):
-    from coolspin.gates import PERMUTATION_KINDS
-
     arity = PERMUTATION_KINDS[kind]
     if arity > n:
         n = arity
@@ -108,6 +109,39 @@ def test_every_gate_is_a_self_inverse_bijection(n, kind, data):
     # Any operand order, e.g. a control after its target or FREDKIN with q1 > q2.
     want = [index_of(_BIT_ORACLES[kind](bits_of(i, n), *spins)) for i in range(2**n)]
     assert perm.tolist() == want
+
+
+@pytest.mark.parametrize("kind", list(_BIT_ORACLES))
+def test_every_gate_on_every_operand_tuple_matches_its_truth_table(kind):
+    arity = PERMUTATION_KINDS[kind]
+    for n in range(arity, 7):
+        table = [bits_of(i, n) for i in range(2**n)]
+        for spins in itertools.permutations(range(n), arity):
+            want = [index_of(_BIT_ORACLES[kind](bits, *spins)) for bits in table]
+            perm = gate_permutation(Gate(kind, spins), n)
+            assert (perm.dtype, perm.tolist()) == (np.int64, want), (n, spins)
+
+
+def _gate_lists(n):
+    kinds = [kind for kind, arity in PERMUTATION_KINDS.items() if arity <= n]
+    gate = st.sampled_from(kinds).flatmap(
+        lambda kind: st.permutations(range(n)).map(lambda spins: (kind, tuple(spins[: PERMUTATION_KINDS[kind]])))
+    )
+    return st.lists(gate, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=7), data=st.data())
+def test_circuit_permutation_composes_the_truth_tables(n, data):
+    gates = data.draw(_gate_lists(n))
+    want = []
+    for i in range(2**n):
+        bits = bits_of(i, n)
+        for kind, spins in gates:
+            bits = _BIT_ORACLES[kind](bits, *spins)
+        want.append(index_of(bits))
+    perm = circuit_permutation([Gate(kind, spins) for kind, spins in gates], n)
+    assert (perm.dtype, perm.tolist()) == (np.int64, want)
 
 
 def test_circuit_permutation_composes_first_to_last():

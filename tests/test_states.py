@@ -44,6 +44,8 @@ from coolspin.states import (
     MAX_VERIFY_SPINS,
     capacity_limit,
     iz_diag,
+    spin_axis,
+    spin_bit,
 )
 
 import oracles
@@ -336,6 +338,18 @@ def test_spin_system_lookup_and_round_trip(tmp_path):
     again = SpinSystem.load(path)
     assert again.to_dict() == system.to_dict()
     assert example_system_path().exists()
+    assert SpinSystem.load(example_system_path()).to_dict() == system.to_dict()
+
+
+def test_spin_bit_is_the_index_of_one_spin_flipped_alone():
+    for n in range(1, 9):
+        basis = np.arange(2**n)
+        for spin in range(n):
+            assert spin_bit(n, spin) == spin_axis(basis, spin)[0, 1, 0]
+            assert [(i & spin_bit(n, spin)) != 0 for i in basis] == [x < 0 for x in oracles.iz_diag(n, spin)]
+    for spin in (-1, 3):
+        with pytest.raises(ValueError, match="out of range for 3 spins"):
+            spin_bit(3, spin)
 
 
 @settings(max_examples=60, deadline=None)
