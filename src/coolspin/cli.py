@@ -43,6 +43,7 @@ from .states import (
     iz_operator,
     polarization,
     thermal_state,
+    write_in_place,
 )
 from .system import SpinSystem, example_system
 
@@ -52,7 +53,7 @@ def _fmt(x: float) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+    write_in_place(path, text)
     print(f"wrote {path}")
 
 
@@ -117,6 +118,9 @@ def cmd_boost(args: argparse.Namespace) -> int:
 
 def cmd_cool(args: argparse.Namespace) -> int:
     plan = plan_rounds(args.n, args.eps0, args.target_eps, recycle=args.recycle)
+    # The plan file names every triple: a plan too large to build is refused
+    # before anything is printed.
+    text = None if args.out is None else json.dumps(plan.to_dict())
     for i, rnd in enumerate(plan.rounds, start=1):
         # A round's block values are floats already: no `_fmt` cast per pool.
         pools = " ".join(dict.fromkeys(f"{value:.12g}" for value, _ in rnd.blocks))
@@ -130,8 +134,8 @@ def cmd_cool(args: argparse.Namespace) -> int:
     print(f"simulated best ({args.mode}): spin {plan.label(spin)} at {_fmt(value)}")
     if result.discrepancy is not None:
         print(f"exact vs approx max difference: {_fmt(result.discrepancy)}")
-    if args.out is not None:
-        _write(args.out, json.dumps(plan.to_dict()))
+    if text is not None:
+        _write(args.out, text)
     return 0
 
 
@@ -252,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except (CapacityError, MemoryError) as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
+        print(f"capacity: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:  # a JSON syntax error is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""State containers for small spin-1/2 ensembles, and the input readers all modules share.
+"""State containers for small spin-1/2 ensembles, and the input readers and file writer all modules share.
 
 `PopulationState` is the package's one state type: a traceless diagonal in
 deviation units, for states and z observables alike. `Unitary` is the dense
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
@@ -179,6 +180,36 @@ def json_fields(what: str, data, names: tuple[str, ...]) -> list:
         return [data[name] for name in names]
     except KeyError:
         raise ValueError(f"{what} object missing fields: {sorted(set(names) - data.keys())}") from None
+
+
+def write_in_place(path, text: str) -> None:
+    """Write `text` (utf-8) to `path`, rewriting an existing file in place.
+
+    Opening without O_TRUNC keeps the inode, so links, owner and mode stay as
+    they were; a regular file is then cut to the new length. On ext4, a
+    file truncated on open has its new blocks allocated and written back at
+    once (`auto_da_alloc`), a wait that a small `--out` command would pay on
+    every rewrite. Neither way calls fsync: after a crash a file written in
+    the last seconds may hold its old bytes or a mix. A failed write empties
+    a regular file, so no old tail ever follows new bytes. A device or FIFO
+    (/dev/null, /dev/full) cannot be truncated and is only written.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            # closefd=False: closing the wrapper flushes what it still holds,
+            # so nothing can land in the file after the truncation below.
+            with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+                fh.write(text)
+                if regular:
+                    fh.truncate()
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 @dataclass

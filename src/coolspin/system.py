@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import as_float, as_floats, as_int, as_labels, json_fields
+from .states import as_float, as_floats, as_int, as_labels, json_fields, write_in_place
 
 _SYMMETRY_TOL = 1e-12
 _EXAMPLE_PATH = Path(__file__).with_name("data") / "c2f3br.json"
@@ -99,7 +99,7 @@ class SpinSystem:
             return cls.from_dict(json.load(fh))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        write_in_place(path, json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 def example_system() -> SpinSystem:

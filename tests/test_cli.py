@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import coolspin
 from coolspin import CoolingPlan, PulseSequence, PopulationState, SpinSystem, example_system
-from coolspin import cli, cooling
+from coolspin import cli, cooling, states
 from coolspin.cli import build_parser, main
 from coolspin.gates import PERMUTATION_KINDS, ROTATION_KINDS
 
@@ -147,6 +147,49 @@ def test_boost_reports_marginals_and_writes_state(capsys, tmp_path):
     assert state.n == 3
 
 
+def test_boost_writes_to_a_device(capsys):
+    code, out, err = run(capsys, "boost", "--out", os.devnull)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"wrote {os.devnull}\n")
+
+
+def test_boost_reports_a_full_device(capsys):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    code, out, err = run(capsys, "boost", "--out", "/dev/full")
+    assert (code, err) == (2, "error: [Errno 28] No space left on device\n")
+    assert "wrote" not in out
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [(".", "[Errno 21] Is a directory: '{}'"), ("missing/post.json", "[Errno 2] No such file or directory: '{}'")],
+)
+def test_boost_refuses_an_unwritable_path(capsys, tmp_path, target, message):
+    path = str(tmp_path / target)
+    code, _, err = run(capsys, "boost", "--out", path)
+    assert (code, err) == (2, f"error: {message.format(path)}\n")
+
+
+def test_boost_write_failing_partway_leaves_an_empty_file(capsys, monkeypatch, tmp_path):
+    # Without the truncation, half the new state would sit before the old file's tail.
+    class HalfWriter(io.TextIOWrapper):
+        def write(self, text):
+            super().write(text[: len(text) // 2])
+            self.flush()
+            raise OSError(5, "Input/output error")
+
+    def half_open(*args, **kwargs):
+        return HalfWriter(open(*args, **kwargs).detach(), encoding="utf-8")
+
+    monkeypatch.setattr(states, "open", half_open, raising=False)
+    path = tmp_path / "post.json"
+    path.write_text("x" * 1_000_000)
+    code, _, err = run(capsys, "boost", "--out", str(path))
+    assert (code, err) == (2, "error: [Errno 5] Input/output error\n")
+    assert path.read_bytes() == b""
+
+
 def test_boost_prints_the_exact_helper_marginal_at_low_polarization(capsys):
     code, out, _ = run(capsys, "boost", "--eps0", "3e-5")
     assert code == 0
@@ -270,8 +313,8 @@ def test_cool_writes_a_tie_merged_recycled_plan_byte_for_byte(capsys, tmp_path):
 def test_cool_refuses_to_build_a_billion_spin_triples(capsys, tmp_path, monkeypatch, extra):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *_COOL_1E9, *extra)
-    if extra[0] == "--out":  # the plan file names every triple
-        assert code == 4
+    if extra[0] == "--out":  # the plan file names every triple, so nothing is printed either
+        assert (code, out) == (4, "")
         assert err.startswith("capacity: 1000000000 spins exceeds MAX_TRIPLE_SPINS = 14348907")
         assert not (tmp_path / "plan.json").exists()
         return
@@ -318,6 +361,15 @@ def test_cool_running_out_of_memory_exits_4(capsys, monkeypatch):
     assert code == 4
     assert out.startswith("round 1: 3 boosts")
     assert err == "capacity: Unable to allocate 32.0 GiB for an array\n"
+
+
+def test_cool_running_out_of_memory_without_a_message_says_so(capsys, monkeypatch):
+    def allocate(plan, mode):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "simulate_plan", allocate)
+    code, _, err = run(capsys, "cool", "--n", "9", "--eps0", "1e-3", "--target-eps", "2.2e-3")
+    assert (code, err) == (4, "capacity: out of memory\n")
 
 
 def test_compile_default_circuit_verifies(capsys, tmp_path):

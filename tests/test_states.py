@@ -1,6 +1,10 @@
 """State containers, basis conventions, and the spin-system value object."""
 import json
 import math
+import os
+import stat
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,7 @@ from coolspin.states import (
     iz_diag,
     spin_axis,
     spin_bit,
+    write_in_place,
 )
 
 import oracles
@@ -339,6 +344,47 @@ def test_spin_system_lookup_and_round_trip(tmp_path):
     assert again.to_dict() == system.to_dict()
     assert example_system_path().exists()
     assert SpinSystem.load(example_system_path()).to_dict() == system.to_dict()
+
+
+def test_a_saved_spin_system_replaces_a_longer_file_and_loads_back(tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(" " * 100_000 + "{}")
+    system = example_system()
+    system.save(path)
+    assert SpinSystem.load(path).to_dict() == system.to_dict()
+    assert path.read_text() == json.dumps(system.to_dict(), indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    old=st.one_of(st.none(), st.binary(max_size=20_000), st.just("equal")),
+    new=st.text(alphabet=st.characters(max_codepoint=127), max_size=20_000),
+)
+def test_a_rewrite_leaves_exactly_the_new_bytes_in_the_same_inode(old, new):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "artifact"
+        if old is not None:
+            # "equal": an old file of the new length, every byte different.
+            path.write_bytes(b"\x80" * len(new) if old == "equal" else old)
+            inode = path.stat().st_ino
+        write_in_place(path, new)
+        assert path.read_bytes() == new.encode()
+        if old is not None:
+            assert path.stat().st_ino == inode
+
+
+def test_a_rewrite_keeps_links_and_mode(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("x" * 1000)
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    hard = tmp_path / "hard.json"
+    os.link(target, hard)
+    write_in_place(link, "{}")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == hard.read_text() == "{}"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 def test_spin_bit_is_the_index_of_one_spin_flipped_alone():
