@@ -5,6 +5,14 @@ entropy limits), `boost` (the three-spin transformation), `cool`
 (multi-round schedules), `compile` (pulse-sequence synthesis with
 self-verification), and `spectrum` (readout prediction as CSV).
 
+Every flag is listed once, in `COMMANDS`. An argv spelled as documented
+(the subcommand, then each flag by its full name with its value as the
+next token) is read straight from that table, without importing argparse.
+Every other argv (`--help`, an abbreviation, `--flag=value`, a value
+starting with "-", and every error) goes to the argparse parser that
+`build_parser` builds from the same table, so help text, error text and
+exit codes are argparse's.
+
 All numeric output is printed with 12 significant digits; state, plan and
 sequence dumps are JSON at full float precision. Only a state file is read
 back by a command (`spectrum --state`, reproducing its reports bit for
@@ -15,12 +23,13 @@ of memory.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 import math
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 # No command calls max_projection or iz_operator; both stay imported because
 # benchmark/tracing.py wraps them here by name.
@@ -47,6 +56,11 @@ from .states import (
 )
 from .system import SpinSystem, example_system
 
+if TYPE_CHECKING:
+    import argparse
+
+    Args = argparse.Namespace | SimpleNamespace
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
@@ -57,11 +71,11 @@ def _write(path: str, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _system(args: argparse.Namespace) -> SpinSystem:
+def _system(args: Args) -> SpinSystem:
     return example_system() if args.system is None else SpinSystem.load(args.system)
 
 
-def _spin(args: argparse.Namespace, system: SpinSystem) -> int:
+def _spin(args: Args, system: SpinSystem) -> int:
     return 0 if args.spin is None else system.spin_index(args.spin)
 
 
@@ -72,11 +86,13 @@ def _spin_count(text: str) -> int:
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value >= 1 and value == int(value)):
-        raise argparse.ArgumentTypeError(f"must be a positive whole number of spins, got {text!r}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"must be a positive whole number of spins, got {text!r}")
     return int(value)
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: Args) -> int:
     system = _system(args)
     spin = _spin(args, system)
     result = thermal_bound(system.n)
@@ -91,7 +107,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_boost(args: argparse.Namespace) -> int:
+def cmd_boost(args: Args) -> int:
     system = _system(args)
     if system.n != 3:
         raise ValueError(f"the boost acts on exactly 3 spins, system has {system.n}")
@@ -116,7 +132,7 @@ def cmd_boost(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_cool(args: argparse.Namespace) -> int:
+def cmd_cool(args: Args) -> int:
     plan = plan_rounds(args.n, args.eps0, args.target_eps, recycle=args.recycle)
     # The plan file names every triple: a plan too large to build is refused
     # before anything is printed.
@@ -139,7 +155,7 @@ def cmd_cool(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
+def cmd_compile(args: Args) -> int:
     system = _system(args)
     if args.circuit is None:
         if system.n < 3:
@@ -172,7 +188,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(args: Args) -> int:
+    if args.state is not None and args.boosted:
+        raise ValueError("--state and --boosted both name the state to read out; give one")
     system = _system(args)
     spin = _spin(args, system)
     if args.state is not None:
@@ -191,62 +209,118 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
+_SYSTEM = dict(help="spin-system JSON file (default: bundled molecule)")
+_EPS0 = dict(type=float, help="initial polarization override")
+
+# The one list of flags. Subcommand -> (handler, help, flag -> its
+# `add_argument` keywords), in the order `--help` lists them.
+COMMANDS = {
+    "bound": (cmd_bound, "projection and entropy limits", {
+        "--system": _SYSTEM,
+        "--spin": dict(help="target spin label (default: first)"),
+        "--eps0": _EPS0,
+        "--n": dict(type=_spin_count, help="ensemble size for the entropy bound"),
+    }),
+    "boost": (cmd_boost, "one three-spin polarization boost", {
+        "--system": _SYSTEM,
+        "--eps0": _EPS0,
+        "--out": dict(help="write the post-boost state as JSON"),
+    }),
+    "cool": (cmd_cool, "plan and simulate multi-round cooling", {
+        "--n": dict(type=_spin_count, required=True, help="ensemble size"),
+        "--eps0": dict(type=float, required=True, help="initial polarization"),
+        "--target-eps": dict(type=float, required=True, help="goal polarization"),
+        "--recycle": dict(action="store_true", help="reuse the second output spin"),
+        "--mode": dict(choices=["exact", "approx", "both"], default="approx"),
+        "--out": dict(help="write the plan as JSON"),
+    }),
+    "compile": (cmd_compile, "lower a circuit to a pulse sequence", {
+        "--system": _SYSTEM,
+        "--circuit": dict(help="gate list file (default: the boost circuit)"),
+        "--z-mode": dict(choices=["virtual", "pulsed"], default="virtual"),
+        "--bloch-siegert-deg": dict(type=float, default=0.0),
+        "--pulse90-s": dict(type=float, default=2e-3),
+        "--out": dict(help="write the sequence as JSON"),
+    }),
+    "spectrum": (cmd_spectrum, "predict one spin's readout multiplet", {
+        "--system": _SYSTEM,
+        "--spin": dict(help="observed spin label (default: first)"),
+        "--state": dict(help="population-state JSON (default: thermal)"),
+        "--boosted": dict(action="store_true", help="read out the boosted state"),
+        "--out": dict(help="write CSV here instead of stdout"),
+    }),
+}
+
+
+def _parse_table(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give an argv spelled as `COMMANDS` lists it, else None.
+
+    The documented spelling is the subcommand, then flags by their full
+    names, each value the next token and not starting with "-". Any other
+    argv, and any value that fails its type or choices or a missing
+    required flag, is left to `build_parser`, so help, errors and the other
+    spellings stay argparse's own.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, flags = COMMANDS[argv[0]]
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        keywords = flags.get(token)
+        if keywords is None:
+            return None
+        if "action" in keywords:  # a store_true switch
+            given[token] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except Exception:  # argparse reports the failed conversion
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[token] = value
+    args = {"subcommand": argv[0]}
+    for flag, keywords in flags.items():
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default", False if "action" in keywords else None)
+        args[flag[2:].replace("-", "_")] = value
+    args["handler"] = handler
+    return SimpleNamespace(**args)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="coolspin",
         description="Polarization boosts, cooling schedules, pulse compilation, spectra.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_system(p):
-        p.add_argument("--system", help="spin-system JSON file (default: bundled molecule)")
-
-    p = sub.add_parser("bound", help="projection and entropy limits")
-    add_system(p)
-    p.add_argument("--spin", help="target spin label (default: first)")
-    p.add_argument("--eps0", type=float, help="initial polarization override")
-    p.add_argument("--n", type=_spin_count, help="ensemble size for the entropy bound")
-    p.set_defaults(handler=cmd_bound)
-
-    p = sub.add_parser("boost", help="one three-spin polarization boost")
-    add_system(p)
-    p.add_argument("--eps0", type=float, help="initial polarization override")
-    p.add_argument("--out", help="write the post-boost state as JSON")
-    p.set_defaults(handler=cmd_boost)
-
-    p = sub.add_parser("cool", help="plan and simulate multi-round cooling")
-    p.add_argument("--n", type=_spin_count, required=True, help="ensemble size")
-    p.add_argument("--eps0", type=float, required=True, help="initial polarization")
-    p.add_argument("--target-eps", type=float, required=True, help="goal polarization")
-    p.add_argument("--recycle", action="store_true", help="reuse the second output spin")
-    p.add_argument("--mode", choices=["exact", "approx", "both"], default="approx")
-    p.add_argument("--out", help="write the plan as JSON")
-    p.set_defaults(handler=cmd_cool)
-
-    p = sub.add_parser("compile", help="lower a circuit to a pulse sequence")
-    add_system(p)
-    p.add_argument("--circuit", help="gate list file (default: the boost circuit)")
-    p.add_argument("--z-mode", choices=["virtual", "pulsed"], default="virtual")
-    p.add_argument("--bloch-siegert-deg", type=float, default=0.0)
-    p.add_argument("--pulse90-s", type=float, default=2e-3)
-    p.add_argument("--out", help="write the sequence as JSON")
-    p.set_defaults(handler=cmd_compile)
-
-    p = sub.add_parser("spectrum", help="predict one spin's readout multiplet")
-    add_system(p)
-    p.add_argument("--spin", help="observed spin label (default: first)")
-    p.add_argument("--state", help="population-state JSON (default: thermal)")
-    p.add_argument("--boosted", action="store_true", help="read out the boosted state")
-    p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(handler=cmd_spectrum)
-
+    for name, (handler, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
+
+
+def parse_args(argv: list[str] | None = None) -> Args:
+    """`main`'s parse: the table for the documented spelling, argparse for every other argv."""
+    argv = sys.argv[1:] if argv is None else argv
+    return _parse_table(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad input and 0 after --help
         return exc.code
     try:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,11 @@ def _delay_angle_deg(theta_deg: float, j_hz: float) -> float:
     return turns if j_hz < 0.0 else turns - 360.0
 
 
+# A pulse's key in `_Lowering.pulses`: its spin and the exact bits of its
+# phase and angle, since a float key would take -0.0 for 0.0.
+_PULSE_KEY = struct.Struct("<qdd").pack
+
+
 @functools.cache
 def _echo_schedule(count: int) -> tuple[tuple[int, ...], ...]:
     """The spectators that flip at the end of each slice of a delay echoed for `count` of them.
@@ -143,6 +149,8 @@ class _Lowering:
 
     `frame[s]` is spin s's outstanding z rotation in degrees, summed in
     event order and folded into later pulse phases as described above.
+    Events are frozen, so each distinct pulse is built, and validated, once
+    per lowering and shared by every place it is emitted.
     """
 
     def __init__(
@@ -151,18 +159,26 @@ class _Lowering:
     ):
         self.system, self.model = system, model
         self.pulsed, self.bloch_siegert_deg = pulsed, bloch_siegert_deg
-        # Each spin's 180-degree x pulse, shared by every echo and NOT gate.
-        self.echo = [SelectivePulse(lab, 0.0, 180.0, model.pulse_s(180.0)) for lab in system.labels]
+        self.pulses: dict[bytes, SelectivePulse] = {}
+        # Each spin's 180-degree x pulse, emitted by every echo and NOT gate.
+        self.echo = [self.selective(spin, 0.0, 180.0) for spin in range(system.n)]
         self.coupled = (system.j_hz != 0.0).any(axis=1).tolist()
         self.frame = [0.0] * system.n
         self.events: list[Event] = []
 
+    def selective(self, spin: int, phase_deg: float, angle_deg: float) -> SelectivePulse:
+        """The pulse on `spin` with this exact phase and angle, built on first use."""
+        key = _PULSE_KEY(spin, phase_deg, angle_deg)
+        pulse = self.pulses.get(key)
+        if pulse is None:
+            label = self.system.labels[spin]
+            pulse = self.pulses[key] = SelectivePulse(label, phase_deg, angle_deg, self.model.pulse_s(angle_deg))
+        return pulse
+
     def emit(self, spin: int, pulse: SelectivePulse) -> None:
         """Append a pulse on `spin`; with a Bloch-Siegert angle, shift every other spin."""
         if self.frame[spin] != 0.0:
-            pulse = SelectivePulse(
-                pulse.spin, pulse.phase_deg - self.frame[spin], pulse.angle_deg, pulse.duration_s
-            )
+            pulse = self.selective(spin, pulse.phase_deg - self.frame[spin], pulse.angle_deg)
         self.events.append(pulse)
         if self.bloch_siegert_deg != 0.0:
             for u in range(self.system.n):
@@ -172,8 +188,7 @@ class _Lowering:
                 raise ValueError("bloch_siegert_deg must keep every spin's z frame finite, to compile")
 
     def pulse(self, spin: int, phase_deg: float, angle_deg: float) -> None:
-        label = self.system.labels[spin]
-        self.emit(spin, SelectivePulse(label, phase_deg, angle_deg, self.model.pulse_s(angle_deg)))
+        self.emit(spin, self.selective(spin, phase_deg, angle_deg))
 
     def rz(self, spin: int, theta_deg: float) -> None:
         """A frame shift, or in pulsed mode an x rotation conjugated by y rotations."""

@@ -126,6 +126,82 @@ def test_main_builds_one_parser_and_it_still_rejects_bad_flags(capsys):
     assert build_parser.cache_info().misses == 1
 
 
+def test_a_documented_spelling_builds_no_parser(capsys):
+    build_parser.cache_clear()
+    for argv in _EVERY_SUBCOMMAND.values():
+        assert run(capsys, *argv)[0] == 0
+    assert run(capsys, "spectrum", "--boosted", "--spin", "b", "--system", str(coolspin.example_system_path()))[0] == 0
+    assert build_parser.cache_info().misses == 0
+
+
+# Values for each kind of flag the table reads, and values it leaves to argparse:
+# they start with "-" or fail the flag's type.
+_TABLE_VALUES = {float: ["1e-3", "3e-5", "2.2e-3", "0", "nan"], cli._spin_count: ["9", "27", "1e9"], str: ["a", "q0", ""]}
+_OTHER_VALUES = {float: ["-1", "-1e-5", "-0.0", "x", ""], cli._spin_count: ["1.5", "0", "-1", "many"], str: ["-1", "-0.0"]}
+_OTHER_TOKENS = ["--bogus", "-h", "--help", "--", "-1", "extra"]
+
+
+def _draw_value(data, flag, keywords):
+    """A value for the flag, and whether the table reads it."""
+    if "choices" in keywords:
+        good, other = keywords["choices"], ["bogus", "-1"]
+    else:
+        good, other = _TABLE_VALUES[keywords.get("type", str)], _OTHER_VALUES[keywords.get("type", str)]
+    value = data.draw(st.sampled_from([*good, *other]), label=f"{flag} value")
+    return value, value in good
+
+
+def _draw_argv(data):
+    """An argv, and whether it is the documented spelling of a command the table reads."""
+    command = data.draw(st.sampled_from([*cli.COMMANDS, "bogus", "-h", None]), label="command")
+    if command not in cli.COMMANDS:
+        return ([] if command is None else [command]), False
+    flags = cli.COMMANDS[command][2]
+    order = data.draw(st.permutations(list(flags)), label="order")
+    argv, documented = [command], True
+    for flag in order:
+        keywords = flags[flag]
+        if not (keywords.get("required") or data.draw(st.booleans(), label=f"give {flag}")):
+            continue
+        spellings = ["full"] * 3 + ["abbreviated", "equals", "repeated"] + ["dropped"] * bool(keywords.get("required"))
+        spelling = data.draw(st.sampled_from(spellings), label=f"{flag} spelling")
+        documented &= spelling in ("full", "repeated")
+        if spelling == "dropped":
+            continue
+        name = flag[: data.draw(st.integers(min(3, len(flag) - 1), len(flag) - 1), label="prefix")] if spelling == "abbreviated" else flag
+        for _ in range(1 + (spelling == "repeated")):
+            if "action" in keywords:  # a switch takes no value, so "--recycle=1" is an error
+                argv.append(f"{name}=1" if spelling == "equals" else name)
+                continue
+            value, read = _draw_value(data, flag, keywords)
+            documented &= read
+            argv += [f"{name}={value}"] if spelling == "equals" else [name, value]
+    if data.draw(st.booleans(), label="other token"):
+        argv.insert(data.draw(st.integers(1, len(argv)), label="at"), data.draw(st.sampled_from(_OTHER_TOKENS), label="token"))
+        documented = False
+    return argv, documented
+
+
+def _parse_outcome(parse, argv):
+    """The namespace's fields as reprs (a NaN equals its own repr), or the exit code; then stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = {key: repr(value) for key, value in vars(parse(argv)).items()}
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_table_parse_agrees_with_argparse(data):
+    argv, documented = _draw_argv(data)
+    outcome = _parse_outcome(cli.parse_args, argv)
+    assert outcome == _parse_outcome(build_parser().parse_args, argv)
+    assert (cli._parse_table(argv) is not None) == documented
+
+
 def test_bound_with_custom_system_and_spin(capsys, tmp_path):
     path = tmp_path / "sys.json"
     example_system().save(path)
@@ -504,6 +580,14 @@ def test_spectrum_boosted_matches_boost_artifact(capsys, tmp_path):
     assert amplitudes == ["1.0", "2.0", "1.0", "2.0"]
 
 
+def test_spectrum_refuses_a_state_file_and_the_boosted_state_together(capsys, tmp_path):
+    state_path = tmp_path / "post.json"
+    run(capsys, "boost", "--out", str(state_path))
+    code, out, err = run(capsys, "spectrum", "--state", str(state_path), "--boosted")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--state" in err and "--boosted" in err
+
+
 def test_spectrum_out_file(capsys, tmp_path):
     out_path = tmp_path / "lines.csv"
     code, out, _ = run(capsys, "spectrum", "--out", str(out_path))
@@ -848,6 +932,15 @@ def test_the_cli_imports_and_runs_without_scipy():
     assert "  eps_c: -9e-10\n" in proc.stdout
     proc = run_python("-c", "import sys, coolspin.cli; print('scipy' in sys.modules)")
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_the_cli_imports_and_runs_a_documented_command_without_argparse():
+    proc = run_python("-c", "import sys, coolspin.cli; sys.exit('argparse' in sys.modules)")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    command = "from coolspin.cli import main; main(['cool', '--n', '9', '--eps0', '1e-3', '--target-eps', '2.2e-3'])"
+    proc = run_python("-c", f"import sys; {command}; sys.exit('argparse' in sys.modules)")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "simulated best (approx): spin s0 at " in proc.stdout
 
 
 def test_a_malformed_spin_budget_is_bad_input_not_an_import_failure():

@@ -411,6 +411,20 @@ def test_no_spectators_means_no_echo():
     assert cs.phase_pattern_equal(got, want)
 
 
+@pytest.mark.parametrize("z_mode", ["virtual", "pulsed"])
+def test_each_distinct_pulse_is_built_once_and_shared(system, z_mode):
+    circuit = parse_circuit("RX a -0\nRX a 0\nRX a -0\nRZ a 30\nRX a 0\nRX a 0\nTOFFOLI a b c\nTOFFOLI a b c\n", system)
+    seq = cs.compile_circuit(circuit, system, z_mode=z_mode, bloch_siegert_deg=0.5)
+    pulses = [e for e in seq.events if isinstance(e, SelectivePulse)]
+    distinct = {}
+    for pulse in pulses:
+        key = (pulse.spin, pulse.phase_deg.hex(), pulse.angle_deg.hex())
+        assert distinct.setdefault(key, pulse) is pulse
+    # A -0.0 angle stays its own pulse: a float key would have merged it with 0.0.
+    assert [p.angle_deg.hex() for p in pulses[:3]] == ["-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"]
+    assert len(distinct) < len(pulses)
+
+
 def test_compile_requires_couplings():
     uncoupled = cs.SpinSystem(
         labels=["s", "t"],
