@@ -27,7 +27,6 @@ import functools
 import json
 import sys
 import math
-from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -51,6 +50,7 @@ from .states import (
     capacity_limit,
     iz_operator,
     polarization,
+    read_text,
     thermal_state,
     write_in_place,
 )
@@ -162,7 +162,7 @@ def cmd_compile(args: Args) -> int:
             raise ValueError("the default boost circuit needs at least 3 spins")
         circuit = CircuitIR(n=system.n, gates=boost_circuit(0, 1, 2))
     else:
-        circuit = parse_circuit(Path(args.circuit).read_text(), system)
+        circuit = parse_circuit(read_text(args.circuit), system)
     model = DurationModel(pulse90_s=args.pulse90_s)
     seq = compile_circuit(
         circuit,
@@ -194,7 +194,7 @@ def cmd_spectrum(args: Args) -> int:
     system = _system(args)
     spin = _spin(args, system)
     if args.state is not None:
-        state = PopulationState.from_dict(json.loads(Path(args.state).read_text()))
+        state = PopulationState.from_dict(json.loads(read_text(args.state)))
     elif args.boosted:
         if system.n != 3:
             raise ValueError("--boosted applies the 3-spin boost; use a 3-spin system")

@@ -12,9 +12,9 @@ polarization value, each round greedily forms disjoint triples inside every
 pool that still holds three spins (coldest pool first, lowest indices
 first), the first member of each triple comes out boosted, and the other
 two leave the live set unless role b is recycled. A round boosts once per
-pool value, keeps each pool's boosted spins as one block, and builds its
-(k, 3) spin-index triples only when the plan file or the cluster engine
-reads them. The recorded operation count adds, on top of five gates per boost,
+pool value and keeps each pool's boosted spins as one block; the plan file
+is written from the blocks, and the (k, 3) spin-index triples are built only
+when the cluster engine reads them. The recorded operation count adds, on top of five gates per boost,
 one refocusing echo pair (two NOT pulses) per round for every physically
 present spin outside that round's triples: those couplings must be
 refocused while the active spins evolve, and it is this per-round overhead
@@ -260,23 +260,23 @@ class CoolingPlan:
         return self.labels[spin] if self.labels else f"s{spin}"
 
     def to_dict(self) -> dict:
+        """The plan file's fields, listed from each round's blocks: no triple or pool array is built."""
         _check_triple_budget(self.n)
         labels = self.labels or [f"s{i}" for i in range(self.n)]
-
-        def named(triples: np.ndarray) -> list[list[str]]:
-            names = [labels[s] for s in triples.reshape(-1).tolist()]
-            return [names[i : i + 3] for i in range(0, len(names), 3)]
-
+        rounds = []
+        for rnd in self.rounds:
+            names, pool_eps = [], []
+            for value, spins in rnd.blocks:
+                names += [labels[s] for s in (spins if isinstance(spins, range) else spins.tolist())]
+                pool_eps += [float(value)] * (len(spins) // 3)  # a numpy scalar writes as a float
+            rounds.append({"triples": [names[i : i + 3] for i in range(0, len(names), 3)], "pool_eps": pool_eps})
         return {
             "n": self.n,
             "eps0": self.eps0,
             "target_eps": self.target_eps,
             "recycle": self.recycle,
             "labels": list(labels),
-            "rounds": [
-                {"triples": named(rnd.triples), "pool_eps": rnd.pool_eps.tolist()}
-                for rnd in self.rounds
-            ],
+            "rounds": rounds,
             "boost_gate_count": self.boost_gate_count,
             "refocus_gate_count": self.refocus_gate_count,
             "total_gate_count": self.total_gate_count,

@@ -1,4 +1,4 @@
-"""State containers for small spin-1/2 ensembles, and the input readers and file writer all modules share.
+"""State containers for small spin-1/2 ensembles, and the input readers, file reader and file writer all modules share.
 
 `PopulationState` is the package's one state type: a traceless diagonal in
 deviation units, for states and z observables alike. `Unitary` is the dense
@@ -182,28 +182,41 @@ def json_fields(what: str, data, names: tuple[str, ...]) -> list:
         raise ValueError(f"{what} object missing fields: {sorted(set(names) - data.keys())}") from None
 
 
-def write_in_place(path, text: str) -> None:
-    """Write `text` (utf-8) to `path`, rewriting an existing file in place.
+def read_text(path) -> str:
+    """The text of the file at `path`, decoded as UTF-8 whatever the locale.
 
-    Opening without O_TRUNC keeps the inode, so links, owner and mode stay as
-    they were; a regular file is then cut to the new length. On ext4, a
-    file truncated on open has its new blocks allocated and written back at
-    once (`auto_da_alloc`), a wait that a small `--out` command would pay on
-    every rewrite. Neither way calls fsync: after a crash a file written in
-    the last seconds may hold its old bytes or a mix. A failed write empties
-    a regular file, so no old tail ever follows new bytes. A device or FIFO
-    (/dev/null, /dev/full) cannot be truncated and is only written.
+    The bytes are decoded once, with no text wrapper or newline
+    translation; invalid UTF-8 raises UnicodeDecodeError, a ValueError. A
+    UTF-8 BOM is kept, so `json.loads` still refuses it.
+    """
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
+def write_in_place(path, text: str) -> None:
+    """Write `text`, encoded as UTF-8, to `path`, rewriting an existing file in place.
+
+    The bytes go out through `os.write`, looped until every one is written,
+    with no text wrapper. Opening without O_TRUNC keeps the inode, so links,
+    owner and mode stay as they were; a regular file is then cut to the
+    encoded length. On ext4, a file truncated on open has its new blocks
+    allocated and written back at once (`auto_da_alloc`), a wait that a
+    small `--out` command would pay on every rewrite. Neither way calls
+    fsync: after a crash a file written in the last seconds may hold its old
+    bytes or a mix. A failed write empties a regular file, so no old tail
+    ever follows new bytes. A device or FIFO (/dev/null, /dev/full) cannot be
+    truncated and is only written.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         try:
-            # closefd=False: closing the wrapper flushes what it still holds,
-            # so nothing can land in the file after the truncation below.
-            with open(fd, "w", encoding="utf-8", closefd=False) as fh:
-                fh.write(text)
-                if regular:
-                    fh.truncate()
+            data = text.encode("utf-8")
+            rest = memoryview(data)
+            while rest:
+                rest = rest[os.write(fd, rest) :]
+            if regular:
+                os.ftruncate(fd, len(data))
         except BaseException:
             if regular:
                 os.ftruncate(fd, 0)

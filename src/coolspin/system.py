@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import as_float, as_floats, as_int, as_labels, json_fields, write_in_place
+from .states import as_float, as_floats, as_int, as_labels, json_fields, read_text, write_in_place
 
 _SYMMETRY_TOL = 1e-12
 _EXAMPLE_PATH = Path(__file__).with_name("data") / "c2f3br.json"
@@ -95,8 +95,7 @@ class SpinSystem:
 
     @classmethod
     def load(cls, path: str | Path) -> "SpinSystem":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(json.loads(read_text(path)))
 
     def save(self, path: str | Path) -> None:
         write_in_place(path, json.dumps(self.to_dict(), indent=2) + "\n")
@@ -104,8 +103,7 @@ class SpinSystem:
 
 def example_system() -> SpinSystem:
     """The bundled three-fluorine system of bromotrifluoroethylene."""
-    with open(_EXAMPLE_PATH, encoding="utf-8") as fh:
-        return SpinSystem.from_dict(json.load(fh))
+    return SpinSystem.from_dict(json.loads(read_text(_EXAMPLE_PATH)))
 
 
 def example_system_path() -> Path:

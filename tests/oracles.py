@@ -384,6 +384,28 @@ def plan_rounds_reference(n, eps0, target_eps, boost, recycle=False):
     return rounds, boost_gates, refocus_gates, frontier() if rounds else eps0
 
 
+# --- the plan file ---------------------------------------------------------------
+
+def plan_dict(plan):
+    """A plan's file fields, listed from each round's (k, 3) `triples` and (k,) `pool_eps` arrays."""
+    labels = list(plan.labels) or [f"s{i}" for i in range(plan.n)]
+    return {
+        "n": plan.n,
+        "eps0": plan.eps0,
+        "target_eps": plan.target_eps,
+        "recycle": plan.recycle,
+        "labels": labels,
+        "rounds": [
+            {"triples": [[labels[s] for s in t] for t in rnd.triples.tolist()], "pool_eps": rnd.pool_eps.tolist()}
+            for rnd in plan.rounds
+        ],
+        "boost_gate_count": plan.boost_gate_count,
+        "refocus_gate_count": plan.refocus_gate_count,
+        "total_gate_count": plan.total_gate_count,
+        "predicted_best": plan.predicted_best,
+    }
+
+
 if __name__ == "__main__":
     print("closed forms proven:", prove_boost_closed_forms())
     print("boost_marginals(0.5):", boost_marginals(0.5))

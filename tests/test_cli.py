@@ -12,7 +12,9 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,16 +251,11 @@ def test_boost_refuses_an_unwritable_path(capsys, tmp_path, target, message):
 
 def test_boost_write_failing_partway_leaves_an_empty_file(capsys, monkeypatch, tmp_path):
     # Without the truncation, half the new state would sit before the old file's tail.
-    class HalfWriter(io.TextIOWrapper):
-        def write(self, text):
-            super().write(text[: len(text) // 2])
-            self.flush()
-            raise OSError(5, "Input/output error")
+    def half_write(fd, data):
+        os.write(fd, data[: len(data) // 2])
+        raise OSError(5, "Input/output error")
 
-    def half_open(*args, **kwargs):
-        return HalfWriter(open(*args, **kwargs).detach(), encoding="utf-8")
-
-    monkeypatch.setattr(states, "open", half_open, raising=False)
+    monkeypatch.setattr(states, "os", SimpleNamespace(**{**vars(os), "write": half_write}))
     path = tmp_path / "post.json"
     path.write_text("x" * 1_000_000)
     code, _, err = run(capsys, "boost", "--out", str(path))
@@ -292,6 +289,33 @@ def test_cool_happy_path_and_plan_artifact(capsys, tmp_path):
     assert "exact vs approx max difference:" in out
     plan = CoolingPlan.from_dict(json.loads(out_path.read_text()))
     assert plan.total_gate_count == 32
+
+
+def test_a_certified_plan_file_is_written_without_numpy_or_a_text_wrapper(capsys, tmp_path):
+    # Every call into numpy's Python code or its C functions and methods, and every open().
+    numpy_dir = os.path.dirname(np.__file__)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call":
+            module = getattr(arg, "__module__", None) or type(getattr(arg, "__self__", None)).__module__
+            if module.split(".")[0] == "numpy" or arg is io.open:
+                calls.append(arg.__qualname__)
+
+    out_path = tmp_path / "plan.json"
+    out_path.write_text("x" * 10_000)
+    argv = ["cool", "--n", "19", "--eps0", "1e-4", "--target-eps", "2.2e-4", "--mode", "both", "--recycle"]
+    sys.setprofile(profile)
+    try:
+        code = main([*argv, "--out", str(out_path)])
+    finally:
+        sys.setprofile(None)
+    out = capsys.readouterr().out
+    assert (code, calls) == (0, [])
+    assert "exact vs approx max difference: 0\n" in out
+    assert out_path.read_text() == json.dumps(oracles.plan_dict(cooling.plan_rounds(19, 1e-4, 2.2e-4, recycle=True)))
 
 
 def test_cool_unreachable_target_exits_3(capsys):
@@ -941,6 +965,44 @@ def test_the_cli_imports_and_runs_a_documented_command_without_argparse():
     proc = run_python("-c", f"import sys; {command}; sys.exit('argparse' in sys.modules)")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "simulated best (approx): spin s0 at " in proc.stdout
+
+
+def test_every_file_is_read_and_written_as_utf8_whatever_the_locale(tmp_path):
+    # Under warn_default_encoding, every read or write that would decode or
+    # encode with the locale's encoding raises EncodingWarning, made an error.
+    system, state = tmp_path / "system.json", tmp_path / "state.json"
+    example_system().save(system)
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text("# the boost on (a, b, c) \u2192 a colder\nCNOT b c\nNOT c\nFREDKIN c a b\n", encoding="utf-8")
+    cool = ["cool", "--n", "19", "--eps0", "1e-4", "--target-eps", "2.2e-4", "--mode", "both", "--recycle"]
+    commands = [
+        ["compile", "--system", str(system), "--circuit", str(circuit), "--out", str(tmp_path / "seq.json")],
+        ["boost", "--out", str(state)],
+        ["spectrum", "--system", str(system), "--state", str(state)],
+        [*cool, "--out", str(tmp_path / "plan.json")],
+        ["bound", "--system", str(system)],
+    ]
+    for argv in commands:
+        proc = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "coolspin", *argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+    assert "verification: PASS\n" in run_module(*commands[0]).stdout
+
+
+@pytest.mark.parametrize(
+    "command, name, data, message",
+    [
+        ("bound --system", "system.json", b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM"),
+        ("spectrum --state", "state.json", '{"n": 1, "pops": [0.5, -0.5]}'.encode("utf-16"), "'utf-8' codec can't decode"),
+        ("compile --circuit", "circuit.txt", "NOT a # \xe9".encode("latin-1"), "'utf-8' codec can't decode"),
+    ],
+    ids=["system-with-a-bom", "utf16-state", "latin1-circuit"],
+)
+def test_a_file_that_is_not_plain_utf8_is_bad_input(capsys, tmp_path, command, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
 
 
 def test_a_malformed_spin_budget_is_bad_input_not_an_import_failure():

@@ -809,6 +809,60 @@ def test_a_plan_survives_a_dict_round_trip_byte_for_byte(log_n, log_eps0, depth,
     assert json.dumps(CoolingPlan.from_dict(json.loads(want)).to_dict()) == want
 
 
+@st.composite
+def _file_plans(draw):
+    """A planner plan (tie-merged below eps0 ~ 1e-9), or a hand-made one from triples or from blocks."""
+    kind = draw(st.sampled_from(["planner", "triples", "blocks"]))
+    if kind == "planner":
+        n = draw(st.integers(min_value=3, max_value=3**7))
+        # Log-uniform, half the draws below 1e-9, where float ties merge pools into index arrays.
+        log_eps0 = st.one_of(st.floats(min_value=-11.0, max_value=-9.0), st.floats(min_value=-9.0, max_value=-2.0))
+        eps0 = 10.0 ** draw(log_eps0)
+        depth = draw(st.integers(min_value=1, max_value=int(math.log(n, 3) + 1e-9)))
+        labels = [f"q{i}" for i in range(n)] if draw(st.booleans()) else None
+        try:
+            return plan_rounds(n, eps0, 0.99 * 1.5**depth * eps0, recycle=draw(st.booleans()), labels=labels)
+        except InfeasibleError:
+            assume(False)
+    n = draw(st.integers(min_value=3, max_value=30))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=3))
+    rounds = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if kind == "triples":
+            spins = draw(st.permutations(range(n)))[: 3 * draw(st.integers(min_value=0, max_value=n // 3))]
+            triples = [spins[i : i + 3] for i in range(0, len(spins), 3)]
+            rounds.append(Round(triples, [draw(st.sampled_from(values)) for _ in triples]))
+            continue
+        # Blocks cut from the spins in strides of `step`: a run that steps by it may be a range.
+        step = draw(st.integers(min_value=1, max_value=3))
+        spins = [s for first in range(step) for s in range(first, n, step)]
+        blocks = []
+        while len(spins) >= 3:
+            size = 3 * draw(st.integers(min_value=1, max_value=len(spins) // 3))
+            run, spins = spins[:size], spins[size:]
+            value = draw(st.sampled_from([np.float32, np.float64]))(draw(st.sampled_from(values)))
+            if run == list(range(run[0], run[-1] + 1, step)) and draw(st.booleans()):
+                blocks.append((value, range(run[0], run[-1] + 1, step)))
+            else:
+                blocks.append((value, np.array(run, dtype=draw(st.sampled_from([np.intp, np.int32, np.uint16])))))
+        rounds.append(Round(blocks=blocks))
+    labels = [f"spin-{i}" for i in range(n)] if draw(st.booleans()) else ()
+    return CoolingPlan(n, 0.5, 1.0, draw(st.booleans()), rounds, 0.75, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plan=_file_plans(), reload=st.booleans())
+@example(plan=plan_rounds(2187, 1e-10, 1.6915078125000002e-09, recycle=True), reload=False)  # 15 tie-merged blocks
+@example(plan=plan_rounds(19, 1e-4, 2.2e-4, recycle=True), reload=False)
+def test_a_plan_file_listed_from_the_blocks_equals_one_listed_from_the_triples(plan, reload):
+    if reload:
+        plan = CoolingPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+    text = json.dumps(plan.to_dict())
+    # The file is written without building a round's triple or pool-value arrays.
+    assert not any({"triples", "pool_eps"} & vars(rnd).keys() for rnd in plan.rounds)
+    assert text == json.dumps(oracles.plan_dict(plan))
+
+
 def test_simulation_modes_agree_at_low_polarization():
     plan = plan_rounds(9, 1e-3, 0.99 * 2.25e-3)
     both = simulate_plan(plan, mode="both")

@@ -5,6 +5,7 @@ import os
 import stat
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from coolspin import (
     thermal_state,
     verify_permutation,
 )
+from coolspin import states
 from coolspin.propagator import propagate
 from coolspin.pulses import Delay, DurationModel, FrameShift, PulseSequence, SelectivePulse, event_from_dict
 from coolspin.states import (
@@ -49,6 +51,7 @@ from coolspin.states import (
     capacity_limit,
     iz_diag,
     spin_axis,
+    read_text,
     spin_bit,
     write_in_place,
 )
@@ -371,6 +374,36 @@ def test_a_rewrite_leaves_exactly_the_new_bytes_in_the_same_inode(old, new):
         assert path.read_bytes() == new.encode()
         if old is not None:
             assert path.stat().st_ino == inode
+
+
+@settings(max_examples=50, deadline=None)
+@given(old=st.binary(max_size=2_000), new=st.text(max_size=500))
+def test_a_rewrite_in_writes_of_at_most_7_bytes_leaves_exactly_the_new_bytes(old, new):
+    # A short write can split a multi-byte character; the loop must still send every byte, once.
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(os.write(fd, data[:7]))
+        return sizes[-1]
+
+    encoded = new.encode("utf-8")
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "artifact"
+        path.write_bytes(old + b"\x80" * (len(encoded) + 1))  # always longer than the new bytes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(states, "os", SimpleNamespace(**{**vars(os), "write": short_write}))
+            write_in_place(path, new)
+        assert path.read_bytes() == encoded
+    assert sum(sizes) == len(encoded) and len(sizes) == -(-len(encoded) // 7)
+
+
+def test_read_text_decodes_utf8_bytes_as_they_are(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes("\ufeff\u03b5\u2080 = 1e-5\r\nNOT a\r".encode("utf-8"))
+    assert read_text(path) == "\ufeff\u03b5\u2080 = 1e-5\r\nNOT a\r"  # BOM and line ends kept
+    path.write_bytes(b"\xe9")
+    with pytest.raises(UnicodeDecodeError):
+        read_text(path)
 
 
 def test_a_rewrite_keeps_links_and_mode(tmp_path):
