@@ -134,9 +134,11 @@ def cmd_boost(args: Args) -> int:
 
 def cmd_cool(args: Args) -> int:
     plan = plan_rounds(args.n, args.eps0, args.target_eps, recycle=args.recycle)
-    # The plan file names every triple: a plan too large to build is refused
-    # before anything is printed.
+    # Everything that can refuse runs before anything is printed: the plan file
+    # names every triple, and a replay may exceed its budget.
     text = None if args.out is None else json.dumps(plan.to_dict())
+    result = simulate_plan(plan, mode=args.mode)
+    spin, best = result.best()
     for i, rnd in enumerate(plan.rounds, start=1):
         # A round's block values are floats already: no `_fmt` cast per pool.
         pools = " ".join(dict.fromkeys(f"{value:.12g}" for value, _ in rnd.blocks))
@@ -145,9 +147,7 @@ def cmd_cool(args: Args) -> int:
     print(f"refocus gates: {plan.refocus_gate_count}")
     print(f"total gates: {plan.total_gate_count}")
     print(f"predicted best polarization: {_fmt(plan.predicted_best)}")
-    result = simulate_plan(plan, mode=args.mode)
-    spin, value = result.best()
-    print(f"simulated best ({args.mode}): spin {plan.label(spin)} at {_fmt(value)}")
+    print(f"simulated best ({args.mode}): spin {plan.label(spin)} at {_fmt(best)}")
     if result.discrepancy is not None:
         print(f"exact vs approx max difference: {_fmt(result.discrepancy)}")
     if text is not None:

@@ -62,8 +62,10 @@ def parse_circuit(text: str, system: SpinSystem) -> CircuitIR:
 
     Operands are spin labels in the order the gate type expects (controls
     first); rotation gates take a trailing angle in degrees. Blank lines
-    and ``#`` comments are skipped.
+    and ``#`` comments are skipped. A leading UTF-8 BOM is refused, as JSON inputs refuse it.
     """
+    if text.startswith("\ufeff"):
+        raise ValueError("line 1: unexpected UTF-8 BOM")
     gates = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -26,8 +26,8 @@ simulated state.
 correlation after each boost, one kernel call per block;
 exact applies the same kernel if every triple is certified independent by
 its spins' cones, and else keeps correlated spins in clusters until their
-last triple. A planner plan without float ties needs neither: the planner
-certifies it, plans are frozen values, and `simulate_plan` answers from the pools.
+last triple. A planner plan whose blocks are all ranges needs neither: the
+planner certifies it, plans are frozen values, and `simulate_plan` answers from the pools.
 """
 from __future__ import annotations
 
@@ -332,10 +332,14 @@ def plan_rounds(
     array when its round comes. Raises the infeasibility error when no pool
     can field a triple and the target is still out of reach.
 
-    A plan where no run ever joined an existing pool key is certified: by
-    induction each pool is one pool's leftovers or one role of disjoint triples
-    from one pool, so every triple boosts three spins with disjoint histories
-    (Schulman & Vazirani, STOC 1999). Only here do blocks skip the plan's checks.
+    A plan whose blocks are all ranges is certified. A pool of several runs
+    becomes an array, and slices of an array stay arrays, so a range block was
+    sliced from `range(n)` only through pools of one run. By induction its
+    spins have disjoint cones (an a- or b-output joins its own triple's
+    disjoint cones, a leftover keeps its own), so every triple boosts three
+    independent spins at the pool value (Schulman & Vazirani, STOC 1999). Ties
+    among pools that no round boosts leave the certificate alone. Only here do
+    blocks skip the plan's checks.
     """
     if n < 3 or n != int(n):
         raise ValueError(f"need at least three spins to form a triple, got {n}")
@@ -351,7 +355,6 @@ def plan_rounds(
     # and a list per pool made the k = 17 recycled plan at n = 1e9 25% slower.
     pools: dict[float, tuple[range | np.ndarray, ...]] = {eps0: (range(n),)}
     rounds: list[Round] = []
-    tie_free = True  # until a run joins a pool key that another run holds
     while max(pools) < target_eps:  # a round that boosts leaves the pools nonempty
         blocks: list[tuple[float, range | np.ndarray]] = []
         next_pools: dict[float, tuple[range | np.ndarray, ...]] = {}
@@ -378,11 +381,11 @@ def plan_rounds(
             )
         rounds.append(Round.__new__(Round))  # no copies: the planner's arrays are its own, and read-only
         vars(rounds[-1])["blocks"] = tuple(blocks)
-        tie_free = tie_free and len(next_pools) == sum(map(len, next_pools.values()))
         pools = next_pools
 
     best_spin = min(int(run[0]) for run in pools[max(pools)])
-    vars(plan).update(rounds=tuple(rounds), predicted_best=max(pools), best_spin=best_spin, _certified=tie_free)
+    certified = all(isinstance(run, range) for rnd in rounds for _, run in rnd.blocks)
+    vars(plan).update(rounds=tuple(rounds), predicted_best=max(pools), best_spin=best_spin, _certified=certified)
     return plan
 
 
@@ -439,7 +442,7 @@ def _replay_approx(plan: CoolingPlan) -> np.ndarray:
                     f"triple {triple} mixes polarization pools: spin {triple[i % 3]}"
                     f" holds {float(held[i])!r}, its pool value is {value!r}"
                 )
-            held[0::3], held[1::3], held[2::3] = _boost_marginals(value)
+            held[0::3], held[1::3], held[2::3] = _boost_marginals(float(value))  # a numpy scalar may be float32
             eps[index] = held
     return eps
 
@@ -529,7 +532,7 @@ def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
     keeps clusters under the population capacity guard; "both" runs the two
     and reports their largest per-spin difference. The planner's coldest pool
     (`best_spin`) answers approx `best`, and every mode on a plan it certified
-    tie-free (see `plan_rounds`), with a difference of 0. A replay those
+    (all blocks ranges, see `plan_rounds`), with a difference of 0. A replay those
     answers spare waits until `eps_approx` or `eps_exact` is read; the others
     run here, so a pool-value or capacity error is raised by this call.
     """

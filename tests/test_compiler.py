@@ -1,6 +1,8 @@
 """Circuit text format, pulse-level lowering, and the sequence propagator."""
 import dataclasses
 import json
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -190,6 +192,32 @@ def test_parse_circuit_rejects_garbage(system):
         parse_circuit("RY a not-a-number\n", system)
     with pytest.raises(ValueError):
         parse_circuit("CNOT a\n", system)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda system: cs.CircuitIR(3, [cs.Gate("CNOT", (1, 3))]), "gate CNOT addresses spins [3] outside 0..2"),
+        (lambda system: parse_circuit("RY a\n", system), "line 1: RY needs spin operands and an angle"),
+        (
+            lambda system: cs.compile_circuit(cs.CircuitIR(4, [cs.Gate("NOT", (0,))]), system),
+            "circuit is for 4 spins, system has 3",
+        ),
+    ],
+    ids=["spin-out-of-range", "rotation-without-angle", "size-mismatch"],
+)
+def test_a_circuit_that_does_not_fit_its_system_is_refused_naming_why(system, build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(system)
+
+
+@pytest.mark.parametrize("total", [2e-3, math.nextafter(1e-3, 1.0)], ids=["doubled", "one-ulp-off"])
+def test_a_sequence_file_whose_total_duration_disagrees_with_its_events_is_refused(system, total):
+    doc = json.loads(PulseSequence(system, [Delay(duration_s=1e-3)]).to_json())
+    doc["total_duration_s"] = total
+    message = f"total_duration_s is {total!r}, not the events' 0.001"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PulseSequence.from_json(json.dumps(doc))
 
 
 # --- lowering correctness -------------------------------------------------------

@@ -730,6 +730,15 @@ def test_a_hand_made_plan_with_interleaved_range_blocks_is_refused_naming_a_spin
         CoolingPlan(n=9, eps0=1e-3, target_eps=2e-3, recycle=False, rounds=rounds, predicted_best=1e-3)
 
 
+def test_a_float32_pool_value_is_replayed_in_double_precision():
+    # The approx replay boosted a float32 value in float32: 4.716e-09 off the cone walk.
+    value = np.float32(0.1)
+    plan = CoolingPlan(3, float(value), 1.0, False, [Round(blocks=[(value, range(3))])], 0.5)
+    result = simulate_plan(plan, mode="both")
+    assert result.discrepancy == 0.0
+    assert result.eps_approx.tolist() == list(cooling._boost_marginals(float(value)))
+
+
 def test_index_array_blocks_that_overlap_across_pool_values_are_refused():
     # Two blocks of one round, at two pool values, share spin 4.
     rnd = Round(triples=[(0, 1, 4), (4, 5, 6)], pool_eps=[1e-3, 2e-3])
@@ -989,10 +998,14 @@ def test_only_a_plan_whose_cones_overlap_reaches_the_cluster_engine(monkeypatch)
 @example(plan=plan_rounds(27, 1e-13, 3.3e-13, recycle=True))
 @example(plan=plan_rounds(27, 1e-9, 3.34e-9, recycle=True))  # tie-merged
 @example(plan=plan_rounds(81, 0.99, 1.0, recycle=True))
-def test_the_planner_certifies_exactly_its_tie_free_plans(plan):
-    merged = oracles.pool_runs_merge(plan.n, plan.eps0, plan.target_eps, boost_exact, plan.recycle)
-    assert plan._certified is not merged
-    if merged:
+# Its only tie joins two round-2 output pools, which no round boosts.
+@example(plan=plan_rounds(33, 5.850591942974408e-12, 1.3032193552975494e-11, recycle=True))
+def test_the_planner_certifies_exactly_its_all_range_plans(plan):
+    assert plan._certified is all(isinstance(run, range) for rnd in plan.rounds for _, run in rnd.blocks)
+    # A plan whose pools never merged runs has no index-array block at all.
+    if not oracles.pool_runs_merge(plan.n, plan.eps0, plan.target_eps, boost_exact, plan.recycle):
+        assert plan._certified
+    if not plan._certified:
         return
     with pytest.MonkeyPatch.context() as env:
         calls = _spy_on_the_cluster_engine(env)

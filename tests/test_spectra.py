@@ -126,6 +126,13 @@ def test_mean_enhancement_checks_compatibility(system):
         mean_enhancement(after, readout(zero, system, "a"))
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_mean_enhancement_refuses_a_reference_with_another_line_count(system, n):
+    other = SpinSystem([f"q{i}" for i in range(n)], 10.0 * (1 - np.eye(n)), np.zeros(n), 1e-5)
+    with pytest.raises(ValueError, match="^spectra have different line counts$"):
+        mean_enhancement(readout(boosted(), system, "a"), readout(thermal_state(n), other, "q0"))
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_readout_matches_the_bit_tuple_oracle_and_csv_round_trips(n, seed):

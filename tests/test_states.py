@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 from pathlib import Path
@@ -240,6 +241,34 @@ def test_spin_system_validation():
         SpinSystem(labels=["a"], j_hz=np.zeros((1, 1)), shift_ppm=np.zeros(1), epsilon0=0.0)
     integers = SpinSystem(labels=["a", "b"], j_hz=[[0, 10], [10, 0]], shift_ppm=[0, 1], epsilon0=0.5)
     assert integers.j_hz.dtype == integers.shift_ppm.dtype == float
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SpinSystem([], np.zeros((0, 0)), np.zeros(0), 0.5), "a spin system needs at least one spin"),
+        (lambda: SpinSystem(["a", "b"], np.zeros((2, 3)), np.zeros(2), 0.5), "j_hz must be 2x2, one coupling per pair, got (2, 3)"),
+        (lambda: SpinSystem(["a", "b"], np.zeros((2, 2)), np.zeros(3), 0.5), "shift_ppm must hold one shift per spin, got (3,)"),
+        (lambda: example_system().spin_index(3), "spin index 3 out of range for 3 spins"),
+    ],
+    ids=["no-labels", "j-hz-shape", "shift-ppm-shape", "index-out-of-range"],
+)
+def test_a_spin_system_refuses_a_malformed_input_naming_it(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "n, mat, message",
+    [
+        (2, np.eye(2), "expected a 4x4 matrix, got shape (2, 2)"),
+        (1, np.ones(2), "expected a 2x2 matrix, got shape (2,)"),
+    ],
+    ids=["too-small", "a-vector"],
+)
+def test_unitary_refuses_a_matrix_of_the_wrong_shape(n, mat, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Unitary(n=n, mat=mat)
 
 
 @pytest.mark.filterwarnings("error")
