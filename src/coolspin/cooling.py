@@ -39,13 +39,14 @@ import numpy as np
 
 from .errors import CapacityError, InfeasibleError
 from .gates import boost_circuit, circuit_permutation
-from .states import IZ, MAX_POPULATION_SPINS, as_finite, as_float, as_floats, as_int, as_ints, as_labels
-from .states import as_list, as_polarization, capacity_limit, check_capacity, json_fields
+from .states import IZ, as_finite, as_float, as_floats, as_int, as_ints, as_labels, as_list, as_polarization
+from .states import check_budget, json_fields, memory_budget
 
 GATES_PER_BOOST = 5
-# Largest plan whose spin-index triples are built, for the plan file and the
-# per-spin replays: about n/2 triples, 170 MB of indices at 3**15 spins.
+# Largest plan the plan file lists, one label per spin of every triple.
 MAX_TRIPLE_SPINS = 3**15
+# Traced bytes of the cone walk per spin and per live cone element (copies of 3**5..3**10 planner plans).
+_WALK_SPIN_BYTES, _CONE_BYTES = 200, 32
 
 
 @dataclass
@@ -123,15 +124,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     """The array, made read-only; no one else may hold it writeable."""
     array.flags.writeable = False
     return array
-
-
-def _check_triple_budget(n: int) -> None:
-    """Refuse to build the spin triples of a plan larger than MAX_TRIPLE_SPINS."""
-    if n > MAX_TRIPLE_SPINS:
-        raise CapacityError(
-            f"{n} spins exceeds MAX_TRIPLE_SPINS = {MAX_TRIPLE_SPINS}, the largest plan"
-            " whose spin triples are built (for the plan file and the per-spin replays)"
-        )
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -261,7 +253,10 @@ class CoolingPlan:
 
     def to_dict(self) -> dict:
         """The plan file's fields, listed from each round's blocks: no triple or pool array is built."""
-        _check_triple_budget(self.n)
+        if self.n > MAX_TRIPLE_SPINS:
+            raise CapacityError(
+                f"{self.n} spins exceeds MAX_TRIPLE_SPINS = {MAX_TRIPLE_SPINS}, the largest plan whose file is written"
+            )
         labels = self.labels or [f"s{i}" for i in range(self.n)]
         rounds = []
         for rnd in self.rounds:
@@ -428,8 +423,7 @@ def _replay_approx(plan: CoolingPlan) -> np.ndarray:
     a, b and c, `run[0::3]`, `[1::3]` and `[2::3]`. A spin that holds
     another value (a loaded plan whose `pool_eps` disagree) is refused.
     """
-    # Past this budget `both` would fill n floats here before the exact engine refuses.
-    _check_triple_budget(plan.n)
+    check_budget(8 * plan.n, f"the per-spin replay of {plan.n} spins")
     eps = np.full(plan.n, plan.eps0)
     for rnd in plan.rounds:
         for value, run in rnd.blocks:
@@ -448,17 +442,24 @@ def _replay_approx(plan: CoolingPlan) -> np.ndarray:
 
 
 def _replay_exact(plan: CoolingPlan) -> np.ndarray:
-    """Per-spin polarizations by certified triples, or else by `_replay_clusters`.
+    """Per-spin polarizations: approx's for a certified plan, else `_walk_cones`'s or `_replay_clusters`'s."""
+    if plan._certified:
+        return _replay_approx(plan)
+    eps = _walk_cones(plan)
+    return _replay_clusters(plan) if eps is None else eps
+
+
+def _walk_cones(plan: CoolingPlan) -> np.ndarray | None:
+    """Per-spin polarizations if every triple is certified independent by its spins' cones, else None.
 
     A spin's cone, the original spins its bit depends on, is {s} until a boost
     joins its triple's cones into one frozenset, dropped after its last round.
     Bit-equal spins with disjoint cones are independent: the kernel is exact.
-    A certified planner plan's cones are disjoint by construction, so it is
-    walked as approx walks it, with the same bits.
+    Each cone's elements count once per live spin that keeps it ({s} too).
     """
-    if plan._certified:
-        return _replay_approx(plan)
-    _check_triple_budget(plan.n)
+    budget, boosted = memory_budget(), 3 * sum(rnd.boosts for rnd in plan.rounds)
+    fixed, live = _WALK_SPIN_BYTES * plan.n + 8 * boosted, plan.n
+    check_budget(fixed + _CONE_BYTES * live, "the cone walk", budget)
     eps, last, cones = np.full(plan.n, plan.eps0), np.zeros(plan.n, dtype=np.int32), {}
     runs = [(r, _indices(run)) for r, rnd in enumerate(plan.rounds, start=1) for _, run in rnd.blocks]
     for r, index in runs:
@@ -467,14 +468,17 @@ def _replay_exact(plan: CoolingPlan) -> np.ndarray:
         held = eps[index]
         bits = held.view(np.int64).tolist()
         if bits[0::3] != bits[1::3] or bits[0::3] != bits[2::3]:
-            return _replay_clusters(plan)
+            return None
         spins = zip(index.tolist(), (last[index] > r).tolist())
         for triple in zip(spins, spins, spins):
             parts = [cones.pop(s, None) or (s,) for s, _ in triple]
+            size, kept = sum(map(len, parts)), [s for s, keep in triple if keep]
+            live += size * (len(kept) - 1)
+            check_budget(fixed + _CONE_BYTES * live, "the cone walk", budget)
             cone = frozenset().union(*parts)
-            if len(cone) < sum(map(len, parts)):
-                return _replay_clusters(plan)
-            cones.update((s, cone) for s, kept in triple if kept)
+            if len(cone) < size:
+                return None
+            cones.update(dict.fromkeys(kept, cone))
         value = float(held[0]) if len(set(bits)) == 1 else held[0::3]  # a scalar is 20x faster
         held[0::3], held[1::3], held[2::3] = _boost_marginals(value)
         eps[index] = held
@@ -489,15 +493,14 @@ def _replay_clusters(plan: CoolingPlan) -> np.ndarray:
     tensor with one axis per spin. A boost merges its spins' clusters,
     applies the boost matrix to their three axes and reads their marginals.
     A spin leaves its cluster after its last triple (index 0 on its axis),
-    which keeps the result exact. Before a merge is allocated, it and the
-    live clusters' sum with it, as one vector of as many entries, are checked
-    against the spin budget, read once per replay.
+    which keeps the result exact. Before a merge is allocated, its bytes and
+    the live clusters' together are checked against the budget.
     """
     eps = np.full(plan.n, plan.eps0)
     triples = [tuple(t) for rnd in plan.rounds for t in rnd.triples.tolist()]
     last = {s: i for i, t in enumerate(triples) for s in t}
     clusters: dict[int, tuple[list[int], np.ndarray]] = {}
-    limit, live = capacity_limit(MAX_POPULATION_SPINS), 0
+    budget, live = memory_budget(), 0
     for i, triple in enumerate(triples):
         parts = []
         for s in triple:
@@ -508,8 +511,7 @@ def _replay_clusters(plan: CoolingPlan) -> np.ndarray:
                 parts.append(part)
                 live -= part[1].size
         spins = [s for part in parts for s in part[0]]
-        check_capacity(len(spins), limit=limit)
-        check_capacity((live + 2 ** len(spins) - 1).bit_length(), limit=limit, kind="the live clusters together")
+        check_budget(8 * (live + 2 ** len(spins)), f"a {len(spins)}-spin merge with the live clusters", budget)
         merged = reduce(np.multiply.outer, [part[1] for part in parts])
         merged = np.moveaxis(merged, [spins.index(s) for s in triple], [0, 1, 2]).reshape(8, -1)
         spins = list(triple) + [s for s in spins if s not in triple]
@@ -529,7 +531,7 @@ def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
 
     "approx" forgets correlations after each boost, one kernel call per
     block; "exact" costs as much where cones certify every triple and else
-    keeps clusters under the population capacity guard; "both" runs the two
+    keeps clusters under the memory budget; "both" runs the two
     and reports their largest per-spin difference. The planner's coldest pool
     (`best_spin`) answers approx `best`, and every mode on a plan it certified
     (all blocks ranges, see `plan_rounds`), with a difference of 0. A replay those

@@ -6,7 +6,7 @@ class CoolspinError(Exception):
 
 
 class CapacityError(CoolspinError):
-    """A state or simulation would exceed the configured spin-count budget."""
+    """A state or simulation would exceed the configured memory budget."""
 
 
 class InfeasibleError(CoolspinError):

@@ -19,7 +19,7 @@ its matrix. The cost is O(events) bookkeeping plus
 O(runs * (n + k) * 2**n) array work, in two blocks and one chunk of memory.
 
 The engine has two users: `simulate_sequence` propagates the identity to
-get the composite unitary (the dense oracle, up to 8 spins), and
+get the composite unitary (the dense oracle), and
 `verify_permutation` propagates a few seeded probe vectors to check a
 compiled sequence against its logical permutation without building any
 2**n x 2**n matrix.
@@ -33,8 +33,7 @@ import math
 import numpy as np
 
 from .pulses import Delay, FrameShift, PulseSequence, SelectivePulse
-from .states import MAX_DENSE_SPINS, MAX_VERIFY_SPINS, UNITARITY_TOL, Unitary, as_permutation
-from .states import capacity_limit, check_capacity, iz_diag, spin_axis, spin_bit
+from .states import UNITARITY_TOL, Unitary, as_permutation, check_budget, check_dense, iz_diag, spin_axis, spin_bit
 
 PATTERN_TOL = 1e-8
 PROBE_SEED = 0
@@ -200,7 +199,7 @@ def propagate(seq: PulseSequence, vecs: np.ndarray) -> np.ndarray:
 
 
 def simulate_sequence(seq: PulseSequence) -> Unitary:
-    """Composite unitary of an event list, for systems of up to 8 spins.
+    """Composite unitary of an event list, for systems of up to 10 spins at the default budget.
 
     The identity propagated through the events by `propagate`, O(4**n) per
     run of delays, frame shifts and 180-degree pulses and per other pulse,
@@ -208,7 +207,7 @@ def simulate_sequence(seq: PulseSequence) -> Unitary:
     dense oracle that `verify_permutation` avoids.
     """
     n = seq.system.n
-    check_capacity(n, limit=capacity_limit(MAX_DENSE_SPINS), kind="a dense matrix")
+    check_dense(n)  # before the identity: propagating it peaks at three such matrices
     return Unitary(n=n, mat=propagate(seq, np.eye(1 << n, dtype=complex)))
 
 
@@ -236,13 +235,10 @@ def verify_permutation(seq: PulseSequence, perm) -> bool:
     tolerance of `phase_pattern_equal`. Raises ValueError if any probe's
     norm changes by more than UNITARITY_TOL (relative), as a non-unitary
     `Unitary` does, and if `perm` is not a bijection of integer entries;
-    raises CapacityError past the verification budget, MAX_VERIFY_SPINS
-    unless `COOLSPIN_MAX_N` overrides it.
+    raises CapacityError first if `check_verification` refuses n spins.
     """
     n = seq.system.n
-    # The probes, their propagated copy and one step's result are three (2**n, 4)
-    # complex blocks, plus one chunk of diagonals: about 200 MiB at 20 spins.
-    check_capacity(n, limit=capacity_limit(MAX_VERIFY_SPINS), kind="verification")
+    check_verification(n)
     dim = 1 << n
     perm = as_permutation(perm, dim)
     rng = np.random.default_rng(PROBE_SEED)
@@ -260,12 +256,18 @@ def verify_permutation(seq: PulseSequence, perm) -> bool:
     return bool(residual <= PATTERN_TOL)
 
 
+def check_verification(n: int) -> None:
+    """Refuse to verify n spins past the budget: the probes with the permutation trace 240 * 2**n bytes."""
+    check_budget(240 << n, f"verification of {n} spins")
+
+
 def permutation_unitary(perm) -> Unitary:
-    """The unitary sending basis state i to basis state perm[i]."""
+    """The unitary sending basis state i to basis state perm[i]; the budget is checked before the matrix."""
     dim = np.size(perm)
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise ValueError(f"permutation length {dim} is not a power of two")
+    check_dense(n)
     perm = as_permutation(perm, dim)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[perm, np.arange(dim)] = 1.0

@@ -39,7 +39,7 @@ from functools import reduce
 
 import numpy as np
 
-from .states import IZ, PopulationState, spin_axis
+from .states import IZ, PopulationState, check_budget, spin_axis
 from .system import SpinSystem
 
 # One record per line; spectator is the other spins' bits, spin order, MSB first.
@@ -110,7 +110,8 @@ def _line_offsets(system: SpinSystem, j: int) -> np.ndarray:
 
 
 def line_frequencies(system: SpinSystem, spin: int | str) -> list[float]:
-    """The 2**(n-1) multiplet offsets of one spin, sorted ascending."""
+    """The 2**(n-1) multiplet offsets of one spin, sorted ascending: 48 bytes a line with their list."""
+    check_budget(48 << system.n - 1, f"the {system.n - 1}-spectator multiplet of {system.n} spins")
     return np.sort(_line_offsets(system, system.spin_index(spin)), kind="stable").tolist()
 
 

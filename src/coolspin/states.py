@@ -35,9 +35,6 @@ import numpy as np
 
 from .errors import CapacityError
 
-MAX_POPULATION_SPINS = 24
-MAX_DENSE_SPINS = 8
-MAX_VERIFY_SPINS = 16
 CAPACITY_ENV_VAR = "COOLSPIN_MAX_N"
 
 TRACE_TOL = 1e-12
@@ -46,28 +43,28 @@ UNITARITY_TOL = 1e-10
 IZ = np.array([0.5, -0.5])  # one spin's Iz over its two states, up first
 
 
-def capacity_limit(default: int) -> int:
-    """Spin budget for state allocation; the env var overrides both defaults."""
-    raw = os.environ.get(CAPACITY_ENV_VAR)
-    if raw is None:
-        return default
+def memory_budget() -> int:
+    """The byte budget, read when an engine runs: 8 * 2**N, N = COOLSPIN_MAX_N (default 24: 128 MiB; past 64: 64)."""
+    raw = os.environ.get(CAPACITY_ENV_VAR, "24")
     try:
         limit = int(raw)
     except ValueError:
         limit = 0
     if limit < 1:
         raise ValueError(f"{CAPACITY_ENV_VAR} must be a positive integer, got {raw!r}")
-    return limit
+    return 8 << min(limit, 64)
 
 
-def check_capacity(n: int, *, limit: int | None = None, kind: str = "a population vector") -> None:
-    """Raise CapacityError past `limit` (the population budget, read now, if None), naming `kind`."""
-    if limit is None:
-        limit = capacity_limit(MAX_POPULATION_SPINS)
-    if n > limit:
+def check_budget(nbytes: int, what: str, budget: int | None = None) -> None:
+    """Raise CapacityError if `what` needs more than `budget` bytes (`memory_budget()` if None).
+
+    Each engine states its working set in its input's shape before it allocates;
+    a spin count n from outside enters as min(n, 65), past every budget.
+    """
+    budget = memory_budget() if budget is None else budget
+    if nbytes > budget:
         raise CapacityError(
-            f"{n} spins exceeds the budget of {limit} for {kind}"
-            f" (override with {CAPACITY_ENV_VAR})"
+            f"{what} needs {nbytes} bytes, over the budget of {budget} (override with {CAPACITY_ENV_VAR})"
         )
 
 
@@ -234,7 +231,7 @@ class PopulationState:
 
     def __post_init__(self):
         self.n = as_int("spin count", self.n, positive=True)
-        check_capacity(self.n)
+        check_budget(8 << min(self.n, 65), f"a population vector of {self.n} spins")
         pops = as_floats("pops", self.pops)
         if pops.shape != (2**self.n,):
             raise ValueError(f"pops must hold {2**self.n} populations, got shape {pops.shape}")
@@ -266,7 +263,7 @@ class Unitary:
 
     def __post_init__(self):
         self.n = as_int("spin count", self.n, positive=True)
-        check_capacity(self.n, limit=capacity_limit(MAX_DENSE_SPINS), kind="a dense matrix")
+        check_dense(self.n)
         mat = np.asarray(self.mat, dtype=complex)
         dim = 2**self.n
         if mat.shape != (dim, dim):
@@ -275,6 +272,11 @@ class Unitary:
         if not float(defect) <= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary (defect {float(defect):.3g})")
         self.mat = mat
+
+
+def check_dense(n: int) -> None:
+    """Refuse a 2**n x 2**n complex matrix past the budget: with a second and third one, its check's peak."""
+    check_budget(48 << 2 * min(n, 65), f"a dense matrix of {n} spins")
 
 
 def spin_axis(values: np.ndarray, spin: int) -> np.ndarray:
@@ -294,7 +296,7 @@ def spin_bit(n: int, spin: int) -> int:
 
 def iz_diag(n: int, spin: int) -> np.ndarray:
     """Diagonal of the z angular momentum of one spin: +-1/2 per basis state."""
-    check_capacity(n)  # before the 2**n diagonal is allocated
+    check_budget(8 << min(n, 65), f"a population vector of {n} spins")  # before the 2**n diagonal
     z = np.empty(2**n)
     spin_axis(z, spin)[...] = IZ[:, None]
     return z
@@ -307,10 +309,9 @@ def iz_product_diag(n: int, spins: Iterable[int]) -> np.ndarray:
         raise ValueError("product factors must be distinct spins")
     if not spins:
         raise ValueError("need at least one factor")
-    check_capacity(n)  # before the 2**n diagonal is allocated
-    out = np.ones(2**n)
-    for s in spins:
-        out = out * iz_diag(n, s)
+    out = iz_diag(n, spins[0])  # checks the budget before the first 2**n diagonal
+    for s in spins[1:]:
+        out *= iz_diag(n, s)
     return out
 
 
@@ -327,7 +328,7 @@ def iz_product_operator(n: int, spins: Iterable[int]) -> PopulationState:
 def thermal_state(n: int) -> PopulationState:
     """Equilibrium deviation populations: the sum of every spin's Iz diagonal."""
     n = as_int("spin count", n, positive=True)
-    check_capacity(n)
+    check_budget(8 << min(n, 65), f"a population vector of {n} spins")
     return PopulationState(n=n, pops=reduce(np.add.outer, [IZ] * n).reshape(-1))
 
 

@@ -340,20 +340,21 @@ def test_cool_exact_mode_is_bounded_by_its_cluster_not_by_n(capsys, monkeypatch)
 
 
 def test_cool_exact_mode_beyond_capacity_exits_4(capsys, monkeypatch):
-    # Recycling merges a 12-spin cluster on this tie-merged plan.
-    monkeypatch.setenv("COOLSPIN_MAX_N", "10")
+    # Recycling merges a 12-spin cluster on this tie-merged plan: 32 KiB, over
+    # a budget of 16 KiB that its cone walk (9312 bytes) fits.
+    monkeypatch.setenv("COOLSPIN_MAX_N", "11")
     code, _, err = run(capsys, *_COOL_27_TIES, "--recycle")
     assert code == 4
-    assert err.startswith("capacity: 12 spins exceeds the budget of 10")
+    assert err.startswith("capacity: a 12-spin merge with the live clusters needs 32768 bytes, over the budget of 16384")
 
 
 def test_cool_exact_mode_bounds_the_sum_of_its_live_clusters(capsys, monkeypatch):
-    # The merge that trips the budget fits 6 spins, but with it the live
-    # clusters together would outgrow 2**6 entries.
-    monkeypatch.setenv("COOLSPIN_MAX_N", "6")
-    code, _, err = run(capsys, *_COOL_27_TIES, "--recycle")
+    # The 12-spin merge that trips the budget of 128 KiB needs 32 KiB alone,
+    # but with it the live clusters together would outgrow the budget.
+    monkeypatch.setenv("COOLSPIN_MAX_N", "14")
+    code, _, err = run(capsys, "cool", "--n", "243", "--eps0", "1e-11", "--target-eps", "7.59375e-11", "--recycle", "--mode", "exact")
     assert code == 4
-    assert err.startswith("capacity: 7 spins exceeds the budget of 6 for the live clusters together")
+    assert err.startswith("capacity: a 12-spin merge with the live clusters needs 131840 bytes, over the budget of 131072")
 
 
 def test_cool_prints_each_rounds_pools_in_numeric_order(capsys):
@@ -449,8 +450,8 @@ def test_cool_still_refuses_a_tie_merged_plan_past_the_cluster_budget(capsys):
     assert run(capsys, "cool", *argv) == (
         4,
         "",
-        "capacity: 25 spins exceeds the budget of 24 for the live clusters together"
-        " (override with COOLSPIN_MAX_N)\n",
+        "capacity: a 24-spin merge with the live clusters needs 134230016 bytes,"
+        " over the budget of 134217728 (override with COOLSPIN_MAX_N)\n",
     )
 
 
@@ -571,13 +572,22 @@ def test_compile_past_the_dense_cap_still_fails_a_wrong_sequence(capsys, tmp_pat
     assert "verification: FAIL" in out.splitlines()
 
 
-@pytest.mark.parametrize("n, budget", [(17, None), (10, "9")])
+@pytest.mark.parametrize("n, budget", [(20, None), (10, "9")])
 def test_compile_skips_verification_above_the_verify_cap(capsys, monkeypatch, tmp_path, n, budget):
     if budget is not None:
         monkeypatch.setenv("COOLSPIN_MAX_N", budget)
     code, out, _ = run(capsys, "compile", "--system", _coupled_system(tmp_path, n))
     assert code == 0
     assert "verification: SKIPPED (system too large to verify)" in out.splitlines()
+
+
+def test_compile_skips_verification_of_30_spins_within_1_gb_of_address_space(tmp_path):
+    # Verification's budget check comes before the 2**30 permutation indices (8 GiB).
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))\n"
+    main_call = f"from coolspin.cli import main; raise SystemExit(main(['compile', '--system', {_coupled_system(tmp_path, 30)!r}]))"
+    proc = run_python("-c", limit + main_call)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "verification: SKIPPED (system too large to verify)" in proc.stdout.splitlines()
 
 
 def test_compile_missing_circuit_file_exits_2(capsys, tmp_path):

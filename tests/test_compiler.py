@@ -782,15 +782,19 @@ def test_permutations_with_non_integer_entries_are_rejected_not_truncated():
 
 
 def test_verify_permutation_enforces_the_verification_budget(monkeypatch):
-    # The probe check holds a few (2**17, 4) complex blocks here, and would
-    # hold a few of 2**24 rows (256 MiB each) at the population budget.
+    # The probe check is stated at 240 * 2**n bytes: 20 spins need 240 MiB, over
+    # the default 128 MiB, and are refused before the probes are drawn.
     monkeypatch.delenv(CAPACITY_ENV_VAR, raising=False)
-    seq = cs.compile_circuit(cs.CircuitIR(17, cs.boost_circuit()), _coupled_system(17, 17))
-    perm = cs.circuit_permutation(cs.boost_circuit(), 17)
-    with pytest.raises(cs.CapacityError, match="17 spins exceeds the budget of 16 for verification"):
-        cs.verify_permutation(seq, perm)
-    monkeypatch.setenv(CAPACITY_ENV_VAR, "17")
-    assert cs.verify_permutation(seq, perm)
+    seq = cs.compile_circuit(cs.CircuitIR(20, cs.boost_circuit()), _coupled_system(20, 20))
+    with pytest.raises(cs.CapacityError, match="verification of 20 spins needs 251658240 bytes, over the budget of 134217728"):
+        cs.verify_permutation(seq, np.arange(2**20))
+    # At 8 * 2**16 bytes, 11 spins fit (480 KiB) and 12 do not.
+    monkeypatch.setenv(CAPACITY_ENV_VAR, "16")
+    seq = cs.compile_circuit(cs.CircuitIR(11, cs.boost_circuit()), _coupled_system(11, 11))
+    assert cs.verify_permutation(seq, cs.circuit_permutation(cs.boost_circuit(), 11))
+    seq = cs.compile_circuit(cs.CircuitIR(12, cs.boost_circuit()), _coupled_system(12, 12))
+    with pytest.raises(cs.CapacityError, match="verification of 12 spins"):
+        cs.verify_permutation(seq, cs.circuit_permutation(cs.boost_circuit(), 12))
 
 
 def test_verify_permutation_peaks_at_a_few_blocks_of_probes_at_14_spins():

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -535,9 +536,10 @@ def test_a_plan_loaded_from_its_dict_equals_it_and_replays_bit_for_bit(plan):
     assert again == dataclasses.replace(plan, labels=again.labels)
     assert again.labels == tuple(plan.label(i) for i in range(plan.n))
     assert simulate_plan(again).eps_approx.tobytes() == simulate_plan(plan).eps_approx.tobytes()
-    # A small spin budget keeps the recycled clusters, and their sum, small.
+    # A small budget (8 MiB) keeps the recycled clusters, and their sum, small,
+    # yet holds the cone walk of a copy of a certified 2187-spin plan (5 MB).
     with pytest.MonkeyPatch.context() as env:
-        env.setenv(CAPACITY_ENV_VAR, "12")
+        env.setenv(CAPACITY_ENV_VAR, "20")
         try:
             want = simulate_plan(plan, mode="exact").eps_exact
         except CapacityError:
@@ -894,32 +896,35 @@ def test_exact_simulation_respects_population_capacity(monkeypatch):
     monkeypatch.delenv(CAPACITY_ENV_VAR, raising=False)
     result = simulate_plan(plan_rounds(27, 1e-5, 3.34e-5), mode="both")
     assert result.discrepancy == 0.0
-    # Where float ties merge recycled pools, clusters of up to 12 spins form.
+    # Where float ties merge recycled pools, clusters of up to 12 spins form:
+    # 32 KiB, over a budget of 16 KiB that the cone walk before them fits.
     recycled = plan_rounds(27, 1e-9, 3.34e-9, recycle=True)
-    monkeypatch.setenv(CAPACITY_ENV_VAR, "10")
-    with pytest.raises(CapacityError, match="12 spins exceeds the budget of 10"):
+    monkeypatch.setenv(CAPACITY_ENV_VAR, "11")
+    with pytest.raises(CapacityError, match="a 12-spin merge with the live clusters needs 32768 bytes, over the budget of 16384"):
         simulate_plan(recycled, mode="exact")
     # The approx policy has no such ceiling.
     assert simulate_plan(recycled, mode="approx").eps_approx is not None
 
 
 def test_exact_replay_reads_the_spin_budget_once(monkeypatch):
+    # Once per engine: the cone walk finds overlapping cones, and the cluster engine replays.
     reads = []
 
-    def spy(default):
-        reads.append(default)
-        return limit(default)
+    def spy():
+        reads.append(sys._getframe(1).f_code.co_name)
+        return budget()
 
-    limit = cooling.capacity_limit
-    monkeypatch.setattr(cooling, "capacity_limit", spy)
+    budget = cooling.memory_budget
+    monkeypatch.setattr(cooling, "memory_budget", spy)
     simulate_plan(plan_rounds(27, 1e-9, 3.34e-9, recycle=True), mode="exact")
-    assert reads == [24]
+    assert reads == ["_walk_cones", "_replay_clusters"]
 
 
 def test_the_cluster_engine_bounds_the_sum_of_its_live_clusters(monkeypatch):
-    # Round 1 leaves three 3-spin clusters of 8 entries each, which round 2
-    # boosts again: each fits a budget of 4 spins (16 entries), but the third
-    # would bring the live clusters to 24 entries, as many as 5 spins hold.
+    # Round 1 leaves three 3-spin clusters of 8 entries (64 bytes) each, which
+    # round 2 boosts again: each fits a budget of 128 bytes, but the third would
+    # bring the live clusters to 192 bytes. The cone walk alone would need more
+    # than either budget, so the cluster engine is called directly.
     rounds = [[(0, 1, 2), (3, 4, 5), (6, 7, 8)]] * 2
     merges = []
 
@@ -931,11 +936,11 @@ def test_the_cluster_engine_bounds_the_sum_of_its_live_clusters(monkeypatch):
     merge = cooling.reduce
     monkeypatch.setattr(cooling, "reduce", spy)
     monkeypatch.setenv(CAPACITY_ENV_VAR, "4")
-    with pytest.raises(CapacityError, match="5 spins exceeds the budget of 4 for the live clusters together"):
-        simulate_plan(_plan(9, 0.3, rounds), mode="exact")
+    with pytest.raises(CapacityError, match="a 3-spin merge with the live clusters needs 192 bytes, over the budget of 128"):
+        cooling._replay_clusters(_plan(9, 0.3, rounds))
     assert merges == [3, 3]  # the third triple's cluster is never allocated
     monkeypatch.setenv(CAPACITY_ENV_VAR, "5")
-    got = simulate_plan(_plan(9, 0.3, rounds), mode="exact").eps_exact
+    got = cooling._replay_clusters(_plan(9, 0.3, rounds))
     want = oracles.replay_exact(9, 0.3, [t for rnd in rounds for t in rnd])
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
@@ -1106,13 +1111,14 @@ def test_only_the_planner_grants_a_certificate():
 
 @pytest.mark.parametrize("mode", ["exact", "both"])
 def test_triples_are_not_built_beyond_their_budget(mode):
-    # The certified plan answers without its triples; its file and its per-spin values need them.
+    # The certified plan answers without its triples; its file lists them and is refused.
+    # Its per-spin values take 8 * n bytes, 110 MiB, and are replayed within the budget.
     plan = plan_rounds(cooling.MAX_TRIPLE_SPINS + 1, 3e-5, 4.4e-5)
     result = simulate_plan(plan, mode=mode)
     assert result.best() == (0, plan.predicted_best)
-    for build in (plan.to_dict, lambda: result.eps_exact):
-        with pytest.raises(CapacityError, match="exceeds MAX_TRIPLE_SPINS = 14348907"):
-            build()
+    with pytest.raises(CapacityError, match="exceeds MAX_TRIPLE_SPINS = 14348907"):
+        plan.to_dict()
+    assert result.eps_exact[0] == plan.predicted_best
 
 
 def test_gate_totals_track_quasi_linear_growth():

@@ -46,11 +46,9 @@ from coolspin.propagator import propagate
 from coolspin.pulses import Delay, DurationModel, FrameShift, PulseSequence, SelectivePulse, event_from_dict
 from coolspin.states import (
     CAPACITY_ENV_VAR,
-    MAX_DENSE_SPINS,
-    MAX_POPULATION_SPINS,
-    MAX_VERIFY_SPINS,
-    capacity_limit,
+    check_budget,
     iz_diag,
+    memory_budget,
     spin_axis,
     read_text,
     spin_bit,
@@ -180,15 +178,28 @@ def test_unitary_rejects_non_unitary_matrix():
         Unitary(n=1, mat=np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
-def test_capacity_limits_and_env_override(monkeypatch):
+def test_one_byte_budget_and_env_override(monkeypatch):
     monkeypatch.delenv(CAPACITY_ENV_VAR, raising=False)
-    assert capacity_limit(MAX_POPULATION_SPINS) == 24
-    assert capacity_limit(MAX_DENSE_SPINS) == 8
-    assert capacity_limit(MAX_VERIFY_SPINS) == 16
-    with pytest.raises(CapacityError):
+    assert memory_budget() == 8 * 2**24 == 128 * 2**20
+    # thermal_state(24) passes both of its checks; a stand-in for its 128 MiB outer sum fails the shape.
+    with monkeypatch.context() as patch, pytest.raises(ValueError, match="pops must hold 16777216 populations"):
+        patch.setattr(states, "reduce", lambda add, factors: np.zeros(2))
+        thermal_state(24)
+    with pytest.raises(CapacityError, match="a population vector of 25 spins needs 268435456 bytes"):
         thermal_state(25)
+    # 48 * 4**n bytes: 10 spins pass the budget (and then the shape check fails), 11 do not.
+    with pytest.raises(ValueError, match="expected a 1024x1024 matrix"):
+        Unitary(n=10, mat=np.eye(2))
+    with pytest.raises(CapacityError, match="a dense matrix of 11 spins"):
+        Unitary(n=11, mat=np.eye(2))
+    check_budget(memory_budget(), "exactly the budget")
+    with pytest.raises(CapacityError, match=f"one byte more needs 134217729 bytes, over the budget of 134217728 .override with {CAPACITY_ENV_VAR}"):
+        check_budget(memory_budget() + 1, "one byte more")
+    # An N past 64 reads as 64, and a spin count from outside past 65 as 65: no huge integer.
+    monkeypatch.setenv(CAPACITY_ENV_VAR, str(10**100))
+    assert memory_budget() == 8 << 64
     with pytest.raises(CapacityError):
-        Unitary(n=9, mat=np.eye(512))
+        PopulationState(n=10**30, pops=[0.0])
 
     monkeypatch.setenv(CAPACITY_ENV_VAR, "4")
     with pytest.raises(CapacityError, match=CAPACITY_ENV_VAR):
