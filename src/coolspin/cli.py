@@ -11,7 +11,14 @@ next token) is read straight from that table, without importing argparse.
 Every other argv (`--help`, an abbreviation, `--flag=value`, a value
 starting with "-", and every error) goes to the argparse parser that
 `build_parser` builds from the same table, so help text, error text and
-exit codes are argparse's.
+exit codes are argparse's; there a negative number in any float spelling
+is a value. Either parse gives the handler and its flags as keyword
+arguments (`--target-eps` is `target_eps`).
+
+A `cmd_*` handler prints nothing: it returns its stdout and its artifact,
+a (path, text) pair or None. `main` alone writes output, the artifact
+first and then the report, so a command that exits non-zero, a failed
+artifact write included, leaves stdout empty.
 
 All numeric output is printed with 12 significant digits; state, plan and
 sequence dumps are JSON at full float precision. Only a state file is read
@@ -25,19 +32,17 @@ from __future__ import annotations
 
 import functools
 import json
-import sys
 import math
-from types import SimpleNamespace
-from typing import TYPE_CHECKING
+import sys
+from typing import Callable
 
-# No command calls max_projection or iz_operator; both stay imported because
-# benchmark/tracing.py wraps them here by name.
+# No command calls max_projection, iz_operator, simulate_sequence, permutation_unitary
+# or phase_pattern_equal: they stay imported because benchmark/tracing.py wraps them here by name.
 from .bounds import entropy_bound_kmax, max_projection, thermal_bound
 from .compiler import CircuitIR, compile_circuit, parse_circuit
 from .cooling import boost_exact, plan_rounds, simulate_plan
 from .errors import CapacityError, InfeasibleError
 from .gates import PERMUTATION_KINDS, boost_circuit, circuit_permutation
-# The dense-oracle names stay imported: benchmark/tracing.py wraps them here by name.
 from .propagator import permutation_unitary, phase_pattern_equal, simulate_sequence
 from .propagator import check_verification, verify_permutation
 from .pulses import DurationModel
@@ -46,27 +51,15 @@ from .states import PopulationState, apply_permutation, iz_operator, memory_budg
 from .states import thermal_state, write_in_place
 from .system import SpinSystem, example_system
 
-if TYPE_CHECKING:
-    import argparse
-
-    Args = argparse.Namespace | SimpleNamespace
+Output = tuple[str, tuple[str, str] | None]
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _write(path: str, text: str) -> None:
-    write_in_place(path, text)
-    print(f"wrote {path}")
-
-
-def _system(args: Args) -> SpinSystem:
-    return example_system() if args.system is None else SpinSystem.load(args.system)
-
-
-def _spin(args: Args, system: SpinSystem) -> int:
-    return 0 if args.spin is None else system.spin_index(args.spin)
+def _system(path: str | None) -> SpinSystem:
+    return example_system() if path is None else SpinSystem.load(path)
 
 
 def _spin_count(text: str) -> int:
@@ -82,89 +75,75 @@ def _spin_count(text: str) -> int:
     return int(value)
 
 
-def cmd_bound(args: Args) -> int:
-    system = _system(args)
-    spin = _spin(args, system)
+def cmd_bound(*, system, spin, eps0, n) -> Output:
+    system = _system(system)
+    label = system.labels[0 if spin is None else system.spin_index(spin)]
     result = thermal_bound(system.n)
-    eps0 = system.epsilon0 if args.eps0 is None else args.eps0
-    n_for_kmax = system.n if args.n is None else args.n
-    kmax = entropy_bound_kmax(n_for_kmax, eps0)
-    print(f"spin: {system.labels[spin]}")
-    print(f"a_initial: {_fmt(result.a_initial)}")
-    print(f"a_max: {_fmt(result.a_max)}")
-    print(f"enhancement: {_fmt(result.enhancement)}")
-    print(f"k_max(n={n_for_kmax}, eps0={_fmt(eps0)}): {_fmt(kmax)}")
-    return 0
+    eps0 = system.epsilon0 if eps0 is None else eps0
+    n = system.n if n is None else n
+    return (
+        f"spin: {label}\n"
+        f"a_initial: {_fmt(result.a_initial)}\n"
+        f"a_max: {_fmt(result.a_max)}\n"
+        f"enhancement: {_fmt(result.enhancement)}\n"
+        f"k_max(n={n}, eps0={_fmt(eps0)}): {_fmt(entropy_bound_kmax(n, eps0))}\n"
+    ), None
 
 
-def cmd_boost(args: Args) -> int:
-    system = _system(args)
+def cmd_boost(*, system, eps0, out) -> Output:
+    system = _system(system)
     if system.n != 3:
         raise ValueError(f"the boost acts on exactly 3 spins, system has {system.n}")
-    eps0 = system.epsilon0 if args.eps0 is None else args.eps0
+    eps0 = system.epsilon0 if eps0 is None else eps0
     report = boost_exact(eps0)
     pre = thermal_state(3)
     post = apply_permutation(pre, circuit_permutation(boost_circuit(), 3))
-    print("pre diag (deviation units): " + " ".join(_fmt(p) for p in pre.pops))
-    print("post diag (deviation units): " + " ".join(_fmt(p) for p in post.pops))
-    for state, name in ((pre, "pre"), (post, "post")):
-        values = " ".join(
-            f"{system.labels[j]}={_fmt(polarization(state, j))}" for j in range(3)
-        )
-        print(f"{name} relative polarization (thermal = 1): {values}")
-    print(f"exact marginals at eps0={_fmt(eps0)}:")
-    print(f"  eps_a: {_fmt(report.eps_a)}")
-    print(f"  eps_b: {_fmt(report.eps_b)}")
-    print(f"  eps_c: {_fmt(report.eps_c)}")
-    print(f"  enhancement: {_fmt(report.enhancement)}")
-    if args.out is not None:
-        _write(args.out, json.dumps(post.to_dict()))
-    return 0
+    values = [" ".join(f"{system.labels[j]}={_fmt(polarization(state, j))}" for j in range(3)) for state in (pre, post)]
+    return (
+        f"pre diag (deviation units): {' '.join(map(_fmt, pre.pops))}\n"
+        f"post diag (deviation units): {' '.join(map(_fmt, post.pops))}\n"
+        f"pre relative polarization (thermal = 1): {values[0]}\n"
+        f"post relative polarization (thermal = 1): {values[1]}\n"
+        f"exact marginals at eps0={_fmt(eps0)}:\n"
+        f"  eps_a: {_fmt(report.eps_a)}\n"
+        f"  eps_b: {_fmt(report.eps_b)}\n"
+        f"  eps_c: {_fmt(report.eps_c)}\n"
+        f"  enhancement: {_fmt(report.enhancement)}\n"
+    ), None if out is None else (out, json.dumps(post.to_dict()))
 
 
-def cmd_cool(args: Args) -> int:
-    plan = plan_rounds(args.n, args.eps0, args.target_eps, recycle=args.recycle)
-    # Everything that can refuse runs before anything is printed: the plan file
-    # names every triple, and a replay may exceed its budget.
-    text = None if args.out is None else json.dumps(plan.to_dict())
-    result = simulate_plan(plan, mode=args.mode)
+def cmd_cool(*, n, eps0, target_eps, recycle, mode, out) -> Output:
+    plan = plan_rounds(n, eps0, target_eps, recycle=recycle)
+    artifact = None if out is None else (out, json.dumps(plan.to_dict()))
+    result = simulate_plan(plan, mode=mode)
     spin, best = result.best()
+    text = ""
     for i, rnd in enumerate(plan.rounds, start=1):
         # A round's block values are floats already: no `_fmt` cast per pool.
         pools = " ".join(dict.fromkeys(f"{value:.12g}" for value, _ in rnd.blocks))
-        print(f"round {i}: {rnd.boosts} boosts, input pools: {pools}")
-    print(f"boost gates: {plan.boost_gate_count}")
-    print(f"refocus gates: {plan.refocus_gate_count}")
-    print(f"total gates: {plan.total_gate_count}")
-    print(f"predicted best polarization: {_fmt(plan.predicted_best)}")
-    print(f"simulated best ({args.mode}): spin {plan.label(spin)} at {_fmt(best)}")
+        text += f"round {i}: {rnd.boosts} boosts, input pools: {pools}\n"
+    text += (
+        f"boost gates: {plan.boost_gate_count}\n"
+        f"refocus gates: {plan.refocus_gate_count}\n"
+        f"total gates: {plan.total_gate_count}\n"
+        f"predicted best polarization: {_fmt(plan.predicted_best)}\n"
+        f"simulated best ({mode}): spin {plan.label(spin)} at {_fmt(best)}\n"
+    )
     if result.discrepancy is not None:
-        print(f"exact vs approx max difference: {_fmt(result.discrepancy)}")
-    if text is not None:
-        _write(args.out, text)
-    return 0
+        text += f"exact vs approx max difference: {_fmt(result.discrepancy)}\n"
+    return text, artifact
 
 
-def cmd_compile(args: Args) -> int:
-    system = _system(args)
-    if args.circuit is None:
+def cmd_compile(*, system, circuit, z_mode, bloch_siegert_deg, pulse90_s, out) -> Output:
+    system = _system(system)
+    if circuit is None:
         if system.n < 3:
             raise ValueError("the default boost circuit needs at least 3 spins")
         circuit = CircuitIR(n=system.n, gates=boost_circuit(0, 1, 2))
     else:
-        circuit = parse_circuit(read_text(args.circuit), system)
-    model = DurationModel(pulse90_s=args.pulse90_s)
-    seq = compile_circuit(
-        circuit,
-        system,
-        model,
-        z_mode=args.z_mode,
-        bloch_siegert_deg=args.bloch_siegert_deg,
-    )
-    print(f"events: {len(seq.events)}")
-    print(f"pulses: {seq.pulse_count()}")
-    print(f"total duration (s): {_fmt(seq.total_duration_s)}")
-    print(f"coupling time (s): {_fmt(seq.coupling_duration_s())}")
+        circuit = parse_circuit(read_text(circuit), system)
+    model = DurationModel(pulse90_s=pulse90_s)
+    seq = compile_circuit(circuit, system, model, z_mode=z_mode, bloch_siegert_deg=bloch_siegert_deg)
     verdict = "SKIPPED (circuit contains rotation gates)"
     if all(g.kind in PERMUTATION_KINDS for g in circuit.gates):
         try:
@@ -172,31 +151,30 @@ def cmd_compile(args: Args) -> int:
             verdict = "PASS" if verify_permutation(seq, circuit_permutation(circuit.gates, system.n)) else "FAIL"
         except CapacityError:
             verdict = "SKIPPED (system too large to verify)"
-    print(f"verification: {verdict}")
-    if args.out is not None:
-        _write(args.out, seq.to_json())
-    return 0
+    return (
+        f"events: {len(seq.events)}\n"
+        f"pulses: {seq.pulse_count()}\n"
+        f"total duration (s): {_fmt(seq.total_duration_s)}\n"
+        f"coupling time (s): {_fmt(seq.coupling_duration_s())}\n"
+        f"verification: {verdict}\n"
+    ), None if out is None else (out, seq.to_json())
 
 
-def cmd_spectrum(args: Args) -> int:
-    if args.state is not None and args.boosted:
+def cmd_spectrum(*, system, spin, state, boosted, out) -> Output:
+    if state is not None and boosted:
         raise ValueError("--state and --boosted both name the state to read out; give one")
-    system = _system(args)
-    spin = _spin(args, system)
-    if args.state is not None:
-        state = PopulationState.from_dict(json.loads(read_text(args.state)))
-    elif args.boosted:
+    system = _system(system)
+    spin = 0 if spin is None else system.spin_index(spin)
+    if state is not None:
+        state = PopulationState.from_dict(json.loads(read_text(state)))
+    elif boosted:
         if system.n != 3:
             raise ValueError("--boosted applies the 3-spin boost; use a 3-spin system")
         state = apply_permutation(thermal_state(3), circuit_permutation(boost_circuit(), 3))
     else:
         state = thermal_state(system.n)
     csv = readout(state, system, spin).to_csv()
-    if args.out is None:
-        sys.stdout.write(csv)
-    else:
-        _write(args.out, csv)
-    return 0
+    return (csv, None) if out is None else ("", (out, csv))
 
 
 _SYSTEM = dict(help="spin-system JSON file (default: bundled molecule)")
@@ -242,14 +220,11 @@ COMMANDS = {
 }
 
 
-def _parse_table(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse would give an argv spelled as `COMMANDS` lists it, else None.
+def _parse_table(argv: list[str]) -> tuple[Callable[..., Output], dict] | None:
+    """The handler and keyword arguments of an argv spelled as `COMMANDS` lists it, else None.
 
-    The documented spelling is the subcommand, then flags by their full
-    names, each value the next token and not starting with "-". Any other
-    argv, and any value that fails its type or choices or a missing
-    required flag, is left to `build_parser`, so help, errors and the other
-    spellings stay argparse's own.
+    Any other argv, a value starting with "-" or failing its type or
+    choices, and a missing required flag are left to `build_parser`.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
@@ -272,7 +247,7 @@ def _parse_table(argv: list[str]) -> SimpleNamespace | None:
         if "choices" in keywords and value not in keywords["choices"]:
             return None
         given[token] = value
-    args = {"subcommand": argv[0]}
+    kwargs = {}
     for flag, keywords in flags.items():
         if flag in given:
             value = given[flag]
@@ -280,14 +255,15 @@ def _parse_table(argv: list[str]) -> SimpleNamespace | None:
             return None
         else:
             value = keywords.get("default", False if "action" in keywords else None)
-        args[flag[2:].replace("-", "_")] = value
-    args["handler"] = handler
-    return SimpleNamespace(**args)
+        kwargs[flag[2:].replace("-", "_")] = value
+    return handler, kwargs
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The `argparse.ArgumentParser` of `COMMANDS`, built (and argparse imported) on first use."""
     import argparse
+    import re
 
     parser = argparse.ArgumentParser(
         prog="coolspin",
@@ -296,26 +272,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (handler, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        # A negative number in any float spelling (-1e-5, -inf, -nan) is a value
+        # and not a flag: argparse before 3.13 reads only -1 and -.5 as numbers.
+        p._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-(inf(inity)?|nan)$", re.I)
         for flag, keywords in flags.items():
             p.add_argument(flag, **keywords)
         p.set_defaults(handler=handler)
     return parser
 
 
-def parse_args(argv: list[str] | None = None) -> Args:
+def parse_args(argv: list[str] | None = None) -> tuple[Callable[..., Output], dict]:
     """`main`'s parse: the table for the documented spelling, argparse for every other argv."""
     argv = sys.argv[1:] if argv is None else argv
-    return _parse_table(argv) or build_parser().parse_args(argv)
+    if (parsed := _parse_table(argv)) is not None:
+        return parsed
+    kwargs = vars(build_parser().parse_args(argv))
+    del kwargs["subcommand"]
+    return kwargs.pop("handler"), kwargs
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. The only writer of output: a command that exits non-zero prints nothing on stdout."""
     try:
-        args = parse_args(argv)
+        handler, kwargs = parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad input and 0 after --help
         return exc.code
     try:
         memory_budget()  # a malformed COOLSPIN_MAX_N is bad input to every command
-        return args.handler(args)
+        text, artifact = handler(**kwargs)
+        if artifact is not None:
+            write_in_place(*artifact)
+            text += f"wrote {artifact[0]}\n"
+        sys.stdout.write(text)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
@@ -325,6 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # a JSON syntax error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

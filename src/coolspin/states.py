@@ -38,6 +38,7 @@ from .errors import CapacityError
 CAPACITY_ENV_VAR = "COOLSPIN_MAX_N"
 
 TRACE_TOL = 1e-12
+_CHUNK = 1 << 16  # entries per slice when a 2**n vector is reduced piecewise
 UNITARITY_TOL = 1e-10
 
 IZ = np.array([0.5, -0.5])  # one spin's Iz over its two states, up first
@@ -237,8 +238,9 @@ class PopulationState:
             raise ValueError(f"pops must hold {2**self.n} populations, got shape {pops.shape}")
         # A finite sum of magnitudes bounds every sum and difference of pops
         # that readout and polarization take, and a float sum's rounding error.
+        # It is summed in chunks, so no second 2**n vector is built.
         with np.errstate(over="ignore"):
-            scale = float(np.abs(pops).sum())
+            scale = sum(float(np.abs(pops[i : i + _CHUNK]).sum()) for i in range(0, len(pops), _CHUNK))
         if not math.isfinite(scale):
             raise ValueError("pops must be finite populations whose magnitudes have a finite sum")
         if not abs(float(pops.sum())) <= TRACE_TOL * max(1.0, scale):

@@ -1,6 +1,7 @@
 """Command-line interface: happy paths, artifacts, and exit codes."""
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -184,12 +185,19 @@ def _draw_argv(data):
     return argv, documented
 
 
+def _argparse_call(argv):
+    """The handler and keyword arguments read off argparse's namespace: every field but the subcommand."""
+    fields = vars(build_parser().parse_args(argv))
+    return fields.pop("handler"), {key: value for key, value in fields.items() if key != "subcommand"}
+
+
 def _parse_outcome(parse, argv):
-    """The namespace's fields as reprs (a NaN equals its own repr), or the exit code; then stdout and stderr."""
+    """The handler and its keyword arguments as reprs (a NaN equals its own repr), or the exit code; then stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = {key: repr(value) for key, value in vars(parse(argv)).items()}
+            handler, kwargs = parse(argv)
+            result = handler, {key: repr(value) for key, value in kwargs.items()}
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
@@ -200,8 +208,84 @@ def _parse_outcome(parse, argv):
 def test_the_table_parse_agrees_with_argparse(data):
     argv, documented = _draw_argv(data)
     outcome = _parse_outcome(cli.parse_args, argv)
-    assert outcome == _parse_outcome(build_parser().parse_args, argv)
+    assert outcome == _parse_outcome(_argparse_call, argv)
     assert (cli._parse_table(argv) is not None) == documented
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_each_handler_takes_its_flags_by_name_and_nothing_else(command):
+    handler, _, flags = cli.COMMANDS[command]
+    params = inspect.signature(handler).parameters.values()
+    assert [p.name for p in params] == [flag[2:].replace("-", "_") for flag in flags]
+    assert all(p.kind is p.KEYWORD_ONLY and p.default is p.empty for p in params)
+
+
+@pytest.mark.parametrize("argv", list(_EVERY_SUBCOMMAND.values()), ids=list(_EVERY_SUBCOMMAND))
+def test_a_handler_returns_exactly_what_main_prints(capsys, argv):
+    handler, kwargs = cli.parse_args(list(argv))
+    assert handler is cli.COMMANDS[argv[0]][0]
+    text, artifact = handler(**kwargs)
+    assert artifact is None and text.endswith("\n")
+    assert run(capsys, *argv) == (0, text, "")
+
+
+def test_a_handler_hands_its_artifact_to_main(capsys, tmp_path):
+    path = str(tmp_path / "spec.csv")
+    csv, _ = cli.cmd_spectrum(system=None, spin=None, state=None, boosted=True, out=None)
+    assert cli.cmd_spectrum(system=None, spin=None, state=None, boosted=True, out=path) == ("", (path, csv))
+    assert not os.path.exists(path)
+    assert run(capsys, "spectrum", "--boosted", "--out", path) == (0, f"wrote {path}\n", "")
+    assert Path(path).read_text() == csv
+
+
+# id -> (argv, exit code, stderr: the whole of it when it ends in a newline,
+# else its start). "{tmp}" is the test's scratch directory; "{sys30}" a 30-spin system.
+_FAILING_COMMANDS = {
+    "boost-full-device": (["boost", "--out", "/dev/full"], 2, "error: [Errno 28] No space left on device\n"),
+    "compile-missing-dir": (["compile", "--out", "{tmp}/missing/seq.json"], 2, "error: [Errno 2]"),
+    "cool-missing-dir": (
+        ["cool", "--n", "9", "--eps0", "1e-3", "--target-eps", "2.2e-3", "--out", "{tmp}/missing/plan.json"], 2, "error: [Errno 2]"
+    ),
+    "compile-out-of-memory": (["compile"], 4, "capacity: out of memory\n"),
+    "spectrum-missing-dir": (["spectrum", "--out", "{tmp}/missing/spec.csv"], 2, "error: [Errno 2]"),
+    "bound-bad-flag": (["bound", "--bogus"], 2, "usage:"),
+    "boost-bad-system": (["boost", "--system", "{tmp}/nowhere.json"], 2, "error: [Errno 2]"),
+    "compile-bad-system": (["compile", "--system", "{tmp}/nowhere.json"], 2, "error: [Errno 2]"),
+    "spectrum-bad-spin": (["spectrum", "--spin", "zz"], 2, "error:"),
+    "cool-infeasible": (["cool", "--n", "9", "--eps0", "1e-3", "--target-eps", "0.5"], 3, "infeasible:"),
+    "cool-capacity": (
+        ["cool", "--n", "1e9", "--eps0", "1e-3", "--target-eps", "2.2e-3", "--out", "{tmp}/plan.json"], 4, "capacity:"
+    ),
+    "spectrum-capacity": (["spectrum", "--system", "{sys30}"], 4, "capacity:"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILING_COMMANDS))
+def test_a_command_that_exits_non_zero_prints_nothing_on_stdout(capsys, monkeypatch, tmp_path, case):
+    argv, code, err_text = _FAILING_COMMANDS[case]
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    if case == "compile-out-of-memory":  # the verification's allocations run out
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "verify_permutation", exhausted)
+    sys30 = _coupled_system(tmp_path, 30) if "{sys30}" in argv else None
+    got_code, out, err = run(capsys, *(token.format(tmp=tmp_path, sys30=sys30) for token in argv))
+    assert (got_code, out) == (code, "")
+    assert err == err_text if err_text.endswith("\n") else err.startswith(err_text), err
+    assert not (tmp_path / "plan.json").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "-1e-5", "-1E+3", "-.5e-2", "-2.5", "-3.", "-inf", "-Infinity", "-nan"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["bound"], "polarization must lie in [0, 1]"), (["cool", "--n", "9", "--target-eps", "2.2e-3"], "eps0 must lie in (0, 1)")],
+    ids=["bound", "cool"],
+)
+def test_a_negative_number_in_any_float_spelling_is_a_value(capsys, argv, message, value):
+    code, out, err = run(capsys, *argv, "--eps0", value)
+    assert (code, out, err) == (2, "", f"error: {message}, got {float(value)!r}\n")
 
 
 def test_bound_with_custom_system_and_spin(capsys, tmp_path):

@@ -5,6 +5,7 @@ import os
 import re
 import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -143,6 +144,24 @@ def test_population_state_tolerates_the_rounding_of_a_large_zero_sum(n, seed):
     data["pops"][0] += 1e-3
     with pytest.raises(ValueError, match="sum to zero"):
         PopulationState.from_dict(data)
+
+
+def _traced_peak(call) -> int:
+    """The traced peak of `call()`, in bytes above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_population_state_checks_its_trace_without_a_second_vector():
+    # The sum of magnitudes goes chunk by chunk: no 2**n temporary of |pops|.
+    vec = thermal_state(18).pops.copy()
+    assert _traced_peak(lambda: PopulationState(18, vec)) <= 2**20
+    assert _traced_peak(lambda: thermal_state(18)) <= 1.6 * vec.nbytes + 2**20
 
 
 @pytest.mark.parametrize("n", [True, 1.0, 1.5, "1"])
