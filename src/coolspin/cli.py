@@ -47,8 +47,8 @@ from .propagator import permutation_unitary, phase_pattern_equal, simulate_seque
 from .propagator import check_verification, verify_permutation
 from .pulses import DurationModel
 from .spectra import readout
-from .states import PopulationState, apply_permutation, iz_operator, memory_budget, polarization, read_text
-from .states import thermal_state, write_in_place
+from .states import PopulationState, apply_permutation, iz_operator, memory_budget, polarization, read_json
+from .states import read_text, thermal_state, write_in_place
 from .system import SpinSystem, example_system
 
 Output = tuple[str, tuple[str, str] | None]
@@ -166,7 +166,7 @@ def cmd_spectrum(*, system, spin, state, boosted, out) -> Output:
     system = _system(system)
     spin = 0 if spin is None else system.spin_index(spin)
     if state is not None:
-        state = PopulationState.from_dict(json.loads(read_text(state)))
+        state = PopulationState.from_dict(read_json(state))
     elif boosted:
         if system.n != 3:
             raise ValueError("--boosted applies the 3-spin boost; use a 3-spin system")

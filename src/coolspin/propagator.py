@@ -20,7 +20,7 @@ O(runs * (n + k) * 2**n) array work, in two blocks and one chunk of memory.
 
 The engine has two users: `simulate_sequence` propagates the identity to
 get the composite unitary (the dense oracle), and
-`verify_permutation` propagates a few seeded probe vectors to check a
+`verify_permutation` propagates a few hashed probe vectors to check a
 compiled sequence against its logical permutation without building any
 2**n x 2**n matrix.
 """
@@ -36,8 +36,9 @@ from .pulses import Delay, FrameShift, PulseSequence, SelectivePulse
 from .states import UNITARITY_TOL, Unitary, as_permutation, check_budget, check_dense, iz_diag, spin_axis, spin_bit
 
 PATTERN_TOL = 1e-8
-PROBE_SEED = 0
 PROBE_COUNT = 2
+# splitmix64 (Steele, Lea and Flood, 2014): the counter step and the two mixing multipliers.
+_GOLDEN, _MIX1, _MIX2 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _CHUNK_ENTRIES = 1 << 14  # diagonal entries computed per chunk of runs
 
 
@@ -224,11 +225,14 @@ def verify_permutation(seq: PulseSequence, perm) -> bool:
     M = U P^-1, which is diagonal exactly when it commutes with a diagonal
     L = diag(lam) of distinct entries. Since P diag(lam[perm]) = L P,
     M L = L M is the same as U diag(lam[perm]) = L U, and the check applies
-    both sides to random vectors w: entry (i, j) of M L - L M is
+    both sides to pseudo-random vectors w: entry (i, j) of M L - L M is
     M_ij (lam_j - lam_i), so any off-diagonal M_ij leaves a residual for
-    almost every draw of lam and w. The probes are seeded
-    (`np.random.default_rng(0)`: two complex vectors w and unit-modulus lam),
-    so the verdict is deterministic, and the cost is one propagation of four
+    almost every draw of lam and w. The draws are `_probe_uniforms`, a
+    counter-based hash of the basis index: two complex vectors w with real
+    and imaginary parts in [-1, 1), and lam = exp(2 pi i u), unit-modulus
+    with 53-bit phases that are distinct in practice. So the verdict is
+    deterministic, no generator state is involved, verification itself does
+    not import `numpy.random`, and the cost is one propagation of four
     columns (see `propagate`), with no 2**n x 2**n matrix.
 
     PASS when max |U(lam[perm] w) - lam (U w)| <= PATTERN_TOL, the default
@@ -241,12 +245,13 @@ def verify_permutation(seq: PulseSequence, perm) -> bool:
     check_verification(n)
     dim = 1 << n
     perm = as_permutation(perm, dim)
-    rng = np.random.default_rng(PROBE_SEED)
+    u = _probe_uniforms(dim, 2 * PROBE_COUNT + 1)
     probes = np.empty((dim, 2 * PROBE_COUNT), dtype=complex)
     w = probes[:, :PROBE_COUNT]
-    w.real = rng.standard_normal((dim, PROBE_COUNT))
-    w.imag = rng.standard_normal((dim, PROBE_COUNT))
-    lam = np.exp(2.0j * np.pi * rng.random(dim))
+    w.real = 2.0 * u[:, :PROBE_COUNT] - 1.0
+    w.imag = 2.0 * u[:, PROBE_COUNT:-1] - 1.0
+    lam = np.exp(2.0j * np.pi * u[:, -1])
+    del u  # not held through the propagation, whose peak sets the budget
     probes[:, PROBE_COUNT:] = lam[perm][:, None] * w
     out = propagate(seq, probes)
     drift = np.abs(np.linalg.norm(out, axis=0) / np.linalg.norm(probes, axis=0) - 1.0).max()
@@ -254,6 +259,22 @@ def verify_permutation(seq: PulseSequence, perm) -> bool:
         raise ValueError(f"sequence is not unitary (probe norm drift {float(drift):.3g})")
     residual = np.abs(out[:, PROBE_COUNT:] - lam[:, None] * out[:, :PROBE_COUNT]).max()
     return bool(residual <= PATTERN_TOL)
+
+
+def _probe_uniforms(dim: int, streams: int) -> np.ndarray:
+    """A (dim, streams) block of floats in [0, 1): entry (i, s) is the top 53 bits of splitmix64 at counter i * streams + s.
+
+    splitmix64 mixes the counter's state, (counter + 1) times its step,
+    modulo 2**64; numpy's unsigned products wrap there silently.
+    """
+    z = np.arange(1, dim * streams + 1, dtype=np.uint64)
+    z *= _GOLDEN
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)) * 2.0**-53).reshape(dim, streams)
 
 
 def check_verification(n: int) -> None:

@@ -1,4 +1,4 @@
-"""State containers for small spin-1/2 ensembles, and the input readers, file reader and file writer all modules share.
+"""State containers for small spin-1/2 ensembles, and the input readers, file readers and file writer all modules share.
 
 `PopulationState` is the package's one state type: a traceless diagonal in
 deviation units, for states and z observables alike. `Unitary` is the dense
@@ -22,6 +22,7 @@ finite polarization the package works with Z correlators instead (see
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 import stat
@@ -184,11 +185,26 @@ def read_text(path) -> str:
     """The text of the file at `path`, decoded as UTF-8 whatever the locale.
 
     The bytes are decoded once, with no text wrapper or newline
-    translation; invalid UTF-8 raises UnicodeDecodeError, a ValueError. A
-    UTF-8 BOM is kept, so `json.loads` still refuses it.
+    translation; invalid UTF-8 raises UnicodeDecodeError, a ValueError,
+    whose message ends by naming the file. A UTF-8 BOM is kept, so
+    `json.loads` still refuses it.
     """
     with open(path, "rb") as fh:
-        return fh.read().decode("utf-8")
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        exc.reason += f" in file {str(path)!r}"
+        raise
+
+
+def read_json(path):
+    """The JSON value in the file at `path`, read by `read_text`; a syntax error names the file after the decoder's text."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{exc} in file {str(path)!r}") from None
 
 
 def write_in_place(path, text: str) -> None:

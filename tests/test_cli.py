@@ -1105,6 +1105,26 @@ def test_a_file_that_is_not_plain_utf8_is_bad_input(capsys, tmp_path, command, n
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        ("bound --system", b'{"labels": ["a"],}', "Expecting property name enclosed in double quotes: line 1 column 18 (char 17)"),
+        ("spectrum --system GOOD --state", b'{"n": 3, "pops": [1, 2,]}', "Expecting value: line 1 column 24 (char 23)"),
+        ("compile --system", b'{"labels": ["a", "b", "c"]', "Expecting ',' delimiter: line 1 column 27 (char 26)"),
+        ("compile --circuit", b"NOT a\n\xe9", "'utf-8' codec can't decode byte 0xe9 in position 6: unexpected end of data"),
+    ],
+    ids=["bound-system", "spectrum-state", "compile-system", "compile-circuit"],
+)
+def test_a_malformed_input_file_is_named_after_the_decoders_message(capsys, tmp_path, command, data, message):
+    # The spectrum is given a good system file too: the message must say which file is bad.
+    good, bad = tmp_path / "sys-3.json", tmp_path / "bad.input"
+    example_system().save(good)
+    bad.write_bytes(data)
+    code, out, err = run(capsys, *command.replace("GOOD", str(good)).split(), str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} in file {str(bad)!r}\n"
+
+
 def test_a_malformed_spin_budget_is_bad_input_not_an_import_failure():
     # The package builds small Iz tables at import; the budget is read later.
     proc = run_module("bound", COOLSPIN_MAX_N="abc")

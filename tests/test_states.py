@@ -43,6 +43,7 @@ from coolspin import (
     verify_permutation,
 )
 from coolspin import states
+from coolspin import system as system_module
 from coolspin.propagator import propagate
 from coolspin.pulses import Delay, DurationModel, FrameShift, PulseSequence, SelectivePulse, event_from_dict
 from coolspin.states import (
@@ -415,6 +416,33 @@ def test_a_saved_spin_system_replaces_a_longer_file_and_loads_back(tmp_path):
     system.save(path)
     assert SpinSystem.load(path).to_dict() == system.to_dict()
     assert path.read_text() == json.dumps(system.to_dict(), indent=2) + "\n"
+
+
+def test_the_bundled_system_is_built_without_reading_or_checking_anything(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bundled system was read or checked")
+
+    for owner, name in [(system_module, "read_json"), (states, "read_text"), (json, "loads"), (SpinSystem, "__post_init__")]:
+        monkeypatch.setattr(owner, name, refuse)
+    system = example_system()
+    monkeypatch.undo()
+    loaded = SpinSystem.load(example_system_path())
+    assert system.to_dict() == loaded.to_dict()
+    # The same attributes of the same types as the checked constructor sets: an
+    # attribute that `__post_init__` comes to derive fails here until it is built too.
+    assert {k: type(v) for k, v in vars(system).items()} == {k: type(v) for k, v in vars(loaded).items()}
+    assert (system.j_hz.shape, system.j_hz.dtype, system.shift_ppm.shape, system.shift_ppm.dtype) == ((3, 3), float, (3,), float)
+
+
+def test_the_bundled_system_is_fresh_on_every_call_and_passes_validation():
+    first = example_system()
+    first.labels.append("d")
+    first.j_hz[0, 1] = 0.0
+    first.shift_ppm[:] = 1.0
+    first.epsilon0 = 0.5
+    second = example_system()
+    assert second.to_dict() == SpinSystem.load(example_system_path()).to_dict()
+    assert SpinSystem.from_dict(second.to_dict()).to_dict() == second.to_dict()
 
 
 @settings(max_examples=100, deadline=None)
