@@ -3,18 +3,17 @@
 Boosts act on Z correlators <Z_S>, one per subset S of the spins: a spin
 at eps is (1, eps), independent spins multiply, and the boost is one fixed
 8x8 matrix with entries 0, +-1/2 and +-1. So `boost_exact` is exact at any
-polarization up to the rounding of eps**2 and eps**3. The kernel that the
-scheduler and the replay share writes the matrix's three marginal rows out
-as float arithmetic in one fixed order, so its bits do not depend on BLAS.
+polarization up to the rounding of eps**2 and eps**3. The kernel writes the
+matrix's three marginal rows out as float arithmetic in one fixed order, and
+`_boost_rows` all eight rows in the same order, so no bit depends on BLAS.
 
 `plan_rounds` builds a schedule: spins sit in pools keyed by their exact
 polarization value, each round greedily forms disjoint triples inside every
 pool that still holds three spins (coldest pool first, lowest indices
 first), the first member of each triple comes out boosted, and the other
 two leave the live set unless role b is recycled. A round boosts once per
-pool value and keeps each pool's boosted spins as one block; the plan file
-is written from the blocks, and the (k, 3) spin-index triples are built only
-when the cluster engine reads them. The recorded operation count adds, on top of five gates per boost,
+pool value and keeps each pool's boosted spins as one block, and the plan
+file is written from the blocks. The recorded operation count adds, on top of five gates per boost,
 one refocusing echo pair (two NOT pulses) per round for every physically
 present spin outside that round's triples: those couplings must be
 refocused while the active spins evolve, and it is this per-round overhead
@@ -23,11 +22,10 @@ compose to the identity, so they are bookkeeping only and never touch the
 simulated state.
 
 `simulate_plan` replays a plan under two policies: approx forgets every
-correlation after each boost, one kernel call per block;
-exact applies the same kernel if every triple is certified independent by
-its spins' cones, and else keeps correlated spins in clusters until their
-last triple. A planner plan whose blocks are all ranges needs neither: the
-planner certifies it, plans are frozen values, and `simulate_plan` answers from the pools.
+correlation after each boost, one kernel call per block; exact walks the
+blocks once and replays in clusters only the history of a triple whose
+spins share one. A planner plan whose blocks are all ranges needs neither:
+the planner certifies it, and `simulate_plan` answers from the pools.
 """
 from __future__ import annotations
 
@@ -38,15 +36,14 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import CapacityError, InfeasibleError
-from .gates import boost_circuit, circuit_permutation
-from .states import IZ, as_finite, as_float, as_floats, as_int, as_ints, as_labels, as_list, as_polarization
+from .states import as_finite, as_float, as_floats, as_int, as_ints, as_labels, as_list, as_polarization
 from .states import check_budget, json_fields, memory_budget
 
 GATES_PER_BOOST = 5
 # Largest plan the plan file lists, one label per spin of every triple.
 MAX_TRIPLE_SPINS = 3**15
-# Traced bytes of the cone walk per spin and per live cone element (copies of 3**5..3**10 planner plans).
-_WALK_SPIN_BYTES, _CONE_BYTES = 200, 32
+# Traced bytes of the exact walk per spin, boosted spin and live history element (copies of 3**5..3**10 plans).
+_WALK_SPIN_BYTES, _BOOSTED_BYTES, _HISTORY_BYTES = 200, 24, 56
 
 
 @dataclass
@@ -61,22 +58,23 @@ class BoostReport:
     gate_count: int = GATES_PER_BOOST
 
 
-# Sylvester-Hadamard matrices: W @ probs are the Z correlators, and W @ W = 2**n.
-_H = np.array([np.ones(2), 2 * IZ])
-_W_3 = np.kron(np.kron(_H, _H), _H)
-_BOOST_Z = _W_3[:, circuit_permutation(boost_circuit(), 3)] @ _W_3 / 8
-# Twice the matrix has integer entries: the cluster engine applies it and halves
-# each row's sum once, so like the kernel it rounds 3/2 of a subnormal once.
-_BOOST_2Z = 2 * _BOOST_Z
-# Correlator indices of spins a, b, c alone: the one-hot corners of the (2, 2, 2) view.
-_MARGINALS = np.ravel_multi_index(tuple(np.eye(3, dtype=int)), (2, 2, 2))
+def _boost_rows(z0, z1, z2, z3, z4, z5, z6, z7) -> tuple:
+    """The boost W P W / 8 on Z correlators z_j, j = 4a + 2b + c, floats or arrays.
+
+    W is the Sylvester-Hadamard matrix and P the boost's permutation. Rows are summed in the
+    kernel's order over twice the matrix, then halved: rows a, b, c (4, 2, 1) of three spins
+    at one value are the kernel's bits, but for b's zero sign at -5e-324.
+    """
+    p, s = z4 + z2, -z1 - z7
+    b, bc, a, ac = 0.5 * (p + (z7 - z1)), 0.5 * ((z2 - z4) + s), 0.5 * (p + (z1 - z7)), 0.5 * ((z4 - z2) + s)
+    return z0, 0.0 - z3, b, bc, a, ac, z6, 0.0 - z5
 
 
 def _boost_marginals(eps: float | np.ndarray) -> tuple:
     """Polarizations of roles a, b, c after boosting three independent spins at eps.
 
-    Rows a, b, c of `_BOOST_Z @ z` for z_S = eps**|S|, summed as
-    ((t0 + t4) + (t2 + t6)) + ((t1 + t5) + (t3 + t7)) over t_j = _BOOST_Z[row, j] * z_j
+    Rows a, b, c of the boost matrix on z_S = eps**|S| (see `_boost_rows`), summed as
+    ((t0 + t4) + (t2 + t6)) + ((t1 + t5) + (t3 + t7)) over t_j = matrix[row, j] * z_j
     with the zero terms dropped: the bits do not depend on BLAS, and eps may be an array.
     Row a reads h + h as eps and h as eps - h: the same bits where halving eps is exact,
     and 3/2 eps rounded once, not 3h, on an odd subnormal (5e-324 gave 0).
@@ -336,7 +334,7 @@ def plan_rounds(
     among pools that no round boosts leave the certificate alone. Only here do
     blocks skip the plan's checks.
     """
-    if n < 3 or n != int(n):
+    if as_finite("n", n) < 3 or n != int(n):  # a string, inf or NaN is refused first
         raise ValueError(f"need at least three spins to form a triple, got {n}")
     eps0, target_eps = as_float("eps0", eps0), as_float("target_eps", target_eps)
     if not 0.0 < eps0 < 1.0:
@@ -442,82 +440,83 @@ def _replay_approx(plan: CoolingPlan) -> np.ndarray:
 
 
 def _replay_exact(plan: CoolingPlan) -> np.ndarray:
-    """Per-spin polarizations: approx's for a certified plan, else `_walk_cones`'s or `_replay_clusters`'s."""
+    """Per-spin polarizations: approx's for a certified plan, else one walk over the blocks.
+
+    A live spin keeps its history, the frozenset of ids of the triples it descends from, shared by a
+    triple's kept outputs and counted once. Spins of disjoint histories are independent (Schulman &
+    Vazirani, STOC 1999): boosted by the kernel, once per block, where bit-equal, else `_boost_rows`.
+    Another triple is replayed by `_replay_clusters` with its inputs' histories, closed under ancestry.
+    """
     if plan._certified:
         return _replay_approx(plan)
-    eps = _walk_cones(plan)
-    return _replay_clusters(plan) if eps is None else eps
-
-
-def _walk_cones(plan: CoolingPlan) -> np.ndarray | None:
-    """Per-spin polarizations if every triple is certified independent by its spins' cones, else None.
-
-    A spin's cone, the original spins its bit depends on, is {s} until a boost
-    joins its triple's cones into one frozenset, dropped after its last round.
-    Bit-equal spins with disjoint cones are independent: the kernel is exact.
-    Each cone's elements count once per live spin that keeps it ({s} too).
-    """
     budget, boosted = memory_budget(), 3 * sum(rnd.boosts for rnd in plan.rounds)
-    fixed, live = _WALK_SPIN_BYTES * plan.n + 8 * boosted, plan.n
-    check_budget(fixed + _CONE_BYTES * live, "the cone walk", budget)
-    eps, last, cones = np.full(plan.n, plan.eps0), np.zeros(plan.n, dtype=np.int32), {}
+    fixed, live = _WALK_SPIN_BYTES * plan.n + _BOOSTED_BYTES * boosted, 0
+    check_budget(fixed, "the exact walk", budget)
     runs = [(r, _indices(run)) for r, rnd in enumerate(plan.rounds, start=1) for _, run in rnd.blocks]
+    triples = np.concatenate([np.empty(0, np.intp), *(index for _, index in runs)]).reshape(-1, 3)
+    eps, last, histories, holders, t = np.full(plan.n, plan.eps0), np.zeros(plan.n, dtype=np.int32), {}, {}, 0
     for r, index in runs:
         last[index] = r
     for r, index in runs:
         held = eps[index]
-        bits = held.view(np.int64).tolist()
-        if bits[0::3] != bits[1::3] or bits[0::3] != bits[2::3]:
-            return None
+        bits = held.view(np.int64)
+        uniform, out = bool((bits == bits[0]).all()), np.empty_like(held)
+        out[0::3], out[1::3], out[2::3] = _boost_marginals(float(held[0]) if uniform else held[0::3])
+        equal = () if uniform else ((bits[0::3] == bits[1::3]) & (bits[1::3] == bits[2::3])).tolist()
         spins = zip(index.tolist(), (last[index] > r).tolist())
-        for triple in zip(spins, spins, spins):
-            parts = [cones.pop(s, None) or (s,) for s, _ in triple]
-            size, kept = sum(map(len, parts)), [s for s, keep in triple if keep]
-            live += size * (len(kept) - 1)
-            check_budget(fixed + _CONE_BYTES * live, "the cone walk", budget)
-            cone = frozenset().union(*parts)
-            if len(cone) < size:
-                return None
-            cones.update(dict.fromkeys(kept, cone))
-        value = float(held[0]) if len(set(bits)) == 1 else held[0::3]  # a scalar is 20x faster
-        held[0::3], held[1::3], held[2::3] = _boost_marginals(value)
-        eps[index] = held
+        for k, ((a, ka), (b, kb), (c, kc)) in enumerate(zip(spins, spins, spins)):
+            parts = histories.pop(a, ()), histories.pop(b, ()), histories.pop(c, ())
+            for part in filter(None, parts):  # holders counts a history's live spins: it leaves with the last
+                holders[id(part)] -= 1
+                if not holders[id(part)]:
+                    del holders[id(part)]
+                    live -= len(part)
+            history = frozenset((t + k,)).union(*parts)
+            if ka or kb or kc:
+                holders[id(history)], live = ka + kb + kc, live + len(history)
+                check_budget(fixed + _HISTORY_BYTES * live, "the exact walk", budget)
+                for s, keep in ((a, ka), (b, kb), (c, kc)):
+                    if keep:
+                        histories[s] = history
+            if len(history) <= len(parts[0]) + len(parts[1]) + len(parts[2]):  # the histories overlap
+                marginals = _replay_clusters(plan.eps0, triples[sorted(history)], budget)
+                out[3 * k : 3 * k + 3] = marginals[a], marginals[b], marginals[c]
+            elif not (uniform or equal[k]):
+                ea, eb, ec = held[3 * k : 3 * k + 3].tolist()
+                rows = _boost_rows(1.0, ec, eb, eb * ec, ea, ea * ec, ea * eb, ea * eb * ec)
+                out[3 * k : 3 * k + 3] = rows[4], rows[2], rows[1]
+        t += len(index) // 3
+        eps[index] = out
     return eps
 
 
-def _replay_clusters(plan: CoolingPlan) -> np.ndarray:
-    """Per-spin polarizations after the plan's triples, boosted in order.
+def _replay_clusters(eps0: float, triples: np.ndarray, budget: int) -> dict[int, float]:
+    """Polarizations of the spins that (k, 3) `triples` touch, boosted in order from eps0.
 
-    An uncorrelated spin is kept as its polarization alone; spins that a
-    boost has correlated share a cluster: a spin list and a correlator
-    tensor with one axis per spin. A boost merges its spins' clusters,
-    applies the boost matrix to their three axes and reads their marginals.
-    A spin leaves its cluster after its last triple (index 0 on its axis),
-    which keeps the result exact. Before a merge is allocated, its bytes and
-    the live clusters' together are checked against the budget.
+    Correlated spins share a cluster: a spin list and a tensor, one axis per spin. A boost merges
+    its spins' clusters (a fresh spin is (1, eps0)) and applies `_boost_rows` to their axes; a spin
+    leaves after its last triple (index 0 on its axis). Each merge and the live clusters are budgeted.
     """
-    eps = np.full(plan.n, plan.eps0)
-    triples = [tuple(t) for rnd in plan.rounds for t in rnd.triples.tolist()]
-    last = {s: i for i, t in enumerate(triples) for s in t}
-    clusters: dict[int, tuple[list[int], np.ndarray]] = {}
-    budget, live = memory_budget(), 0
+    triples = triples.tolist()
+    eps, last = {}, {s: i for i, t in enumerate(triples) for s in t}
+    clusters, fresh, live = {}, np.array([1.0, eps0]), 0  # fresh is read, never written
     for i, triple in enumerate(triples):
-        parts = []
-        for s in triple:
-            part = clusters.pop(s, None)
-            if part is None:
-                parts.append(([s], np.array([1.0, eps[s]])))
-            elif all(part is not p for p in parts):
-                parts.append(part)
-                live -= part[1].size
+        parts = {id(part): part for part in (clusters.pop(s, None) or ([s], fresh) for s in triple)}.values()
+        live -= sum(part[1].size for part in parts if part[1] is not fresh)  # a cluster counts once
         spins = [s for part in parts for s in part[0]]
         check_budget(8 * (live + 2 ** len(spins)), f"a {len(spins)}-spin merge with the live clusters", budget)
-        merged = reduce(np.multiply.outer, [part[1] for part in parts])
-        merged = np.moveaxis(merged, [spins.index(s) for s in triple], [0, 1, 2]).reshape(8, -1)
-        spins = list(triple) + [s for s in spins if s not in triple]
-        out = _BOOST_2Z @ merged
-        out *= 0.5
-        eps[list(triple)] = out[_MARGINALS, 0]
+        z = reduce(np.multiply.outer, [part[1] for part in parts])
+        if spins != triple:  # the triple's axes first
+            order = [spins.index(s) for s in triple] + [k for k, s in enumerate(spins) if s not in triple]
+            spins, z = [spins[k] for k in order], z.transpose(order)
+        z = z.reshape(8, -1)
+        if z.shape[1] == 1:  # floats take a seventh of the time of one-element arrays
+            out = np.array(_boost_rows(*z[:, 0].tolist())).reshape(8, 1)
+        else:  # 2**14 columns at a time, whose temporaries stay in cache: 3x faster at 2**18
+            out = np.empty_like(z)
+            for k in range(0, z.shape[1], 1 << 14):
+                out[:, k : k + (1 << 14)] = _boost_rows(*z[:, k : k + (1 << 14)])
+        eps.update(zip(triple, out[[4, 2, 1], 0].tolist()))
         kept = [s for s in spins if last[s] > i]
         if kept:
             index = tuple(slice(None) if last[s] > i else 0 for s in spins)
@@ -529,10 +528,10 @@ def _replay_clusters(plan: CoolingPlan) -> np.ndarray:
 def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:
     """Execute a plan under one of two policies.
 
-    "approx" forgets correlations after each boost, one kernel call per
-    block; "exact" costs as much where cones certify every triple and else
-    keeps clusters under the memory budget; "both" runs the two
-    and reports their largest per-spin difference. The planner's coldest pool
+    "approx" forgets correlations after each boost, one kernel call per block;
+    "exact" walks the blocks once and replays in clusters, under the memory budget,
+    only the history of a triple whose spins share one; "both" runs the two and
+    reports their largest per-spin difference. The planner's coldest pool
     (`best_spin`) answers approx `best`, and every mode on a plan it certified
     (all blocks ranges, see `plan_rounds`), with a difference of 0. A replay those
     answers spare waits until `eps_approx` or `eps_exact` is read; the others

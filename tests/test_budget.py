@@ -76,7 +76,11 @@ _ENGINES = {
         st.integers(1, 18).map(lambda n: lambda: cs.thermal_state(n)),
         st.integers(2, 18).map(lambda n: lambda: states.iz_product_diag(n, [0, n - 1])),
     ),
-    "clusters": _hand_plans().map(lambda plan: lambda: cooling._replay_clusters(plan)),
+    "clusters": _hand_plans().map(
+        lambda plan: lambda: cooling._replay_clusters(
+            plan.eps0, np.concatenate([rnd.triples for rnd in plan.rounds]), states.memory_budget()
+        )
+    ),
     "dense": st.one_of(
         st.integers(3, 7).map(lambda n: (lambda seq: lambda: cs.simulate_sequence(seq))(_boost_sequence(n))),
         st.integers(1, 8).map(lambda n: lambda: cs.permutation_unitary(np.roll(np.arange(2**n), 1))),
@@ -89,9 +93,9 @@ _ENGINES = {
     "approx replay": st.tuples(st.integers(1, 10), st.booleans()).map(
         lambda args: (lambda plan: lambda: cooling._replay_approx(plan))(_planned(*args))
     ),
-    # A copy is not certified, so the walk runs; recycled copies hold large shared cones.
-    "cone walk": st.tuples(st.integers(1, 7), st.booleans()).map(
-        lambda args: (lambda plan: lambda: cooling._walk_cones(plan))(dataclasses.replace(_planned(*args)))
+    # A copy is not certified, so the walk runs; recycled copies hold large shared histories.
+    "exact walk": st.tuples(st.integers(1, 7), st.booleans()).map(
+        lambda args: (lambda plan: lambda: cooling._replay_exact(plan))(dataclasses.replace(_planned(*args)))
     ),
 }
 

@@ -424,21 +424,28 @@ def test_cool_exact_mode_is_bounded_by_its_cluster_not_by_n(capsys, monkeypatch)
 
 
 def test_cool_exact_mode_beyond_capacity_exits_4(capsys, monkeypatch):
-    # Recycling merges a 12-spin cluster on this tie-merged plan: 32 KiB, over
-    # a budget of 16 KiB that its cone walk (9312 bytes) fits.
-    monkeypatch.setenv("COOLSPIN_MAX_N", "11")
-    code, _, err = run(capsys, *_COOL_27_TIES, "--recycle")
-    assert code == 4
-    assert err.startswith("capacity: a 12-spin merge with the live clusters needs 32768 bytes, over the budget of 16384")
+    # The walk of this tie-merged plan states 6768 bytes before it walks: over a
+    # budget of 4 KiB. Its two overlapping triples replay in clusters of 6 spins.
+    monkeypatch.setenv("COOLSPIN_MAX_N", "9")
+    code, out, err = run(capsys, *_COOL_27_TIES, "--recycle")
+    assert (code, out) == (4, "")
+    assert err.startswith("capacity: the exact walk needs 6768 bytes, over the budget of 4096")
+
+
+_COOL_729_TIES = ("cool", "--n", "729", "--eps0", "1e-9", "--target-eps", "1.1e-8", "--recycle", "--mode", "exact")
 
 
 def test_cool_exact_mode_bounds_the_sum_of_its_live_clusters(capsys, monkeypatch):
-    # The 12-spin merge that trips the budget of 128 KiB needs 32 KiB alone,
-    # but with it the live clusters together would outgrow the budget.
-    monkeypatch.setenv("COOLSPIN_MAX_N", "14")
-    code, _, err = run(capsys, "cool", "--n", "243", "--eps0", "1e-11", "--target-eps", "7.59375e-11", "--recycle", "--mode", "exact")
-    assert code == 4
-    assert err.startswith("capacity: a 12-spin merge with the live clusters needs 131840 bytes, over the budget of 131072")
+    # A round-6 triple replays its history through a 21-spin merge: 16 MiB alone
+    # fits a budget of 16 MiB, but with the live clusters it would outgrow it.
+    monkeypatch.setenv("COOLSPIN_MAX_N", "21")
+    code, out, err = run(capsys, *_COOL_729_TIES)
+    assert (code, out) == (4, "")
+    assert err.startswith("capacity: a 21-spin merge with the live clusters needs 16777280 bytes, over the budget of 16777216")
+    monkeypatch.setenv("COOLSPIN_MAX_N", "22")
+    code, out, err = run(capsys, *_COOL_729_TIES)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "simulated best (exact): spin s0 at 1.1390625e-08"
 
 
 def test_cool_prints_each_rounds_pools_in_numeric_order(capsys):
@@ -528,13 +535,34 @@ def test_cool_keeps_a_subnormal_polarization(capsys):
     assert out.splitlines()[-1] == "simulated best (approx): spin s0 at 9.88131291682e-324"
 
 
-def test_cool_still_refuses_a_tie_merged_plan_past_the_cluster_budget(capsys):
+def test_cool_answers_a_tie_merged_plan_that_the_whole_plan_replay_refused(capsys):
+    # Replaying the whole plan in clusters needed 25 live spins: exit 4 at the default
+    # budget. Each of its 48 overlapping triples replays its own history instead, in
+    # clusters of up to 12 spins.
     argv = ("--n", "243", "--eps0", "1e-11", "--target-eps", "7.59375e-11", "--recycle", "--mode", "exact")
+    assert run(capsys, "cool", *argv) == (
+        0,
+        "round 1: 81 boosts, input pools: 1e-11\n"
+        "round 2: 54 boosts, input pools: 1.5e-11 5e-12\n"
+        "round 3: 36 boosts, input pools: 2.25e-11 7.5e-12 2.5e-12\n"
+        "round 4: 24 boosts, input pools: 3.375e-11 1.125e-11 3.75e-12 1.25e-12\n"
+        "round 5: 16 boosts, input pools: 5.0625e-11 1.6875e-11 5.625e-12 1.875e-12 6.25e-13\n"
+        "boost gates: 1055\n"
+        "refocus gates: 1164\n"
+        "total gates: 2219\n"
+        "predicted best polarization: 7.59375e-11\n"
+        "simulated best (exact): spin s0 at 7.59375e-11\n",
+        "",
+    )
+
+
+def test_cool_still_refuses_a_tie_merged_plan_past_the_cluster_budget(capsys):
+    argv = ("--n", "2187", "--eps0", "1e-10", "--target-eps", "1.6e-9", "--recycle", "--mode", "exact")
     # The replay refuses before the plan's report is printed, so stdout stays empty.
     assert run(capsys, "cool", *argv) == (
         4,
         "",
-        "capacity: a 24-spin merge with the live clusters needs 134230016 bytes,"
+        "capacity: a 24-spin merge with the live clusters needs 134219072 bytes,"
         " over the budget of 134217728 (override with COOLSPIN_MAX_N)\n",
     )
 

@@ -23,6 +23,7 @@ from coolspin import (
 )
 from coolspin import cooling
 from coolspin.cooling import GATES_PER_BOOST, Round
+from coolspin.gates import boost_circuit, circuit_permutation
 from coolspin.states import CAPACITY_ENV_VAR
 
 import oracles
@@ -51,12 +52,24 @@ def test_boost_marginals_lie_within_4_ulp_of_the_rational_oracle(eps):
         assert abs(Fraction(got) - want) <= 4 * Fraction(np.spacing(abs(float(want))))
 
 
+# The boost on Z correlators, from the circuit: W P W / 8 with W the Sylvester-Hadamard
+# matrix (W @ probs are the correlators, W @ W = 8) and P the boost's basis permutation.
+_H = np.array([[1.0, 1.0], [1.0, -1.0]])
+_W_3 = np.kron(np.kron(_H, _H), _H)
+_BOOST_Z = _W_3[:, circuit_permutation(boost_circuit(), 3)] @ _W_3 / 8
+
+
+def test_the_boost_rows_are_the_circuits_matrix():
+    # Each entry of W P W / 8 is 0, +-1/2 or +-1, so the identity's columns come out exact.
+    assert np.array(cooling._boost_rows(*np.eye(8))).tolist() == _BOOST_Z.tolist()
+
+
 def _fixed_order_marginals(eps):
     """Rows a, b, c of `_BOOST_Z @ z`, summed term by term in the kernel's fixed order."""
     powers = [1.0, eps, eps * eps, eps * eps * eps]
     z = [powers[bin(j).count("1")] for j in range(8)]
     rows = []
-    for row in cooling._BOOST_Z[cooling._MARGINALS].tolist():
+    for row in _BOOST_Z[[4, 2, 1]].tolist():  # rows a, b, c
         t = [m * z_j for m, z_j in zip(row, z)]
         rows.append(((t[0] + t[4]) + (t[2] + t[6])) + ((t[1] + t[5]) + (t[3] + t[7])))
     return rows
@@ -86,6 +99,12 @@ def test_boost_kernel_gives_the_same_bits_on_a_float_an_array_and_the_matrix_row
     assert all(type(x) is float for x in scalar)
     array = cooling._boost_marginals(np.array([eps, eps]))
     assert _bits(array) == [[b, b] for b in _bits(scalar)]
+    # The rows that the exact walk and the cluster replay apply give the kernel's bits on
+    # three spins at eps, but for the sign of b's zero at -5e-324 (-0.0, the kernel's 0.0).
+    rows = cooling._boost_rows(1.0, eps, eps, eps * eps, eps, eps * eps, eps * eps, eps * eps * eps)
+    assert [rows[4], rows[2], rows[1]] == list(scalar)
+    if eps != -5e-324:
+        assert _bits([rows[4], rows[2], rows[1]]) == _bits(scalar)
     if (0.5 * eps) * 2.0 == eps:  # halving eps is exact: the matrix rows' bits
         assert _bits(scalar) == _bits(_fixed_order_marginals(eps))
     else:  # a subnormal with an odd last bit: a is 3/2 eps rounded once, b and c keep their bits
@@ -170,6 +189,11 @@ def test_plan_rounds_validation():
         plan_rounds(3, 1e-5, 1e-5)
     with pytest.raises(ValueError):
         plan_rounds(3, 1e-5, 1.5)
+    # These raised OverflowError and TypeError.
+    with pytest.raises(ValueError, match="^n must be finite, got inf$"):
+        plan_rounds(float("inf"), 1e-3, 2e-3)
+    with pytest.raises(ValueError, match="^n must be a number, got '27'$"):
+        plan_rounds("27", 1e-3, 2e-3)
 
 
 def test_plan_rounds_reports_unreachable_targets():
@@ -537,7 +561,7 @@ def test_a_plan_loaded_from_its_dict_equals_it_and_replays_bit_for_bit(plan):
     assert again.labels == tuple(plan.label(i) for i in range(plan.n))
     assert simulate_plan(again).eps_approx.tobytes() == simulate_plan(plan).eps_approx.tobytes()
     # A small budget (8 MiB) keeps the recycled clusters, and their sum, small,
-    # yet holds the cone walk of a copy of a certified 2187-spin plan (5 MB).
+    # yet holds the exact walk of a copy of a certified 2187-spin plan (4 MB).
     with pytest.MonkeyPatch.context() as env:
         env.setenv(CAPACITY_ENV_VAR, "20")
         try:
@@ -733,7 +757,7 @@ def test_a_hand_made_plan_with_interleaved_range_blocks_is_refused_naming_a_spin
 
 
 def test_a_float32_pool_value_is_replayed_in_double_precision():
-    # The approx replay boosted a float32 value in float32: 4.716e-09 off the cone walk.
+    # The approx replay boosted a float32 value in float32: 4.716e-09 off the exact walk.
     value = np.float32(0.1)
     plan = CoolingPlan(3, float(value), 1.0, False, [Round(blocks=[(value, range(3))])], 0.5)
     result = simulate_plan(plan, mode="both")
@@ -896,19 +920,21 @@ def test_exact_simulation_respects_population_capacity(monkeypatch):
     monkeypatch.delenv(CAPACITY_ENV_VAR, raising=False)
     result = simulate_plan(plan_rounds(27, 1e-5, 3.34e-5), mode="both")
     assert result.discrepancy == 0.0
-    # Where float ties merge recycled pools, clusters of up to 12 spins form:
-    # 32 KiB, over a budget of 16 KiB that the cone walk before them fits.
+    # Where float ties merge recycled pools, the walk replays the histories of two
+    # triples in clusters of up to 6 spins, but states 6768 bytes of its own first:
+    # over a budget of 4 KiB.
     recycled = plan_rounds(27, 1e-9, 3.34e-9, recycle=True)
-    monkeypatch.setenv(CAPACITY_ENV_VAR, "11")
-    with pytest.raises(CapacityError, match="a 12-spin merge with the live clusters needs 32768 bytes, over the budget of 16384"):
+    monkeypatch.setenv(CAPACITY_ENV_VAR, "9")
+    with pytest.raises(CapacityError, match="the exact walk needs 6768 bytes, over the budget of 4096"):
         simulate_plan(recycled, mode="exact")
     # The approx policy has no such ceiling.
     assert simulate_plan(recycled, mode="approx").eps_approx is not None
 
 
 def test_exact_replay_reads_the_spin_budget_once(monkeypatch):
-    # Once per engine: the cone walk finds overlapping cones, and the cluster engine replays.
-    reads = []
+    # Once per replay: the walk hands its budget to the cluster replay of each of the
+    # two triples whose histories overlap.
+    reads, clusters = [], _spy_on_the_cluster_engine(monkeypatch)
 
     def spy():
         reads.append(sys._getframe(1).f_code.co_name)
@@ -917,15 +943,24 @@ def test_exact_replay_reads_the_spin_budget_once(monkeypatch):
     budget = cooling.memory_budget
     monkeypatch.setattr(cooling, "memory_budget", spy)
     simulate_plan(plan_rounds(27, 1e-9, 3.34e-9, recycle=True), mode="exact")
-    assert reads == ["_walk_cones", "_replay_clusters"]
+    assert (reads, len(clusters)) == (["_replay_exact"], 2)
+
+
+def test_the_exact_walk_states_a_shared_history_once(monkeypatch):
+    # Round 1 keeps both outputs a and b of each triple, and the two share their
+    # triple's one-element history: three histories stated once each, not six.
+    stated, check = [], cooling.check_budget
+    monkeypatch.setattr(cooling, "check_budget", lambda nbytes, *args: stated.append(nbytes) or check(nbytes, *args))
+    cooling._replay_exact(_plan(9, 0.3, [[(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(0, 3, 6), (1, 4, 7)]]))
+    assert max(stated) == cooling._WALK_SPIN_BYTES * 9 + cooling._BOOSTED_BYTES * 15 + cooling._HISTORY_BYTES * 3
 
 
 def test_the_cluster_engine_bounds_the_sum_of_its_live_clusters(monkeypatch):
     # Round 1 leaves three 3-spin clusters of 8 entries (64 bytes) each, which
     # round 2 boosts again: each fits a budget of 128 bytes, but the third would
-    # bring the live clusters to 192 bytes. The cone walk alone would need more
-    # than either budget, so the cluster engine is called directly.
-    rounds = [[(0, 1, 2), (3, 4, 5), (6, 7, 8)]] * 2
+    # bring the live clusters to 192 bytes. The walk alone would need more than
+    # either budget, so the cluster replay is called directly.
+    triples = np.array([(0, 1, 2), (3, 4, 5), (6, 7, 8)] * 2)
     merges = []
 
     def spy(*args):
@@ -935,21 +970,27 @@ def test_the_cluster_engine_bounds_the_sum_of_its_live_clusters(monkeypatch):
 
     merge = cooling.reduce
     monkeypatch.setattr(cooling, "reduce", spy)
-    monkeypatch.setenv(CAPACITY_ENV_VAR, "4")
     with pytest.raises(CapacityError, match="a 3-spin merge with the live clusters needs 192 bytes, over the budget of 128"):
-        cooling._replay_clusters(_plan(9, 0.3, rounds))
+        cooling._replay_clusters(0.3, triples, 128)
     assert merges == [3, 3]  # the third triple's cluster is never allocated
-    monkeypatch.setenv(CAPACITY_ENV_VAR, "5")
-    got = cooling._replay_clusters(_plan(9, 0.3, rounds))
-    want = oracles.replay_exact(9, 0.3, [t for rnd in rounds for t in rnd])
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    got = cooling._replay_clusters(0.3, triples, 256)
+    want = oracles.replay_exact(9, 0.3, triples.tolist())
+    np.testing.assert_allclose([got[s] for s in range(9)], want, rtol=0.0, atol=1e-14)
 
 
 def _spy_on_the_cluster_engine(env) -> list:
-    """Patch `_replay_clusters` to record each plan it replays."""
+    """Patch `_replay_clusters` to record, as a list, each triple list it replays."""
     calls, engine = [], cooling._replay_clusters
-    env.setattr(cooling, "_replay_clusters", lambda plan: calls.append(plan) or engine(plan))
+    env.setattr(cooling, "_replay_clusters", lambda eps0, triples, budget: calls.append(triples.tolist()) or engine(eps0, triples, budget))
     return calls
+
+
+def _replay_whole(plan, budget: int) -> np.ndarray:
+    """Per-spin values of the cluster replay over the plan's whole triple list."""
+    eps = np.full(plan.n, plan.eps0)
+    got = cooling._replay_clusters(plan.eps0, np.concatenate([np.empty((0, 3), np.intp), *(r.triples for r in plan.rounds)]), budget)
+    eps[list(got)] = list(got.values())
+    return eps
 
 
 @st.composite
@@ -963,26 +1004,44 @@ def _recycled_plans(draw):
     return plan_rounds(n, eps0, 0.99 * target, recycle=True)
 
 
+@st.composite
+def _tie_prone_copies(draw):
+    """An uncertified copy of a recycled planner plan at n <= 243 and eps0 in [1e-13, 1e-9]."""
+    n = draw(st.integers(min_value=3, max_value=243))
+    eps0 = 10.0 ** draw(st.floats(min_value=-13.0, max_value=-9.0))
+    target = eps0
+    for _ in range(draw(st.integers(min_value=1, max_value=int(math.log(n, 3) + 1e-9)))):
+        target = boost_exact(target).eps_a
+    return dataclasses.replace(plan_rounds(n, eps0, 0.99 * target, recycle=True))
+
+
 @settings(max_examples=100, deadline=None)
-@given(plan=st.one_of(_random_plans(), _recycled_plans()))
+@given(plan=st.one_of(_random_plans(), _recycled_plans(), _tie_prone_copies()))
 @example(plan=plan_rounds(27, 1e-5, 3.34e-5, recycle=True))
 @example(plan=_plan(9, 1.0, [[(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(0, 3, 6)]]))
 @example(plan=_plan(3, 5e-324, [[(0, 1, 2)]]))
-def test_a_certified_replay_equals_the_cluster_engine(plan):
+@example(plan=_plan(9, 0.7965508638067442, [[(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(0, 6, 2), (3, 1, 7)], [(0, 1, 2)]]))
+# Tie-merged: the walk answers it, while its whole-plan cluster replay needs 25 live spins.
+@example(plan=dataclasses.replace(plan_rounds(243, 1e-11, 7.59375e-11, recycle=True)))
+def test_the_exact_walk_equals_the_cluster_replay_of_the_whole_plan(plan):
     with pytest.MonkeyPatch.context() as env:
-        env.setenv(CAPACITY_ENV_VAR, "24")
+        env.delenv(CAPACITY_ENV_VAR, raising=False)  # the default budget admits every walk here
         calls = _spy_on_the_cluster_engine(env)
-        try:
-            got = simulate_plan(plan, mode="exact").eps_exact
-        except CapacityError:  # only the cluster engine has a spin budget
-            assert calls
-            return
-        # A plan without tie-merged blocks boosts disjoint histories only.
-        if all(isinstance(run, range) for rnd in plan.rounds for _, run in rnd.blocks):
-            assert calls == []
-        if not calls:  # every triple was certified
-            want = cooling._replay_clusters(plan)
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        got = simulate_plan(plan, mode="exact").eps_exact
+    # A plan without tie-merged blocks boosts disjoint histories only.
+    if all(isinstance(run, range) for rnd in plan.rounds for _, run in rnd.blocks):
+        assert calls == []
+    try:  # 8 MiB: a merge of up to 19 spins with the live clusters
+        want = _replay_whole(plan, 8 << 20)
+    except CapacityError:
+        return
+    # Both sum each boost row in the kernel's order, and a planner plan's bits agree
+    # (on 1800 seeded copies too). A hand-made plan may hold two independent spins in
+    # one cluster, whose product the cluster replay rounds before the third marginal
+    # multiplies it: 1 ulp off the walk's product of three.
+    if plan.recycle:
+        assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 def test_only_a_plan_whose_cones_overlap_reaches_the_cluster_engine(monkeypatch):
@@ -991,10 +1050,13 @@ def test_only_a_plan_whose_cones_overlap_reaches_the_cluster_engine(monkeypatch)
     assert simulate_plan(tie_free, mode="both").discrepancy == 0.0
     assert calls == []
     # At 1e-9 float ties merge recycled pools, and 2 of its 19 triples boost
-    # spins that share an original spin.
+    # spins that share an original spin: each replays its history and itself.
     tied = plan_rounds(27, 1e-9, 3.34e-9, recycle=True)
     simulate_plan(tied, mode="exact")
-    assert calls == [tied]
+    assert [len(triples) for triples in calls] == [10, 10]
+    whole = [t for rnd in tied.rounds for t in rnd.triples.tolist()]
+    for triples in calls:
+        assert triples == sorted(triples, key=whole.index)  # in the plan's order
 
 
 @settings(max_examples=120, deadline=None)
@@ -1017,14 +1079,14 @@ def test_the_planner_certifies_exactly_its_all_range_plans(plan):
         result = simulate_plan(plan, mode="both")
         assert "eps_exact" not in vars(result) and "eps_approx" not in vars(result)  # nothing replayed
         assert result.discrepancy == 0.0 and result.best() == (plan.best_spin, plan.predicted_best)
-        # A copy that passes the public constructor carries no certificate: the cone walk.
+        # A copy that passes the public constructor carries no certificate: the exact walk.
         copy = dataclasses.replace(plan)
         assert not copy._certified
-        cone_walk = simulate_plan(copy, mode="exact").eps_exact
+        walked = simulate_plan(copy, mode="exact").eps_exact
         assert calls == []
-    assert result.eps_exact.tobytes() == cone_walk.tobytes() == result.eps_approx.tobytes()
-    spin = int(np.argmax(cone_walk))
-    assert result.best() == (spin, float(cone_walk[spin]))
+    assert result.eps_exact.tobytes() == walked.tobytes() == result.eps_approx.tobytes()
+    spin = int(np.argmax(walked))
+    assert result.best() == (spin, float(walked[spin]))
     if plan.n <= 12:
         want = oracles.replay_exact(plan.n, plan.eps0, [t for rnd in plan.rounds for t in rnd.triples])
         np.testing.assert_allclose(result.eps_exact, want, rtol=0.0, atol=1e-14)
@@ -1056,7 +1118,7 @@ def test_an_edit_to_a_certified_plan_voids_its_certificate(monkeypatch, edit):
     assert not copy._certified and copy.best_spin is None
     result = simulate_plan(copy, mode="exact")
     assert walks == ["exact"]
-    assert clusters == ([copy] if edit == "append-round" else [])
+    assert len(clusters) == (edit == "append-round")
     want = oracles.replay_exact(9, copy.eps0, [t for rnd in copy.rounds for t in rnd.triples])
     np.testing.assert_allclose(result.eps_exact, want, rtol=0.0, atol=1e-14)
     spin = int(np.argmax(result.eps_exact))
