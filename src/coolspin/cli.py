@@ -120,7 +120,7 @@ def cmd_cool(*, n, eps0, target_eps, recycle, mode, out) -> Output:
     text = ""
     for i, rnd in enumerate(plan.rounds, start=1):
         # A round's block values are floats already: no `_fmt` cast per pool.
-        pools = " ".join(dict.fromkeys(f"{value:.12g}" for value, _ in rnd.blocks))
+        pools = " ".join(dict.fromkeys([f"{value:.12g}" for value, _ in rnd.blocks]))
         text += f"round {i}: {rnd.boosts} boosts, input pools: {pools}\n"
     text += (
         f"boost gates: {plan.boost_gate_count}\n"

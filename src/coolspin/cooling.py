@@ -166,7 +166,7 @@ class Round:
 
     @cached_property
     def boosts(self) -> int:
-        """Number of triples, counted from the blocks once."""
+        """Number of triples: recorded by the planner as it builds the blocks, else counted from them once."""
         return sum(len(spins) for _, spins in self.blocks) // 3
 
     def __eq__(self, other) -> bool:
@@ -317,22 +317,28 @@ def plan_rounds(
     Pools are keyed by exact polarization value; identical histories give
     bit-identical floats, so float keys are deterministic. Triples never mix
     pools. A pool is a tuple of index runs, starting as `(range(n),)`; its
-    first 3k spins are the round's block, its a-spins `spins[0:end:3]` (and,
-    when recycling, its b-spins `spins[1:end:3]`) join the boosted pools as
-    runs, and `spins[end:]` stays. Slicing keeps a range a range, so a round
-    costs O(pools) and one boost per pool value; only a pool that float ties
-    fed several runs (eps0 below about 1e-9) is merged into a sorted index
-    array when its round comes. Raises the infeasibility error when no pool
+    first 3k spins are the round's block, its a-spins (and, when recycling,
+    its b-spins) join the boosted pools as runs, and the rest stays. A pool
+    that is one range(start, _, step) is split by arithmetic, with stop =
+    start + 3k * step: the block is range(start, stop, step), or the pool
+    itself when it splits whole, and the a- and b-runs are range(start, stop,
+    3 * step) and range(start + step, stop, 3 * step), the spins of the slices
+    `spins[:3k]`, `[0:3k:3]` and `[1:3k:3]`. So a round costs O(pools) and one
+    boost per pool value; only a pool that float ties fed several runs (eps0
+    below about 1e-9) is merged into a sorted index array when its round comes,
+    and sliced. The pool values are sorted once per round, coldest first: the
+    loop's test and the best pool read that order. Each round records its
+    boost count as it is built. Raises the infeasibility error when no pool
     can field a triple and the target is still out of reach.
 
-    A plan whose blocks are all ranges is certified. A pool of several runs
-    becomes an array, and slices of an array stay arrays, so a range block was
-    sliced from `range(n)` only through pools of one run. By induction its
-    spins have disjoint cones (an a- or b-output joins its own triple's
-    disjoint cones, a leftover keeps its own), so every triple boosts three
-    independent spins at the pool value (Schulman & Vazirani, STOC 1999). Ties
-    among pools that no round boosts leave the certificate alone. Only here do
-    blocks skip the plan's checks.
+    A plan whose blocks are all ranges is certified, and the first index-array
+    block clears the certificate. A pool of several runs becomes an array, and
+    slices of an array stay arrays, so a range block was split from `range(n)`
+    only through pools of one run. By induction its spins have disjoint cones
+    (an a- or b-output joins its own triple's disjoint cones, a leftover keeps
+    its own), so every triple boosts three independent spins at the pool value
+    (Schulman & Vazirani, STOC 1999). Ties among pools that no round boosts
+    leave the certificate alone. Only here do blocks skip the plan's checks.
     """
     if as_finite("n", n) < 3 or n != int(n):  # a string, inf or NaN is refused first
         raise ValueError(f"need at least three spins to form a triple, got {n}")
@@ -348,37 +354,46 @@ def plan_rounds(
     # and a list per pool made the k = 17 recycled plan at n = 1e9 25% slower.
     pools: dict[float, tuple[range | np.ndarray, ...]] = {eps0: (range(n),)}
     rounds: list[Round] = []
-    while max(pools) < target_eps:  # a round that boosts leaves the pools nonempty
+    certified = True
+    while (order := sorted(pools, reverse=True))[0] < target_eps:  # a round that boosts leaves pools nonempty
         blocks: list[tuple[float, range | np.ndarray]] = []
         next_pools: dict[float, tuple[range | np.ndarray, ...]] = {}
-        for value in sorted(pools, reverse=True):
+        boosts = 0
+        for value in order:
             runs = pools[value]
             spins = runs[0] if len(runs) == 1 else _read_only(np.sort(np.concatenate([_indices(r) for r in runs])))
             size = len(spins)
             end = size - size % 3
             if end:
+                if isinstance(spins, range):  # split by arithmetic: the slices' spins, at less cost
+                    start, step = spins.start, spins.step
+                    stop = start + end * step
+                    block = spins if end == size else range(start, stop, step)
+                    a, b = range(start, stop, 3 * step), range(start + step, stop, 3 * step)
+                else:
+                    block, a, b, certified = spins[:end], spins[0:end:3], spins[1:end:3], False
                 eps_a, eps_b, _ = _boost_marginals(value)
-                blocks.append((value, spins[:end]))
-                next_pools[eps_a] = next_pools.get(eps_a, ()) + (spins[0:end:3],)
+                blocks.append((value, block))
+                boosts += end // 3
+                next_pools[eps_a] = next_pools.get(eps_a, ()) + (a,)
                 if recycle:
-                    next_pools[eps_b] = next_pools.get(eps_b, ()) + (spins[1:end:3],)
+                    next_pools[eps_b] = next_pools.get(eps_b, ()) + (b,)
             if end < size:
                 next_pools[value] = next_pools.get(value, ()) + (spins[end:],)
         if not blocks:
             # Twelve digits, as the CLI prints, or in full where they read alike.
-            target, best = f"{target_eps:.12g}", f"{max(pools):.12g}"
+            target, best = f"{target_eps:.12g}", f"{order[0]:.12g}"
             if best == target:
-                target, best = repr(float(target_eps)), repr(float(max(pools)))
+                target, best = repr(float(target_eps)), repr(float(order[0]))
             raise InfeasibleError(
                 f"target {target} is unreachable with n={n} (best reachable pool sits at {best})"
             )
         rounds.append(Round.__new__(Round))  # no copies: the planner's arrays are its own, and read-only
-        vars(rounds[-1])["blocks"] = tuple(blocks)
+        vars(rounds[-1]).update(blocks=tuple(blocks), boosts=boosts)  # the cached count, set as it was counted
         pools = next_pools
 
-    best_spin = min(int(run[0]) for run in pools[max(pools)])
-    certified = all(isinstance(run, range) for rnd in rounds for _, run in rnd.blocks)
-    vars(plan).update(rounds=tuple(rounds), predicted_best=max(pools), best_spin=best_spin, _certified=certified)
+    best_spin = min(int(run[0]) for run in pools[order[0]])
+    vars(plan).update(rounds=tuple(rounds), predicted_best=order[0], best_spin=best_spin, _certified=certified)
     return plan
 
 
@@ -495,34 +510,47 @@ def _replay_clusters(eps0: float, triples: np.ndarray, budget: int) -> dict[int,
 
     Correlated spins share a cluster: a spin list and a tensor, one axis per spin. A boost merges
     its spins' clusters (a fresh spin is (1, eps0)) and applies `_boost_rows` to their axes; a spin
-    leaves after its last triple (index 0 on its axis). Each merge and the live clusters are budgeted.
+    leaves after its last triple (index 0 on its axis). Each merge is budgeted with the live
+    clusters, its own parts among them, which stay held until it is done.
     """
     triples = triples.tolist()
     eps, last = {}, {s: i for i, t in enumerate(triples) for s in t}
     clusters, fresh, live = {}, np.array([1.0, eps0]), 0  # fresh is read, never written
     for i, triple in enumerate(triples):
         parts = {id(part): part for part in (clusters.pop(s, None) or ([s], fresh) for s in triple)}.values()
-        live -= sum(part[1].size for part in parts if part[1] is not fresh)  # a cluster counts once
-        spins = [s for part in parts for s in part[0]]
-        check_budget(8 * (live + 2 ** len(spins)), f"a {len(spins)}-spin merge with the live clusters", budget)
-        z = reduce(np.multiply.outer, [part[1] for part in parts])
-        if spins != triple:  # the triple's axes first
-            order = [spins.index(s) for s in triple] + [k for k, s in enumerate(spins) if s not in triple]
-            spins, z = [spins[k] for k in order], z.transpose(order)
-        z = z.reshape(8, -1)
-        if z.shape[1] == 1:  # floats take a seventh of the time of one-element arrays
-            out = np.array(_boost_rows(*z[:, 0].tolist())).reshape(8, 1)
-        else:  # 2**14 columns at a time, whose temporaries stay in cache: 3x faster at 2**18
-            out = np.empty_like(z)
-            for k in range(0, z.shape[1], 1 << 14):
-                out[:, k : k + (1 << 14)] = _boost_rows(*z[:, k : k + (1 << 14)])
-        eps.update(zip(triple, out[[4, 2, 1], 0].tolist()))
+        merged = [s for part in parts for s in part[0]]
+        spins = triple + [s for s in merged if s not in triple]  # the triple's axes first
+        check_budget(8 * (live + 2 * 2 ** len(spins)), f"a {len(spins)}-spin merge with the live clusters", budget)
         kept = [s for s in spins if last[s] > i]
+        index = tuple(slice(None) if last[s] > i else 0 for s in spins)
+        marginals, cluster = _boost_cluster([part[1] for part in parts], [merged.index(s) for s in spins], index)
+        eps.update(zip(triple, marginals))
+        live -= sum(part[1].size for part in parts if part[1] is not fresh)  # a cluster counts once
         if kept:
-            index = tuple(slice(None) if last[s] > i else 0 for s in spins)
-            clusters.update(dict.fromkeys(kept, (kept, out.reshape((2,) * len(spins))[index])))
-            live += 2 ** len(kept)
+            clusters.update(dict.fromkeys(kept, (kept, cluster)))
+            live += cluster.size
     return eps
+
+
+def _boost_cluster(tensors: list[np.ndarray], order: list[int], index: tuple) -> tuple[list[float], np.ndarray]:
+    """Boost axes 0-2 of the tensors' outer product, transposed to `order`: marginals a, b, c and the kept tensor.
+
+    `index` reads a dropped axis at 0. Of 2**k entries, a merge holds at most twice that at once:
+    the outer product and its copy, then the copy, boosted in place, and one chunk's temporaries
+    (8 rows of at most 2**k / 8 columns). Where `index` drops an axis, the tensor returned is a
+    copy, so it holds only the kept entries and not the merge's whole output.
+    """
+    out = reduce(np.multiply.outer, tensors).transpose(order).copy()  # in C order, so the reshape is a view
+    z = out.reshape(8, -1)
+    if z.shape[1] == 1:  # floats take a seventh of the time of one-element arrays
+        z[:, 0] = _boost_rows(*z[:, 0].tolist())
+    else:  # 2**12 columns at a time, whose temporaries stay in cache
+        for k in range(0, z.shape[1], 1 << 12):
+            chunk = z[:, k : k + (1 << 12)]
+            for row, boosted in zip(chunk, _boost_rows(*chunk)):  # each row is computed before any is written
+                row[...] = boosted
+    kept = out[index]
+    return z[[4, 2, 1], 0].tolist(), kept.copy() if kept.size < out.size else kept
 
 
 def simulate_plan(plan: CoolingPlan, mode: str = "approx") -> PlanResult:

@@ -110,6 +110,41 @@ def test_each_engine_peaks_within_twice_its_stated_bytes(engine, data):
     assert peak <= 2 * stated + MiB, (peak, stated)
 
 
+def test_each_cluster_merge_holds_what_it_states(monkeypatch):
+    # A chain of triples grows one 19-spin cluster of 4 MiB; the next triple
+    # merges it again and drops three spins. A merge holds its outer product and
+    # a contiguous copy, boosted in place, and the kept cluster is copied out, so
+    # the merge's whole output does not outlive it. From one budget check to the
+    # next, the traced peak stays within the bytes stated at the first, but for
+    # numpy's ufunc buffers (up to 3 x 64 KiB).
+    chain = [(2 * j, 2 * j + 1, 2 * j + 2) for j in range(9)]
+    closers = [(0, 1, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12), (13, 14, 15), (16, 17, 18), (17, 18, 2)]
+    triples = np.array(chain + closers)
+    peak, stated = _traced(lambda: cooling._replay_clusters(0.01, triples, states.memory_budget()))
+    assert peak <= 2 * stated + MiB, (peak, stated)
+    assert stated == 8 * (2**19 + 2 * 2**19)  # the second 19-spin merge, with its part live
+
+    merges, check = [], states.check_budget
+
+    def spy(nbytes, what, budget=None):
+        if merges:
+            merges[-1][1] = tracemalloc.get_traced_memory()[1] - before
+        merges.append([nbytes, 0])
+        tracemalloc.reset_peak()
+        return check(nbytes, what, budget)
+
+    monkeypatch.setattr(cooling, "check_budget", spy)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cooling._replay_clusters(0.01, triples, states.memory_budget())
+        merges[-1][1] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(merges) == len(triples)
+    assert all(peak <= nbytes + MiB // 4 for nbytes, peak in merges), merges
+
+
 def test_a_dense_matrix_of_20_spins_is_refused_before_anything_is_allocated(monkeypatch):
     # COOLSPIN_MAX_N = 20 allows a 20-spin population vector (8 MiB), but the
     # 2**20 x 2**20 matrix needs 48 * 4**20 bytes: 48 TiB.

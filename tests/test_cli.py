@@ -436,13 +436,14 @@ _COOL_729_TIES = ("cool", "--n", "729", "--eps0", "1e-9", "--target-eps", "1.1e-
 
 
 def test_cool_exact_mode_bounds_the_sum_of_its_live_clusters(capsys, monkeypatch):
-    # A round-6 triple replays its history through a 21-spin merge: 16 MiB alone
-    # fits a budget of 16 MiB, but with the live clusters it would outgrow it.
-    monkeypatch.setenv("COOLSPIN_MAX_N", "21")
+    # A round-6 triple replays its history through a 21-spin merge, which holds
+    # twice its 16 MiB at once: 32 MiB alone fits a budget of 32 MiB, but with
+    # the live clusters it would outgrow it.
+    monkeypatch.setenv("COOLSPIN_MAX_N", "22")
     code, out, err = run(capsys, *_COOL_729_TIES)
     assert (code, out) == (4, "")
-    assert err.startswith("capacity: a 21-spin merge with the live clusters needs 16777280 bytes, over the budget of 16777216")
-    monkeypatch.setenv("COOLSPIN_MAX_N", "22")
+    assert err.startswith("capacity: a 21-spin merge with the live clusters needs 33557504 bytes, over the budget of 33554432")
+    monkeypatch.setenv("COOLSPIN_MAX_N", "23")
     code, out, err = run(capsys, *_COOL_729_TIES)
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == "simulated best (exact): spin s0 at 1.1390625e-08"
@@ -562,7 +563,7 @@ def test_cool_still_refuses_a_tie_merged_plan_past_the_cluster_budget(capsys):
     assert run(capsys, "cool", *argv) == (
         4,
         "",
-        "capacity: a 24-spin merge with the live clusters needs 134219072 bytes,"
+        "capacity: a 24-spin merge with the live clusters needs 268442944 bytes,"
         " over the budget of 134217728 (override with COOLSPIN_MAX_N)\n",
     )
 

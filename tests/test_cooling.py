@@ -490,6 +490,10 @@ def _compare_with_reference_scheduler(n, eps0, target, recycle):
 @example(log_n=3.0, log_eps0=math.log10(0.99), depth=4, slack=1.0, recycle=False)
 @example(log_n=4.0, log_eps0=math.log10(0.9999), depth=3, slack=1.0, recycle=True)
 @example(log_n=6.0, log_eps0=-11.0, depth=5, slack=0.99, recycle=True)  # float ties merge pools
+# n = 34, no power of three: pools split part way and leave leftovers. In round 3 the slices
+# of two pools would read range(3, 30, 9) and range(4, 31, 9); the planner's arithmetic
+# gives range(3, 27, 9) and range(4, 28, 9), the same spins.
+@example(log_n=math.log(34.5, 3), log_eps0=math.log10(6.584733413023376e-09), depth=3, slack=0.99, recycle=True)
 def test_scheduler_matches_the_one_triple_at_a_time_reference(log_n, log_eps0, depth, slack, recycle):
     eps0 = 10.0**log_eps0
     target = eps0
@@ -524,6 +528,11 @@ def _planned(draw, max_log_n=10.0):
 @example(plan=plan_rounds(729, 1e-11, 0.99 * 1.5**5 * 1e-11, recycle=True))
 @example(plan=plan_rounds(81, 0.99, 1.0, recycle=True))
 def test_the_pool_level_plan_matches_the_per_spin_replay(plan):
+    # The planner records its certificate and each round's boost count as it builds the blocks.
+    assert plan._certified == all(isinstance(run, range) for rnd in plan.rounds for _, run in rnd.blocks)
+    assert [vars(rnd)["boosts"] for rnd in plan.rounds] == [
+        sum(len(spins) for _, spins in rnd.blocks) // 3 for rnd in plan.rounds
+    ]
     eps = np.full(plan.n, plan.eps0)
     for rnd in plan.rounds:
         assert (eps[rnd.triples] == rnd.pool_eps[:, None]).all()
@@ -957,9 +966,10 @@ def test_the_exact_walk_states_a_shared_history_once(monkeypatch):
 
 def test_the_cluster_engine_bounds_the_sum_of_its_live_clusters(monkeypatch):
     # Round 1 leaves three 3-spin clusters of 8 entries (64 bytes) each, which
-    # round 2 boosts again: each fits a budget of 128 bytes, but the third would
-    # bring the live clusters to 192 bytes. The walk alone would need more than
-    # either budget, so the cluster replay is called directly.
+    # round 2 boosts again. A merge states twice its 8 entries with the live
+    # clusters: the first two fit a budget of 192 bytes, but the third would
+    # bring them to 256, and round 2, whose parts are live, needs 320. The walk
+    # alone would need more than either budget, so the cluster replay is called directly.
     triples = np.array([(0, 1, 2), (3, 4, 5), (6, 7, 8)] * 2)
     merges = []
 
@@ -970,10 +980,12 @@ def test_the_cluster_engine_bounds_the_sum_of_its_live_clusters(monkeypatch):
 
     merge = cooling.reduce
     monkeypatch.setattr(cooling, "reduce", spy)
-    with pytest.raises(CapacityError, match="a 3-spin merge with the live clusters needs 192 bytes, over the budget of 128"):
-        cooling._replay_clusters(0.3, triples, 128)
+    with pytest.raises(CapacityError, match="a 3-spin merge with the live clusters needs 256 bytes, over the budget of 192"):
+        cooling._replay_clusters(0.3, triples, 192)
     assert merges == [3, 3]  # the third triple's cluster is never allocated
-    got = cooling._replay_clusters(0.3, triples, 256)
+    with pytest.raises(CapacityError, match="needs 320 bytes, over the budget of 319"):
+        cooling._replay_clusters(0.3, triples, 319)
+    got = cooling._replay_clusters(0.3, triples, 320)
     want = oracles.replay_exact(9, 0.3, triples.tolist())
     np.testing.assert_allclose([got[s] for s in range(9)], want, rtol=0.0, atol=1e-14)
 
